@@ -104,14 +104,19 @@ def run_example_unstable(n_blocks: int, max_block_len: int = 10_000,
     """
     if n_blocks < 2:
         raise ValueError("n_blocks must be >= 2")
-    schedule = unstable_bodies_schedule(n_blocks, max_block_len)
+    return _run_all_blocks("oscillation", unstable_bodies_schedule(n_blocks, max_block_len),
+                           n_blocks, max_block_len, start, record_stride)
+
+
+def _run_all_blocks(name, schedule, n_blocks, max_block_len, start, record_stride) -> Trace:
+    """Run a planar adaptive schedule; raise unless every block's predicate fired."""
     cfg = RunConfig(start=as_point(np.asarray(start, dtype=float), dim=2),
                     max_iter=n_blocks * max_block_len + 1,
                     record_stride=record_stride)
     trace = run_perturbed(schedule, cfg)
     if not (trace.status == "schedule_exhausted" and trace.schedule_complete):
         raise ScheduleExhausted(
-            f"oscillation run completed only {len(trace.completed_blocks())} "
+            f"{name} run completed only {len(trace.completed_blocks())} "
             f"of {n_blocks} blocks (status {trace.status})")
     return trace
 
@@ -151,15 +156,7 @@ def run_example_unbounded_lines(n_blocks: int, max_block_len: int = 10_000,
         return float(np.linalg.norm(a)) > k / 2.0
 
     schedule = Adaptive(pairs=pair, switch_predicate=fired, max_block_len=max_block_len)
-    cfg = RunConfig(start=as_point(np.asarray(start, dtype=float), dim=2),
-                    max_iter=n_blocks * max_block_len + 1,
-                    record_stride=record_stride)
-    trace = run_perturbed(schedule, cfg)
-    if not (trace.status == "schedule_exhausted" and trace.schedule_complete):
-        raise ScheduleExhausted(
-            f"line run completed only {len(trace.completed_blocks())} "
-            f"of {n_blocks} blocks (status {trace.status})")
-    return trace
+    return _run_all_blocks("line", schedule, n_blocks, max_block_len, start, record_stride)
 
 
 # ---------------------------------------------------------------------------
@@ -203,28 +200,11 @@ class Ell2Construction:
         return self.ratio ** np.arange(1, self.d + 1)
 
     def closed_alphas(self, h: int, t: int) -> np.ndarray:
-        """Closed-form first-factor coordinates after t steps of block h.
-
-        Within a block the per-coordinate recursion is affine with
-        constant coefficients, so coordinate n at step t is
-
-            start_n * exp(-t*log1p(a_n^2))                       (n <= h)
-            start_n * ((1+M) - M*exp(-t*log1p(a_n^2 / M^2)))     (n >  h)
-
-        which increases toward (1+M)*start_n on the active coordinates.
-        """
+        """Closed-form first-factor coordinates after t steps of block h."""
         blk = self.blocks[h - 1]
         if not (0 <= t <= blk.N):
             raise ValueError(f"step {t} outside block {h} of length {blk.N}")
-        a = self.weights
-        n_idx = np.arange(1, self.d + 1)
-        head = n_idx <= h
-        out = np.empty(self.d)
-        out[head] = blk.start_alphas[head] * np.exp(-t * np.log1p(a[head] ** 2))
-        q = (a[~head] / blk.M) ** 2
-        out[~head] = blk.start_alphas[~head] * ((1.0 + blk.M)
-                                                - blk.M * np.exp(-t * np.log1p(q)))
-        return out
+        return _block_alphas(blk.start_alphas, self.weights, blk.M, h, t)
 
     def block_boundaries(self) -> list:
         """Global step index at the end of each block (cumulative N_h)."""
@@ -297,6 +277,25 @@ class Ell2Construction:
                                 blocks=blocks)
 
 
+def _block_alphas(start, a, M, h, t) -> np.ndarray:
+    """First-factor coordinates after t steps of block h from ``start``.
+
+    Within a block the per-coordinate recursion is affine with constant
+    coefficients, so coordinate n at step t is
+
+        start_n * exp(-t*log1p(a_n^2))                       (n <= h)
+        start_n * ((1+M) - M*exp(-t*log1p(a_n^2 / M^2)))     (n >  h)
+
+    which increases toward (1+M)*start_n on the active coordinates.
+    """
+    head = np.arange(1, a.size + 1) <= h
+    out = np.empty(a.size)
+    out[head] = start[head] * np.exp(-t * np.log1p(a[head] ** 2))
+    q = (a[~head] / M) ** 2
+    out[~head] = start[~head] * ((1.0 + M) - M * np.exp(-t * np.log1p(q)))
+    return out
+
+
 def default_start_alphas(d: int, target_norm: float = 0.9) -> np.ndarray:
     """Positive coordinates proportional to 2^-n, scaled to the given norm."""
     v = 2.0 ** -np.arange(1, d + 1)
@@ -343,13 +342,9 @@ def build_ell2_construction(d: int, H: int, ratio: float = 0.5, start=None,
             raise InfeasibleParams(
                 f"block {h}: growth window infeasible (tail mass {S!r} too large)")
         M = math.sqrt(lo_sq ** (1.0 - slack) * hi_sq ** slack) - 1.0
-        q = (a / M) ** 2
 
         def closed(t):
-            out = np.empty(d)
-            out[~tail] = alphas[~tail] * np.exp(-t * np.log1p(a[~tail] ** 2))
-            out[tail] = alphas[tail] * ((1.0 + M) - M * np.exp(-t * np.log1p(q[tail])))
-            return out
+            return _block_alphas(alphas, a, M, h, t)
 
         def tail_grown(t):
             return float(np.sum(closed(t)[tail] ** 2)) > 2.0 ** h
@@ -393,12 +388,14 @@ def build_ell2_construction(d: int, H: int, ratio: float = 0.5, start=None,
     return c
 
 
+def _first_factor(d: int) -> OrthoSubspace:
+    """The first factor X (+) {0} of the packed product space R^(2d)."""
+    return OrthoSubspace(np.eye(d, 2 * d))
+
+
 def ell2_schedule(c: Ell2Construction) -> Blocks:
     """Block schedule: fixed first-factor subspace against per-block graphs."""
-    d = c.d
-    basis = np.zeros((d, 2 * d))
-    basis[:, :d] = np.eye(d)
-    first_factor = OrthoSubspace(basis)
+    first_factor = _first_factor(c.d)
     return Blocks(tuple((first_factor, DiagonalAffineGraph(blk.theta, blk.b), blk.N)
                         for blk in c.blocks))
 
@@ -481,9 +478,7 @@ def ell2_verify_engine(c: Ell2Construction, checkpoints, window: int = 64) -> fl
     for a full run (the full-run comparison is a separate helper).
     """
     d = c.d
-    basis = np.zeros((d, 2 * d))
-    basis[:, :d] = np.eye(d)
-    first_factor = OrthoSubspace(basis)
+    first_factor = _first_factor(d)
     worst = 0.0
     for h, t in checkpoints:
         blk = c.blocks[h - 1]
@@ -573,6 +568,7 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
     delta = _delta_law(delta_law, delta_scale)
 
     if kind == "tangent_disc":
+        _no_more(params)
         A = Ball(np.array([0.0, 1.0]), 1.0)
         B = Halfspace(np.array([0.0, 1.0]), 0.0)
         up = np.array([0.0, 1.0])
@@ -585,6 +581,7 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
             notes={"touch_point": [0.0, 0.0], "separator": [0.0, -1.0]})
 
     if kind == "overlapping_balls":
+        _no_more(params)
         A = Ball(np.array([0.5, 0.0]), 1.5)
         B = Ball(np.array([-0.5, 0.0]), 1.5)
         u = np.array([1.0, 0.0])
@@ -598,8 +595,7 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
 
     if kind == "transversal_planes":
         kappa = float(params.pop("kappa", 0.5))
-        if params:
-            raise InfeasibleParams(f"unknown parameters {sorted(params)}")
+        _no_more(params)
         U = OrthoSubspace(np.array([[1.0, 0.0, 0.0, 0.0],
                                     [0.0, 1.0, 0.0, 0.0]]))
         v1 = np.array([kappa, 0.0, 1.0, 0.0])
@@ -619,8 +615,7 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
         d = int(params.pop("d", 3))
         normals = params.pop("normals", None)
         offsets = params.pop("offsets", None)
-        if params:
-            raise InfeasibleParams(f"unknown parameters {sorted(params)}")
+        _no_more(params)
         if normals is None:
             normals = np.vstack([np.ones(d), np.eye(d)[0] + 0.5])
             offsets = np.array([float(d), 2.0])
@@ -644,8 +639,7 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
         d = int(params.pop("d", 2))
         a = as_point(np.asarray(params.pop("a", np.array([1.0, -1.0])), dtype=float), dim=d)
         b = float(params.pop("b", 0.5))
-        if params:
-            raise InfeasibleParams(f"unknown parameters {sorted(params)}")
+        _no_more(params)
         if np.all(a <= 0.0):
             raise InfeasibleParams("normal lies in the polar cone of the orthant")
         witness = _strict_orthant_witness(a, b)
@@ -664,8 +658,7 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
         d = int(params.pop("d", 3))
         a = as_point(np.asarray(params.pop("a", np.array([-1.0, -2.0, -0.5])),
                                 dtype=float), dim=d)
-        if params:
-            raise InfeasibleParams(f"unknown parameters {sorted(params)}")
+        _no_more(params)
         if not np.all(a < 0.0):
             raise InfeasibleParams(
                 "normal must be componentwise strictly negative "
@@ -682,6 +675,12 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
             notes={"polar_interior": True})
 
     raise InfeasibleParams(f"unknown scenario kind {kind!r}")
+
+
+def _no_more(params: dict):
+    """Reject scenario parameters the scenario did not take."""
+    if params:
+        raise InfeasibleParams(f"unknown parameters {sorted(params)}")
 
 
 def _strict_orthant_witness(a: np.ndarray, b: float) -> np.ndarray:

@@ -4,7 +4,9 @@ One run iterates the two-step recursion
 
     b_n = P_{B_n}(a_{n-1}),   a_n = P_{A_n}(b_n)        (n = 1, 2, ...)
 
-where the pair (A_n, B_n) is produced by a schedule.  Every step is
+where the pair (A_n, B_n) is produced by a schedule: ``pair(block_id)``
+gives a block's sets and ``advance(block_id, block_step, a_n)`` says after
+each step whether, and why, the block ends.  Every step is
 computed; ``record_stride`` only thins the log.  Runs are strictly
 sequential and deterministic, and a trace can be re-simulated from any of
 its records bit-identically.
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import as_point
-from .sets import project
 
 
 class ScheduleExhausted(RuntimeError):
@@ -42,6 +43,13 @@ class Constant:
     A: object
     B: object
 
+    def pair(self, block_id: int):
+        return self.A, self.B
+
+    def advance(self, block_id: int, block_step: int, a_n):
+        """The block's end cause ("length", "predicate", "budget") or None."""
+        return None
+
 
 @dataclass(frozen=True)
 class Blocks:
@@ -60,6 +68,15 @@ class Blocks:
     @property
     def total_length(self):
         return sum(L for _, _, L in self.blocks)
+
+    def pair(self, block_id: int):
+        if block_id - 1 >= len(self.blocks):
+            raise ScheduleExhausted(f"blocks schedule ends before block {block_id}")
+        A, B, _ = self.blocks[block_id - 1]
+        return A, B
+
+    def advance(self, block_id: int, block_step: int, a_n):
+        return "length" if block_step >= self.blocks[block_id - 1][2] else None
 
 
 @dataclass(frozen=True)
@@ -93,8 +110,13 @@ class Adaptive:
             raise ScheduleExhausted(f"adaptive pair list ends before block {block_id}")
         return self.pairs[block_id - 1]
 
-
-Schedule = (Constant, Blocks, Adaptive)
+    def advance(self, block_id: int, block_step: int, a_n):
+        """"budget" (the run halts) when the cap is hit before the predicate fires."""
+        if self.switch_predicate(block_id, a_n):
+            return "predicate"
+        if block_step >= self.max_block_len:
+            return "budget"
+        return None
 
 
 @dataclass(frozen=True)
@@ -165,35 +187,6 @@ class Trace:
         return [bl for bl in self.blocks if bl.advance in ("predicate", "length")]
 
 
-def _pair_for(schedule, block_id: int):
-    if isinstance(schedule, Constant):
-        return schedule.A, schedule.B
-    if isinstance(schedule, Blocks):
-        if block_id - 1 >= len(schedule.blocks):
-            raise ScheduleExhausted(f"blocks schedule ends before block {block_id}")
-        A, B, _ = schedule.blocks[block_id - 1]
-        return A, B
-    if isinstance(schedule, Adaptive):
-        return schedule.pair(block_id)
-    raise TypeError(f"unknown schedule type {type(schedule).__name__}")
-
-
-def _advance_after_step(schedule, block_id, block_step, a_n):
-    """Returns (advance: bool, cause: str | None, halt: bool)."""
-    if isinstance(schedule, Constant):
-        return False, None, False
-    if isinstance(schedule, Blocks):
-        _, _, L = schedule.blocks[block_id - 1]
-        if block_step >= L:
-            return True, "length", False
-        return False, None, False
-    if schedule.switch_predicate(block_id, a_n):
-        return True, "predicate", False
-    if block_step >= schedule.max_block_len:
-        return True, "budget", True
-    return False, None, False
-
-
 def run_perturbed(schedule, cfg: RunConfig, resume_from: TraceRecord | None = None) -> Trace:
     """Run the two-step projection recursion under a schedule.
 
@@ -215,8 +208,8 @@ def run_perturbed(schedule, cfg: RunConfig, resume_from: TraceRecord | None = No
         n = resume_from.n + 1
         block_id, block_step = resume_from.block_id, resume_from.block_step
         block_start_n = resume_from.n - resume_from.block_step + 1
-        adv, cause, halt = _advance_after_step(schedule, block_id, block_step, prev)
-        if adv and not halt:
+        cause = schedule.advance(block_id, block_step, prev)
+        if cause is not None and cause != "budget":
             block_logs.append(BlockLog(block_id, block_start_n, resume_from.n, cause))
             block_id += 1
             block_step = 0
@@ -242,7 +235,7 @@ def run_perturbed(schedule, cfg: RunConfig, resume_from: TraceRecord | None = No
 
     while n <= cfg.max_iter:
         try:
-            A_n, B_n = _pair_for(schedule, block_id)
+            A_n, B_n = schedule.pair(block_id)
         except ScheduleExhausted:
             status = "schedule_exhausted"
             schedule_complete = all(bl.advance in ("predicate", "length")
@@ -250,32 +243,31 @@ def run_perturbed(schedule, cfg: RunConfig, resume_from: TraceRecord | None = No
             break
 
         try:
-            b_n = project(B_n, prev)
-            a_n = project(A_n, b_n)
+            b_n = B_n.project(prev)
+            a_n = A_n.project(b_n)
         except (ValueError, RuntimeError) as exc:
             raise ProjectionStepError(n, exc) from exc
         block_step += 1
 
-        advanced, cause, halt = _advance_after_step(schedule, block_id, block_step, a_n)
+        cause = schedule.advance(block_id, block_step, a_n)
+        halt = cause == "budget"
         residual = float(np.linalg.norm(a_n - prev))
         residual_stop = cfg.stop_residual is not None and residual < cfg.stop_residual
         is_last = (n == cfg.max_iter) or halt or residual_stop
-        log(n, block_id, block_step, a_n, b_n, prev, force=advanced or is_last)
+        log(n, block_id, block_step, a_n, b_n, prev, force=cause is not None or is_last)
 
-        if advanced:
+        if cause is not None:
             block_logs.append(BlockLog(block_id, block_start_n, n, cause))
-            if halt:
-                status = "schedule_exhausted"
-                schedule_complete = False
-                prev = a_n
-                n += 1
-                break
-            block_id += 1
-            block_step = 0
-            block_start_n = n + 1
+            if not halt:
+                block_id += 1
+                block_step = 0
+                block_start_n = n + 1
 
         prev = a_n
         n += 1
+        if halt:
+            status = "schedule_exhausted"
+            break
         if residual_stop:
             status = "residual_met"
             break
@@ -326,12 +318,12 @@ def resolve_pair(schedule, n: int, trace_so_far: Trace | None = None):
     if last is None:
         raise ValueError(f"trace prefix does not contain step {n - 1}")
     block_id, block_step = last.block_id, last.block_step
-    advanced, cause, halt = _advance_after_step(schedule, block_id, block_step, last.a)
-    if advanced and not halt:
-        block_id += 1
-    elif halt:
+    cause = schedule.advance(block_id, block_step, last.a)
+    if cause == "budget":
         raise ScheduleExhausted(
             f"block {block_id} exhausted its budget without firing", n=n)
+    if cause is not None:
+        block_id += 1
     A, B = schedule.pair(block_id)
     return A, B, block_id
 

@@ -38,7 +38,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"point must be 1-D, got shape {p.shape}")
     if p.size == 0:
         raise ValueError("point must have at least one coordinate")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point has non-finite coordinates")
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
@@ -148,8 +148,8 @@ class ConeSpec:
             object.__setattr__(self, "direction", d)
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        if self.shift < 0.0:
-            raise ValueError("shift must be >= 0")
+        if not 0.0 <= self.shift < np.inf:
+            raise ValueError("shift must be finite and >= 0")
         if self.kind not in ("C", "V"):
             raise ValueError(f"kind must be 'C' or 'V', got {self.kind!r}")
 

@@ -1,18 +1,17 @@
 """Projectable convex set kinds with exact or certified-iterative projection.
 
-Every set kind knows how to project a point onto itself (except the
-membership-only shifted cone), how to measure the distance of a point to
-itself, and how to serialize to a JSON-friendly dict.  Projections are
-exact closed forms everywhere except ``Polyhedron``, whose projection
-runs cyclic Dykstra over its halfspaces and certifies convergence.
-
-The module-level functions ``project``, ``membership``, ``support_value``
-and ``slice_sample`` dispatch on the set kind.
+A set kind is one :class:`ConvexSet` subclass listed in ``SET_KINDS``: its
+projection, closed-form overrides where they are cheaper, and a ``kind``
+tag.  Projections are exact closed forms everywhere except ``Polyhedron``,
+whose projection runs cyclic Dykstra over its halfspaces and certifies
+convergence; the shifted cone is membership-only.  The module-level
+functions delegate to the kind's methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,27 +50,93 @@ def _unit(a, name="a"):
     return a / n, n
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr, name: str) -> np.ndarray:
+    """Read-only float copy of an array field; non-finite entries raise."""
     arr = np.array(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
 
+def _finite(x, name: str) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
+def _take(doc: dict, names, kind: str) -> list:
+    """The values of ``names`` in a set descriptor; unknown or missing fields raise."""
+    unknown, missing = sorted(set(doc) - set(names) - {"kind"}), set(names) - set(doc)
+    if unknown or missing:
+        raise ValueError(f"set kind {kind!r}: unknown field(s) {unknown}, "
+                         f"missing field(s) {sorted(missing)}")
+    return [doc[name] for name in names]
+
+
+class ConvexSet:
+    """Base of every set kind: a frozen dataclass with a class-level ``kind``
+    tag, a ``dim`` and a ``project``.  The dataclass fields are the JSON
+    encoding; distance and membership follow from the projection."""
+
+    kind = None
+    projectable = True  # False for membership-only kinds, whose project raises
+
+    def distance(self, x) -> float:
+        x = as_point(x, dim=self.dim)
+        return float(np.linalg.norm(x - self.project(x)))
+
+    def membership(self, x, tol: float = 0.0) -> bool:
+        """True iff dist(x, S) <= tol."""
+        return self.distance(x) <= tol
+
+    def support_value(self, f) -> float:
+        raise SupportUnavailable(f"no exact support value for {type(self).__name__}; "
+                                 "use sampled probes")
+
+    def support_point(self, f) -> np.ndarray:
+        raise SupportUnavailable(f"no support point for {type(self).__name__}")
+
+    def to_dict(self) -> dict:
+        """{"kind": tag, field: value}; floats survive a JSON round trip exactly."""
+        doc = {"kind": self.kind}
+        for fld in fields(self):
+            val = getattr(self, fld.name)
+            doc[fld.name] = val.tolist() if isinstance(val, np.ndarray) else val
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        return cls(*_take(doc, [fld.name for fld in fields(cls)], cls.kind))
+
+
 @dataclass(frozen=True, eq=False)
-class Halfspace:
-    """{x : <a, x> <= b} with a != 0; stored with unit normal."""
+class _UnitNormal(ConvexSet):
+    """Halfspace and hyperplane data: a normal a != 0 and offset b, stored
+    scaled to a unit normal."""
 
     a: np.ndarray
     b: float
 
     def __post_init__(self):
         a, n = _unit(self.a)
-        object.__setattr__(self, "a", _freeze(a))
-        object.__setattr__(self, "b", float(self.b) / n)
+        object.__setattr__(self, "a", _freeze(a, "a"))
+        object.__setattr__(self, "b", _finite(float(self.b) / n, "b"))
 
     @property
     def dim(self):
         return self.a.size
+
+    def translate(self, v):
+        v = as_point(v, dim=self.dim)
+        return type(self)(self.a, self.b + float(np.dot(self.a, v)))
+
+
+class Halfspace(_UnitNormal):
+    """{x : <a, x> <= b}."""
+
+    kind = "halfspace"
 
     def project(self, x):
         x = as_point(x, dim=self.dim)
@@ -84,26 +149,17 @@ class Halfspace:
         x = as_point(x, dim=self.dim)
         return max(0.0, float(np.dot(self.a, x)) - self.b)
 
-    def translate(self, v):
-        v = as_point(v, dim=self.dim)
-        return Halfspace(self.a, self.b + float(np.dot(self.a, v)))
+    def support_value(self, f):
+        fa = float(np.dot(f, self.a))
+        if np.linalg.norm(f - fa * self.a) <= 1e-12 * np.linalg.norm(f) and fa > 0:
+            return fa * self.b
+        raise SupportUnavailable("halfspace is unbounded in this direction")
 
 
-@dataclass(frozen=True, eq=False)
-class Hyperplane:
-    """{x : <a, x> = b} with a != 0; stored with unit normal."""
+class Hyperplane(_UnitNormal):
+    """{x : <a, x> = b}."""
 
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        a, n = _unit(self.a)
-        object.__setattr__(self, "a", _freeze(a))
-        object.__setattr__(self, "b", float(self.b) / n)
-
-    @property
-    def dim(self):
-        return self.a.size
+    kind = "hyperplane"
 
     def project(self, x):
         x = as_point(x, dim=self.dim)
@@ -113,13 +169,16 @@ class Hyperplane:
         x = as_point(x, dim=self.dim)
         return abs(float(np.dot(self.a, x)) - self.b)
 
-    def translate(self, v):
-        v = as_point(v, dim=self.dim)
-        return Hyperplane(self.a, self.b + float(np.dot(self.a, v)))
+    def support_value(self, f):
+        fa = float(np.dot(f, self.a))
+        if np.linalg.norm(f - fa * self.a) <= 1e-12 * np.linalg.norm(f):
+            return fa * self.b
+        raise SupportUnavailable("hyperplane is unbounded in this direction")
 
 
 @dataclass(frozen=True, eq=False)
-class Ball:
+class Ball(ConvexSet):
+    kind = "ball"
     center: np.ndarray
     radius: float
 
@@ -127,8 +186,8 @@ class Ball:
         c = as_point(self.center)
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
-        object.__setattr__(self, "center", _freeze(c))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "center", _freeze(c, "center"))
+        object.__setattr__(self, "radius", _finite(self.radius, "radius"))
 
     @property
     def dim(self):
@@ -145,6 +204,12 @@ class Ball:
     def distance(self, x):
         x = as_point(x, dim=self.dim)
         return max(0.0, float(np.linalg.norm(x - self.center)) - self.radius)
+
+    def support_value(self, f):
+        return float(np.dot(f, self.center)) + self.radius * float(np.linalg.norm(f))
+
+    def support_point(self, f):
+        return self.center + self.radius * f / float(np.linalg.norm(f))
 
     def translate(self, v):
         return Ball(self.center + as_point(v, dim=self.dim), self.radius)
@@ -175,7 +240,7 @@ def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Polygon2D:
+class Polygon2D(ConvexSet):
     """Convex polygon in the plane, vertices stored in CCW order.
 
     The constructor takes an arbitrary vertex list, deduplicates it and
@@ -184,15 +249,14 @@ class Polygon2D:
     and projected onto correctly.
     """
 
+    kind = "polygon2d"
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = _freeze(self.vertices, "vertices")
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 1:
             raise ValueError("vertices must be an (m, 2) array with m >= 1")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vertices must be finite")
-        object.__setattr__(self, "vertices", _freeze(_convex_hull_ccw(v)))
+        object.__setattr__(self, "vertices", _freeze(_convex_hull_ccw(v), "vertices"))
 
     @property
     def dim(self):
@@ -235,8 +299,15 @@ class Polygon2D:
                 best, best_d = cand, d
         return best
 
-    def distance(self, x):
-        return float(np.linalg.norm(as_point(x, dim=2) - self.project(x)))
+    def membership(self, x, tol=0.0):
+        return self.contains(x, tol) or self.distance(x) <= tol
+
+    def support_value(self, f):
+        return float(np.max(self.vertices @ as_point(f, dim=2)))
+
+    def support_point(self, f):
+        vals = self.vertices @ as_point(f, dim=2)
+        return self.vertices[int(np.argmax(vals))].copy()
 
     def translate(self, v):
         return Polygon2D(self.vertices + as_point(v, dim=2))
@@ -249,19 +320,18 @@ def _check_orthonormal(basis: np.ndarray, tol=1e-10):
 
 
 @dataclass(frozen=True, eq=False)
-class OrthoSubspace:
+class OrthoSubspace(ConvexSet):
     """Linear subspace spanned by orthonormal basis rows (k x d)."""
 
+    kind = "ortho_subspace"
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
+        b = _freeze(self.basis, "basis")
         if b.ndim != 2 or b.shape[0] < 1:
             raise ValueError("basis must be a nonempty (k, d) array")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("basis must be finite")
         _check_orthonormal(b)
-        object.__setattr__(self, "basis", _freeze(b))
+        object.__setattr__(self, "basis", b)
 
     @property
     def dim(self):
@@ -271,29 +341,31 @@ class OrthoSubspace:
         x = as_point(x, dim=self.dim)
         return self.basis.T @ (self.basis @ x)
 
-    def distance(self, x):
-        x = as_point(x, dim=self.dim)
-        return float(np.linalg.norm(x - self.project(x)))
+    def support_value(self, f):
+        if float(np.linalg.norm(self.basis @ f)) <= 1e-12 * np.linalg.norm(f):
+            return 0.0
+        raise SupportUnavailable("subspace is unbounded in this direction")
 
     def translate(self, v):
         return AffineSubspace(as_point(v, dim=self.dim), self.basis)
 
 
 @dataclass(frozen=True, eq=False)
-class AffineSubspace:
+class AffineSubspace(ConvexSet):
     """anchor + span(basis) with orthonormal basis rows."""
 
+    kind = "affine_subspace"
     anchor: np.ndarray
     basis: np.ndarray
 
     def __post_init__(self):
         a = as_point(self.anchor)
-        b = np.asarray(self.basis, dtype=float)
+        b = _freeze(self.basis, "basis")
         if b.ndim != 2 or b.shape[1] != a.size:
             raise ValueError("basis shape incompatible with anchor")
         _check_orthonormal(b)
-        object.__setattr__(self, "anchor", _freeze(a))
-        object.__setattr__(self, "basis", _freeze(b))
+        object.__setattr__(self, "anchor", _freeze(a, "anchor"))
+        object.__setattr__(self, "basis", b)
 
     @property
     def dim(self):
@@ -304,9 +376,10 @@ class AffineSubspace:
         y = x - self.anchor
         return self.anchor + self.basis.T @ (self.basis @ y)
 
-    def distance(self, x):
-        x = as_point(x, dim=self.dim)
-        return float(np.linalg.norm(x - self.project(x)))
+    def support_value(self, f):
+        if float(np.linalg.norm(self.basis @ f)) <= 1e-12 * np.linalg.norm(f):
+            return float(np.dot(f, self.anchor))
+        raise SupportUnavailable("affine flat is unbounded in this direction")
 
     def translate(self, v):
         return AffineSubspace(self.anchor + as_point(v, dim=self.dim), self.basis)
@@ -317,7 +390,8 @@ class AffineSubspace:
 
 
 @dataclass(frozen=True, eq=False)
-class NonnegOrthant:
+class NonnegOrthant(ConvexSet):
+    kind = "nonneg_orthant"
     d: int
 
     def __post_init__(self):
@@ -336,6 +410,11 @@ class NonnegOrthant:
         x = as_point(x, dim=self.d)
         return float(np.linalg.norm(np.minimum(x, 0.0)))
 
+    def support_value(self, f):
+        if np.all(f <= 0.0):
+            return 0.0
+        raise SupportUnavailable("orthant is unbounded in this direction")
+
     def translate(self, v):
         v = as_point(v, dim=self.d)
         normals = -np.eye(self.d)
@@ -343,7 +422,7 @@ class NonnegOrthant:
 
 
 @dataclass(frozen=True, eq=False)
-class Polyhedron:
+class Polyhedron(ConvexSet):
     """{x : <a_i, x> <= b_i for all i}; the constructor demands a witness.
 
     Rows of ``normals`` are the a_i (not necessarily unit), paired with
@@ -351,13 +430,14 @@ class Polyhedron:
     point, checked at construction.
     """
 
+    kind = "polyhedron"
     normals: np.ndarray
     b: np.ndarray
     witness: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.normals, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        A = _freeze(self.normals, "normals")
+        b = _freeze(self.b, "b")
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size or A.shape[0] < 1:
             raise ValueError("normals must be (m, d), b must be (m,)")
         norms = np.linalg.norm(A, axis=1)
@@ -368,9 +448,9 @@ class Polyhedron:
         w = as_point(self.witness, dim=A.shape[1])
         if np.any(A @ w > b + 1e-9):
             raise ValueError("witness point is not feasible")
-        object.__setattr__(self, "normals", _freeze(A))
-        object.__setattr__(self, "b", _freeze(b))
-        object.__setattr__(self, "witness", _freeze(w))
+        object.__setattr__(self, "normals", _freeze(A, "normals"))
+        object.__setattr__(self, "b", _freeze(b, "b"))
+        object.__setattr__(self, "witness", _freeze(w, "witness"))
 
     @property
     def dim(self):
@@ -383,11 +463,21 @@ class Polyhedron:
     def project(self, x, tol=1e-10, max_iter=100_000):
         return polyhedron_project_dykstra(self, x, tol=tol, max_iter=max_iter)
 
-    def distance(self, x):
-        x = as_point(x, dim=self.dim)
-        if self.contains(x):
-            return 0.0
-        return float(np.linalg.norm(x - self.project(x)))
+    def membership(self, x, tol=0.0):
+        return self.contains(x, tol) or self.distance(x) <= tol
+
+    def support_value(self, f):
+        if _polyhedron_unbounded_in(self, f):
+            raise SupportUnavailable("polyhedron is unbounded in this direction")
+        verts = polyhedron_vertices(self)
+        if len(verts) == 0:
+            raise SupportUnavailable("polyhedron has no vertices; use sampled probes")
+        return float(np.max(verts @ f))
+
+    def support_point(self, f):
+        self.support_value(f)  # raises if unbounded
+        verts = polyhedron_vertices(self)
+        return verts[int(np.argmax(verts @ f))]
 
     def translate(self, v):
         v = as_point(v, dim=self.dim)
@@ -395,7 +485,7 @@ class Polyhedron:
 
 
 @dataclass(frozen=True, eq=False)
-class DiagonalAffineGraph:
+class DiagonalAffineGraph(ConvexSet):
     """The set {(x, offset + D x)} in R^{2d} with D = diag(theta).
 
     Operates on packed product points: the first d coordinates are x, the
@@ -404,14 +494,15 @@ class DiagonalAffineGraph:
     for input (alpha, beta).
     """
 
+    kind = "diagonal_affine_graph"
     theta: np.ndarray
     offset: np.ndarray
 
     def __post_init__(self):
         t = as_point(self.theta)
         o = as_point(self.offset, dim=t.size)
-        object.__setattr__(self, "theta", _freeze(t))
-        object.__setattr__(self, "offset", _freeze(o))
+        object.__setattr__(self, "theta", _freeze(t, "theta"))
+        object.__setattr__(self, "offset", _freeze(o, "offset"))
 
     @property
     def half_dim(self):
@@ -428,9 +519,12 @@ class DiagonalAffineGraph:
         x = (alpha + self.theta * (beta - self.offset)) / (1.0 + self.theta ** 2)
         return np.concatenate([x, self.offset + self.theta * x])
 
-    def distance(self, z):
-        z = as_point(z, dim=self.dim)
-        return float(np.linalg.norm(z - self.project(z)))
+    def support_value(self, f):
+        d = self.half_dim
+        f = as_point(f, dim=2 * d)
+        if float(np.linalg.norm(f[:d] + self.theta * f[d:])) <= 1e-12 * np.linalg.norm(f):
+            return float(np.dot(f[d:], self.offset))
+        raise SupportUnavailable("graph flat is unbounded in this direction")
 
     def translate(self, v):
         v = as_point(v, dim=self.dim)
@@ -440,9 +534,11 @@ class DiagonalAffineGraph:
 
 
 @dataclass(frozen=True, eq=False)
-class ShiftedConvexCone:
+class ShiftedConvexCone(ConvexSet):
     """Membership-only wrapper around a shifted convex cone C(f, alpha)."""
 
+    kind = "shifted_convex_cone"
+    projectable = False
     cone: ConeSpec
 
     def __post_init__(self):
@@ -453,29 +549,38 @@ class ShiftedConvexCone:
     def dim(self):
         return self.cone.dim
 
-    def contains(self, x, tol=0.0):
+    def project(self, x):
+        raise ProjectionUnsupported("projection onto shifted cones is not provided")
+
+    def membership(self, x, tol=0.0):
+        """The cone residual test; no distance is computed."""
         return cone_contains(self.cone, x, tol)
+
+    def to_dict(self):
+        c = self.cone
+        return {"kind": self.kind, "riesz": c.riesz.tolist(), "alpha": c.alpha,
+                "shift": c.shift, "direction": c.direction.tolist(), "cone_kind": c.kind}
+
+    @classmethod
+    def from_dict(cls, doc):
+        return cls(ConeSpec(*_take(doc, ("riesz", "alpha", "shift", "direction", "cone_kind"),
+                                   cls.kind)))
 
 
 SET_KINDS = (Halfspace, Hyperplane, Ball, Polygon2D, OrthoSubspace,
              AffineSubspace, NonnegOrthant, Polyhedron, DiagonalAffineGraph,
              ShiftedConvexCone)
+_KIND_BY_TAG = {cls.kind: cls for cls in SET_KINDS}
 
 
 def project(S, x) -> np.ndarray:
     """Metric projection of x onto S; raises for membership-only kinds."""
-    if isinstance(S, ShiftedConvexCone):
-        raise ProjectionUnsupported("projection onto shifted cones is not provided")
     return S.project(x)
 
 
 def membership(S, x, tol: float = 0.0) -> bool:
     """True iff dist(x, S) <= tol (cone residual test for the cone kind)."""
-    if isinstance(S, ShiftedConvexCone):
-        return S.contains(x, tol)
-    if isinstance(S, (Polygon2D, Polyhedron)):
-        return S.contains(x, tol) or S.distance(x) <= tol
-    return S.distance(x) <= tol
+    return S.membership(x, tol)
 
 
 def polyhedron_project_dykstra(S: Polyhedron, x, tol: float = 1e-10,
@@ -549,62 +654,12 @@ def support_value(S, f) -> float:
     f = as_point(f)
     if float(np.linalg.norm(f)) == 0.0:
         raise ValueError("support direction must be nonzero")
-    if isinstance(S, Ball):
-        return float(np.dot(f, S.center)) + S.radius * float(np.linalg.norm(f))
-    if isinstance(S, Polygon2D):
-        return float(np.max(S.vertices @ as_point(f, dim=2)))
-    if isinstance(S, Polyhedron):
-        if _polyhedron_unbounded_in(S, f):
-            raise SupportUnavailable("polyhedron is unbounded in this direction")
-        verts = polyhedron_vertices(S)
-        if len(verts) == 0:
-            raise SupportUnavailable("polyhedron has no vertices; use sampled probes")
-        return float(np.max(verts @ f))
-    if isinstance(S, Halfspace):
-        fa = float(np.dot(f, S.a))
-        if np.linalg.norm(f - fa * S.a) <= 1e-12 * np.linalg.norm(f) and fa > 0:
-            return fa * S.b
-        raise SupportUnavailable("halfspace is unbounded in this direction")
-    if isinstance(S, Hyperplane):
-        fa = float(np.dot(f, S.a))
-        if np.linalg.norm(f - fa * S.a) <= 1e-12 * np.linalg.norm(f):
-            return fa * S.b
-        raise SupportUnavailable("hyperplane is unbounded in this direction")
-    if isinstance(S, OrthoSubspace):
-        if float(np.linalg.norm(S.basis @ f)) <= 1e-12 * np.linalg.norm(f):
-            return 0.0
-        raise SupportUnavailable("subspace is unbounded in this direction")
-    if isinstance(S, AffineSubspace):
-        if float(np.linalg.norm(S.basis @ f)) <= 1e-12 * np.linalg.norm(f):
-            return float(np.dot(f, S.anchor))
-        raise SupportUnavailable("affine flat is unbounded in this direction")
-    if isinstance(S, NonnegOrthant):
-        if np.all(f <= 0.0):
-            return 0.0
-        raise SupportUnavailable("orthant is unbounded in this direction")
-    if isinstance(S, DiagonalAffineGraph):
-        d = S.half_dim
-        f = as_point(f, dim=2 * d)
-        if float(np.linalg.norm(f[:d] + S.theta * f[d:])) <= 1e-12 * np.linalg.norm(f):
-            return float(np.dot(f[d:], S.offset))
-        raise SupportUnavailable("graph flat is unbounded in this direction")
-    raise SupportUnavailable(f"no exact support value for {type(S).__name__}; "
-                             "use sampled probes")
+    return S.support_value(f)
 
 
 def support_point(S, f) -> np.ndarray:
     """A point of S attaining sup <f, .>, for the bounded kinds."""
-    f = as_point(f)
-    if isinstance(S, Ball):
-        return S.center + S.radius * f / float(np.linalg.norm(f))
-    if isinstance(S, Polygon2D):
-        vals = S.vertices @ as_point(f, dim=2)
-        return S.vertices[int(np.argmax(vals))].copy()
-    if isinstance(S, Polyhedron):
-        support_value(S, f)  # raises if unbounded
-        verts = polyhedron_vertices(S)
-        return verts[int(np.argmax(verts @ f))]
-    raise SupportUnavailable(f"no support point for {type(S).__name__}")
+    return S.support_point(as_point(f))
 
 
 def sample_points(S, n: int, rng, scale: float = 1.0) -> np.ndarray:
@@ -614,8 +669,6 @@ def sample_points(S, n: int, rng, scale: float = 1.0) -> np.ndarray:
     points land on the boundary, which is where excesses and cone shifts
     are attained, so the bias is deliberate.
     """
-    if isinstance(S, ShiftedConvexCone):
-        raise ProjectionUnsupported("cannot sample a membership-only kind by projection")
     d = S.dim
     out = np.empty((n, d))
     for i in range(n):
@@ -727,62 +780,15 @@ def _clip_polygon_halfplane(vertices: np.ndarray, f: np.ndarray, level: float) -
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding: {"kind": ..., numeric fields as arrays}.  Floats survive a
-# round trip exactly (shortest-repr decimals).
+# JSON encoding: {"kind": ..., numeric fields as arrays}.
+
 
 def set_to_dict(S) -> dict:
-    if isinstance(S, Halfspace):
-        return {"kind": "halfspace", "a": S.a.tolist(), "b": S.b}
-    if isinstance(S, Hyperplane):
-        return {"kind": "hyperplane", "a": S.a.tolist(), "b": S.b}
-    if isinstance(S, Ball):
-        return {"kind": "ball", "center": S.center.tolist(), "radius": S.radius}
-    if isinstance(S, Polygon2D):
-        return {"kind": "polygon2d", "vertices": S.vertices.tolist()}
-    if isinstance(S, OrthoSubspace):
-        return {"kind": "ortho_subspace", "basis": S.basis.tolist()}
-    if isinstance(S, AffineSubspace):
-        return {"kind": "affine_subspace", "anchor": S.anchor.tolist(),
-                "basis": S.basis.tolist()}
-    if isinstance(S, NonnegOrthant):
-        return {"kind": "nonneg_orthant", "d": S.d}
-    if isinstance(S, Polyhedron):
-        return {"kind": "polyhedron", "normals": S.normals.tolist(),
-                "b": S.b.tolist(), "witness": S.witness.tolist()}
-    if isinstance(S, DiagonalAffineGraph):
-        return {"kind": "diagonal_affine_graph", "theta": S.theta.tolist(),
-                "offset": S.offset.tolist()}
-    if isinstance(S, ShiftedConvexCone):
-        c = S.cone
-        return {"kind": "shifted_convex_cone", "riesz": c.riesz.tolist(),
-                "alpha": c.alpha, "shift": c.shift,
-                "direction": c.direction.tolist(), "cone_kind": c.kind}
-    raise TypeError(f"unknown set kind {type(S).__name__}")
+    return S.to_dict()
 
 
 def set_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "halfspace":
-        return Halfspace(np.array(d["a"]), d["b"])
-    if kind == "hyperplane":
-        return Hyperplane(np.array(d["a"]), d["b"])
-    if kind == "ball":
-        return Ball(np.array(d["center"]), d["radius"])
-    if kind == "polygon2d":
-        return Polygon2D(np.array(d["vertices"]))
-    if kind == "ortho_subspace":
-        return OrthoSubspace(np.array(d["basis"]))
-    if kind == "affine_subspace":
-        return AffineSubspace(np.array(d["anchor"]), np.array(d["basis"]))
-    if kind == "nonneg_orthant":
-        return NonnegOrthant(d["d"])
-    if kind == "polyhedron":
-        return Polyhedron(np.array(d["normals"]), np.array(d["b"]),
-                          witness=np.array(d["witness"]))
-    if kind == "diagonal_affine_graph":
-        return DiagonalAffineGraph(np.array(d["theta"]), np.array(d["offset"]))
-    if kind == "shifted_convex_cone":
-        spec = ConeSpec(np.array(d["riesz"]), d["alpha"], d["shift"],
-                        np.array(d["direction"]), d["cone_kind"])
-        return ShiftedConvexCone(spec)
-    raise ValueError(f"unknown set kind tag {kind!r}")
+    """Rebuild a set from its encoding; unknown tags and fields raise ValueError."""
+    if d.get("kind") not in _KIND_BY_TAG:
+        raise ValueError(f"unknown set kind tag {d.get('kind')!r}")
+    return _KIND_BY_TAG[d["kind"]].from_dict(d)

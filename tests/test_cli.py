@@ -3,6 +3,7 @@ import json
 import pytest
 
 from altproj.cli import ConfigError, load_config, main
+from altproj.sets import DykstraNonConvergence, Polyhedron
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -264,3 +265,76 @@ def test_load_config_rejects_unknown_root_key(tmp_path):
                                   "extra": 1})
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+BALL = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+
+
+def _classical(A, B=BALL, start=(1.0, 1.0)):
+    return {"kind": "classical", "params": {"A": A, "B": B, "start": list(start)}}
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("probe", {"kind": "probe", "params": {"probe": "aw", "family": "bogus"}},
+     "params.family"),
+    ("probe", {"kind": "probe", "params": {"probe": "exposure", "f": [0.0, 1.0],
+                                           "alphas": [0.1]}}, "params.set"),
+    ("probe", {"kind": "probe", "params": {"probe": "omega", "U": [[1.0, 0.0]]}},
+     "params.V"),
+    ("run", {"kind": "ell2", "params": {"d": 5}}, "params.H"),
+    ("run", {"kind": "example44", "params": {}}, "params.n_blocks"),
+    ("run", {"kind": "stable-scenario",
+             "params": {"scenario": "tangent_disc", "target_tol": 1e-3}}, "target_tol"),
+    ("run", {"kind": "stable-scenario",
+             "params": {"scenario": "tangent_disc", "scenario_params": {"kappa": 1}}},
+     "kappa"),
+    ("run", _classical({**BALL, "bogus": 3}), "bogus"),
+    ("run", _classical({"kind": "ball", "center": [0.0, 0.0]}), "missing field(s) ['radius']"),
+    ("run", _classical({**BALL, "center": [0.0, 0.0, 0.0]}), "params.B"),
+    ("run", _classical({"kind": "shifted_convex_cone", "riesz": [0.0, 1.0], "alpha": 0.5,
+                        "shift": 0.0, "direction": [0.0, 1.0], "cone_kind": "C"}),
+     "membership-only"),
+])
+def test_run_and_validate_reject_the_same_configs(tmp_path, capsys, command, doc, field):
+    cfg = write_config(tmp_path, doc)
+    for cmd in (command, "validate"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert field in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_infinite_json_number_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"kind": "classical", "params": {"A": {"kind": "halfspace", '
+                    '"a": [1.0, 0.0], "b": 1e400}, "B": {"kind": "ball", '
+                    '"center": [0.0, 0.0], "radius": 1.0}, "start": [1.0, 1.0]}}')
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "b must be finite" in capsys.readouterr().err
+
+
+def _fail_dykstra(self, x, tol=1e-10, max_iter=100_000):
+    raise DykstraNonConvergence("Dykstra did not converge", last_iterate=x, residual=1.0)
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("run", _classical({"kind": "halfspace", "a": [1.0], "b": 0.0},
+                       {"kind": "halfspace", "a": [1.0], "b": -1e308}, (1e308,)),
+     "projection failed at step 1"),
+    ("probe", {"kind": "probe", "params": {
+        "probe": "aw", "n_samples": 50,
+        "A": {"kind": "polyhedron", "normals": [[1.0, 0.0]], "b": [0.0], "witness": [0.0, 0.0]},
+        "C": BALL}}, "Dykstra did not converge"),
+    ("probe", {"kind": "probe", "params": {
+        "probe": "aw", "n_samples": 100, "A": {"kind": "halfspace", "a": [0.0, 1.0], "b": 0.0},
+        "C": {"kind": "ball", "center": [50.0, 0.0], "radius": 1.0}}},
+     "does not meet the N-ball"),
+    ("run", {"kind": "ell2", "params": {"d": 5, "H": 2, "max_block_n": 1}},
+     "needs more than 1 steps"),
+], ids=["ProjectionStepError", "DykstraNonConvergence", "SamplerFailure",
+        "BlockBudgetExceeded"])
+def test_runtime_errors_exit_one_with_message(tmp_path, capsys, monkeypatch, command, doc,
+                                              message):
+    monkeypatch.setattr(Polyhedron, "project", _fail_dykstra)
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err

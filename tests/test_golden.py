@@ -1,0 +1,51 @@
+"""Byte-for-byte outputs of the fast shipped configs.
+
+Every file these configs write is pinned by its SHA-256, so a refactor
+that changes any trace, report or construction digit fails here.  The
+hashes were recorded with numpy 2.4 and scipy 1.17 on x86-64; other
+versions may round the last digit differently.  ``graph_growth_half``,
+``tangent_disc_scenario`` and ``probe_aw_squares`` take 3-14 s each and
+are not pinned here.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from altproj.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+GOLDEN = {
+    ("run", "escaping_lines"): {
+        "escaping_lines.csv":
+            "a249980f17354a12b664b544cc20b19432ae5c655c1edf0bec8b38496ac4abf2"},
+    ("run", "oscillating_squares"): {
+        "oscillating_squares.csv":
+            "e64bdbebf0ffe0a882091ba5e5393d76ea29a3e840f4fbe75c3241d029b7ca8d",
+        "oscillating_squares.json":
+            "019fa0c686a3e7aecf385a403ff582b0adf2917a3941085ac64e9f50e88c1f2b"},
+    ("run", "two_lines_classical"): {
+        "trace.csv": "863fb48559f0551332311056d5df940dc35d087baf5c09be0190db8a250ecb1b"},
+    ("run", "graph_growth_quarter"): {
+        "graph_growth_quarter_construction.json":
+            "b8770ac8c91cda4ba5f9db68316f4a0297dbc6ad5b85cac5369c2759a35b3c5e",
+        "graph_growth_quarter_report.json":
+            "91ca87e00a38fd8ee86eeecb10ec70bef777b8bda8f0f9be5b3bc52a2986edf4"},
+    ("probe", "probe_exposure_disc"): {
+        "exposure_disc.json": "6f8348c87b8de6dde6bd3c574ae09e3bc323fb0912385b5f8d3286be2f564a28"},
+    ("probe", "probe_omega_planes"): {
+        "omega_planes.json": "98b5ef5dae8b446cbe62ce4c6aed73568d2db60e43bf683f368b7caf4f443fa9"},
+    ("probe", "probe_separation"): {
+        "separation.json": "6580949d3346b26f37ed9730be9f1596c845a03aeee2c3b78b1130e01c1877b2"},
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(GOLDEN), ids=[n for _, n in sorted(GOLDEN)])
+def test_shipped_config_outputs_byte_identical(tmp_path, command, name):
+    out = tmp_path / name
+    assert main([command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(out),
+                 "--quiet"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == GOLDEN[(command, name)]

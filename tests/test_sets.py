@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from altproj.geometry import ConeSpec
-from altproj.sets import (Ball, DiagonalAffineGraph, DykstraNonConvergence,
+from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, DykstraNonConvergence,
                           Halfspace, Hyperplane, NonnegOrthant, OrthoSubspace,
                           Polygon2D, Polyhedron, ProjectionUnsupported,
                           ShiftedConvexCone, SupportUnavailable, membership,
@@ -305,6 +305,31 @@ def test_polyhedron_requires_feasible_witness():
 def test_ball_radius_positive():
     with pytest.raises(ValueError):
         Ball(np.zeros(2), 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Halfspace(np.array([0.0, 1.0]), np.nan),
+    lambda: Halfspace(np.array([0.0, 1.0]), np.inf),
+    lambda: Hyperplane(np.array([1.0, 1.0]), -np.inf),
+    lambda: Polyhedron(np.array([[1.0, 0.0]]), np.array([np.nan]), witness=np.zeros(2)),
+    lambda: Polyhedron(np.array([[np.inf, 0.0]]), np.array([1.0]), witness=np.zeros(2)),
+    lambda: AffineSubspace(np.zeros(2), np.array([[np.nan, 1.0]])),
+    lambda: Ball(np.zeros(2), np.inf),
+    lambda: ShiftedConvexCone(ConeSpec(np.array([0.0, 1.0]), 0.5, shift=np.inf)),
+], ids=["halfspace-nan-b", "halfspace-inf-b", "hyperplane-inf-b", "polyhedron-nan-b",
+        "polyhedron-inf-normals", "affine-nan-basis", "ball-inf-radius", "cone-inf-shift"])
+def test_non_finite_input_rejected_at_construction(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+def test_descriptor_rejects_unknown_and_names_missing_fields():
+    with pytest.raises(ValueError, match=r"unknown field\(s\) \['bogus'\]"):
+        set_from_dict({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0, "bogus": 3})
+    with pytest.raises(ValueError, match=r"missing field\(s\) \['radius'\]"):
+        set_from_dict({"kind": "ball", "center": [0.0, 0.0]})
+    with pytest.raises(ValueError, match="unknown set kind tag"):
+        set_from_dict({"kind": "torus"})
 
 
 def test_json_round_trip_all_kinds(rng):
