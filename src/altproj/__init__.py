@@ -7,8 +7,8 @@ from .geometry import (ConeSpec, DimensionMismatch, ProductPoint, as_point,
                        pack, unpack)
 from .sets import (AffineSubspace, Ball, DiagonalAffineGraph,
                    DykstraNonConvergence, Halfspace, Hyperplane, NonnegOrthant,
-                   OrthoSubspace, Polygon2D, Polyhedron, ProjectionUnsupported,
-                   SamplerFailure, ShiftedConvexCone, SupportUnavailable,
+                   OrthoSubspace, Polygon2D, Polyhedron, ProjectionCertificateError,
+                   ProjectionUnsupported, SamplerFailure, ShiftedConvexCone, SupportUnavailable,
                    membership, polyhedron_project_dykstra, project,
                    sample_points, set_from_dict, set_to_dict, slice_sample,
                    support_point, support_value)

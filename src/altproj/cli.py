@@ -28,7 +28,8 @@ from . import variational as var
 from .engine import (Blocks, Constant, ProjectionStepError, RunConfig, ScheduleExhausted,
                      run_perturbed, trace_to_csv, trace_to_json)
 from .geometry import as_point
-from .sets import DykstraNonConvergence, SamplerFailure, set_from_dict
+from .sets import (DykstraNonConvergence, ProjectionCertificateError, SamplerFailure,
+                   set_from_dict)
 
 
 class ConfigError(ValueError):
@@ -118,6 +119,16 @@ def _int(p, key, default=None, minimum=1):
 _REQUIRED = object()
 
 
+def _number(p, key, default=_REQUIRED):
+    """params[key] (or default), a JSON number: strings and bools are rejected;
+    the value is returned as given."""
+    val = p.get(key, default)
+    _require(val is not _REQUIRED, f"params.{key}", "is required")
+    _require(isinstance(val, (int, float)) and not isinstance(val, bool), f"params.{key}",
+             f"must be a number, got {val!r}")
+    return val
+
+
 def _vector(p, key, dim=None, default=_REQUIRED):
     """params[key] as a finite point; ``default`` when absent or null."""
     if p.get(key) is None:
@@ -146,7 +157,8 @@ def _engine_job(cfg, p, schedule, dim, max_iter, start=_REQUIRED, target=None, s
     """Job running the engine on ``schedule`` from params.start in R^dim."""
     run_cfg = RunConfig(start=_vector(p, "start", dim, start),
                         max_iter=cfg.get("max_iter", max_iter),
-                        stop_residual=p.get("stop_residual"),
+                        stop_residual=(None if p.get("stop_residual") is None
+                                       else _number(p, "stop_residual")),
                         record_stride=cfg.get("record_stride", 1),
                         target=_vector(p, "target", dim, target))
     return Job(lambda out_dir, quiet: run_perturbed(schedule, run_cfg), schedule=schedule,
@@ -181,7 +193,7 @@ def _build_scenario(cfg, p):
     extra = p.get("scenario_params", {})
     _require(isinstance(extra, dict), "params.scenario_params", "must be an object")
     scen = cons.stable_scenario(p["scenario"], delta_law=p.get("delta_law", "inv_n"),
-                                delta_scale=p.get("delta_scale", 1.0), **extra)
+                                delta_scale=_number(p, "delta_scale", 1.0), **extra)
     return _engine_job(cfg, p, scen.make_schedule(), scen.A.dim, max_iter=10_000,
                        start=scen.default_start, target=scen.target, scenario=scen)
 
@@ -198,10 +210,13 @@ def _build_example(cfg, p, run, min_blocks):
 def _build_ell2(cfg, p):
     d, H = _int(p, "d"), _int(p, "H")
     c = cons.build_ell2_construction(
-        d, H, ratio=p.get("ratio", 0.5), slack=p.get("slack", 0.5),
+        d, H, ratio=_number(p, "ratio", 0.5), slack=_number(p, "slack", 0.5),
         start=_vector(p, "start", d, None), max_block_n=_int(p, "max_block_n", 10 ** 8))
     budget = _int(p, "engine_step_budget", 5_000_000, minimum=0)
     windows = p.get("aw_windows", [1, 2, 4])
+    _require(isinstance(windows, list) and all(
+        isinstance(N, int) and not isinstance(N, bool) and N >= 1 for N in windows),
+        "params.aw_windows", "must be a list of integers >= 1")
     out = cfg["output"]
     stride = cfg.get("record_stride", 0)  # 0: ell2_run picks about 1000 records
 
@@ -248,7 +263,7 @@ def _build_probe(cfg, p):
     probe = p.get("probe")
     _require(probe in ("omega", "exposure", "aw", "separation"),
              "params.probe", "must be omega | exposure | aw | separation")
-    for key in {"omega": ("U", "V"), "separation": ("M", "omega")}.get(probe, ()):
+    for key in {"omega": ("U", "V")}.get(probe, ()):
         _require(key in p, f"params.{key}", "is required")
     # The two closed-form probes are computed here, so validate checks them in full.
     if probe == "omega":
@@ -265,7 +280,7 @@ def _build_probe(cfg, p):
             "result": var.strongly_exposes_probe(S, f, alphas, n_samples=n,
                                                  rng_seed=seed).as_dict()})
     if probe == "separation":
-        eps, eta = var.separation_constants(float(p["M"]), float(p["omega"]))
+        eps, eta = var.separation_constants(float(_number(p, "M")), float(_number(p, "omega")))
         return Job(lambda out_dir, quiet: {"probe": "separation", "seed": seed,
                                            "result": {"eps": eps, "eta": eta}})
     N = _int(p, "N", 2)
@@ -436,8 +451,8 @@ def main(argv=None) -> int:
     except ScheduleExhausted as exc:
         print(f"schedule exhausted: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ProjectionStepError, DykstraNonConvergence, SamplerFailure,
-            cons.BlockBudgetExceeded) as exc:
+    except (ValueError, ProjectionStepError, ProjectionCertificateError, DykstraNonConvergence,
+            SamplerFailure, cons.BlockBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -15,6 +15,7 @@ its records bit-identically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,13 +223,16 @@ def run_perturbed(schedule, cfg: RunConfig, resume_from: TraceRecord | None = No
         if force or n % cfg.record_stride == 0 or n == 1 or n in cfg.record_indices:
             dist = (float(np.linalg.norm(a - cfg.target))
                     if cfg.target is not None else None)
+            norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+            res_a, gap_ab = float(np.linalg.norm(a - prev_a)), float(np.linalg.norm(a - b))
+            if not (math.isfinite(norm_a) and math.isfinite(norm_b) and math.isfinite(res_a)
+                    and math.isfinite(gap_ab) and (dist is None or math.isfinite(dist))):
+                raise ProjectionStepError(n, f"non-finite record: norm_a={norm_a} "
+                                          f"norm_b={norm_b} res_a={res_a} gap_ab={gap_ab} "
+                                          f"dist_target={dist}")
             records.append(TraceRecord(
-                n=n, block_id=bid, block_step=bstep,
-                a=a.copy(), b=b.copy(),
-                norm_a=float(np.linalg.norm(a)),
-                norm_b=float(np.linalg.norm(b)),
-                res_a=float(np.linalg.norm(a - prev_a)),
-                gap_ab=float(np.linalg.norm(a - b)),
+                n=n, block_id=bid, block_step=bstep, a=a.copy(), b=b.copy(),
+                norm_a=norm_a, norm_b=norm_b, res_a=res_a, gap_ab=gap_ab,
                 dist_target=dist))
             return True
         return False
@@ -358,24 +362,66 @@ def trace_to_csv(trace: Trace, path, meta: dict | None = None) -> None:
             fh.write(text)
 
 
+_JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_value(x) -> str:
+    """A scalar as ``json.dumps`` writes it.  ``repr`` is right for ints and
+    finite floats, and no such repr has an "n" in it; the rest (NaN,
+    infinities, numpy scalars) take the slow path."""
+    if x is None:
+        return "null"
+    text = repr(x)
+    if "n" not in text:
+        return text
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _JSON_TOKENS.get(text, text)
+    return json.dumps(x)
+
+
+def _json_vector(v) -> str:
+    values = v.tolist()
+    if not values:
+        return "[]"
+    text = ",\n    ".join(map(repr, values))
+    if "n" in text:
+        text = ",\n    ".join(map(_json_value, values))
+    return "[\n    " + text + "\n   ]"
+
+
+def _json_record(r) -> str:
+    """One record, laid out as ``json.dumps(..., indent=1)`` lays out an
+    element of the top-level "records" list."""
+    return (f'  {{\n   "n": {r.n},\n   "block": {r.block_id},\n'
+            f'   "block_step": {r.block_step},\n'
+            f'   "a": {_json_vector(r.a)},\n   "b": {_json_vector(r.b)},\n'
+            f'   "norm_a": {_json_value(r.norm_a)},\n   "norm_b": {_json_value(r.norm_b)},\n'
+            f'   "res_a": {_json_value(r.res_a)},\n   "gap_ab": {_json_value(r.gap_ab)},\n'
+            f'   "dist_target": {_json_value(r.dist_target)}\n  }}')
+
+
 def trace_to_json(trace: Trace, path, meta: dict | None = None) -> None:
-    """Full-precision JSON dump including iterate coordinates."""
-    doc = {
+    """Full-precision JSON dump including iterate coordinates.
+
+    The text is what ``json.dumps(doc, indent=1)`` gives.  Only the head
+    (meta, status, blocks) goes through ``json``; the records, the bulk of
+    the file, are written by a fixed template, which the stdlib's
+    pure-Python indenting encoder would make several times slower.
+    """
+    head = json.dumps({
         "meta": meta or {},
         "status": trace.status,
         "schedule_complete": trace.schedule_complete,
         "blocks": [{"block": bl.block_id, "start_n": bl.start_n,
                     "end_n": bl.end_n, "advance": bl.advance}
                    for bl in trace.blocks],
-        "records": [{
-            "n": r.n, "block": r.block_id, "block_step": r.block_step,
-            "a": r.a.tolist(), "b": r.b.tolist(),
-            "norm_a": r.norm_a, "norm_b": r.norm_b,
-            "res_a": r.res_a, "gap_ab": r.gap_ab,
-            "dist_target": r.dist_target,
-        } for r in trace.records],
-    }
-    text = json.dumps(doc, indent=1)
+        "records": [],
+    }, indent=1)
+    text = head
+    if trace.records:
+        body = ",\n".join(map(_json_record, trace.records))
+        text = head[:-len("[]\n}")] + "[\n" + body + "\n ]\n}"
     if hasattr(path, "write"):
         path.write(text)
     else:

@@ -3,9 +3,10 @@
 A set kind is one :class:`ConvexSet` subclass listed in ``SET_KINDS``: its
 projection, closed-form overrides where they are cheaper, and a ``kind``
 tag.  Projections are exact closed forms everywhere except ``Polyhedron``,
-whose projection runs cyclic Dykstra over its halfspaces and certifies
-convergence; the shifted cone is membership-only.  The module-level
-functions delegate to the kind's methods.
+whose projection solves the least-distance program by active-set NNLS
+(Lawson & Hanson, *Solving Least Squares Problems*, ch. 23) and checks a
+KKT certificate on every call; the shifted cone is membership-only.  The
+module-level functions delegate to the kind's methods.
 """
 
 from __future__ import annotations
@@ -25,13 +26,19 @@ class ProjectionUnsupported(ValueError):
 class DykstraNonConvergence(RuntimeError):
     """Cyclic Dykstra failed to settle within its iteration budget.
 
-    Carries the last iterate and the last observed cycle displacement.
+    Carries the last iterate and the last cycle's sum of squared
+    correction changes.
     """
 
     def __init__(self, message, last_iterate, residual):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
+
+
+class ProjectionCertificateError(RuntimeError):
+    """A polyhedron projection failed its KKT certificate, or its NNLS solver
+    could not finish; the message names the failed condition."""
 
 
 class SupportUnavailable(ValueError):
@@ -395,8 +402,8 @@ class NonnegOrthant(ConvexSet):
     d: int
 
     def __post_init__(self):
-        if int(self.d) < 1:
-            raise ValueError("dimension must be >= 1")
+        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 1:
+            raise ValueError(f"nonneg_orthant field 'd' must be an integer >= 1, got {self.d!r}")
         object.__setattr__(self, "d", int(self.d))
 
     @property
@@ -460,8 +467,35 @@ class Polyhedron(ConvexSet):
         x = as_point(x, dim=self.dim)
         return bool(np.all(self.normals @ x <= self.b + tol))
 
-    def project(self, x, tol=1e-10, max_iter=100_000):
-        return polyhedron_project_dykstra(self, x, tol=tol, max_iter=max_iter)
+    def project(self, x):
+        """The nearest point, from the least-distance program in z = y - x:
+        min ||z|| subject to A z <= r, r = b - A x (Lawson & Hanson, ch. 23).
+
+        Scaled by the largest violation s, so that it is O(1), the program
+        is the NNLS min ||E u - f|| over u >= 0 with E = [-A^T; g^T],
+        g = -r / s and f = e_{d+1}.  Its residual res = E u - f gives
+        y = x - s res[:d] / res[d] = x - A^T lambda with the multipliers
+        lambda = s u / -res[d], where -res[d] = 1 - g.u.  The KKT
+        certificate is checked on every call (see ``_certify``).
+        """
+        x = as_point(x, dim=self.dim)
+        A, b = self.normals, self.b
+        r = b - A @ x
+        s = -float(r.min())
+        if s <= 0.0:
+            return x.copy()
+        g = r / -s
+        f = np.zeros(self.dim + 1)
+        f[-1] = 1.0
+        u = _nnls(np.concatenate((-A.T, g[None])), f)
+        t = 1.0 - float(g @ u)   # -res[d]; 1 / t = 1 + ||z / s||^2 in exact arithmetic
+        if not t > 0.0:
+            raise ProjectionCertificateError(
+                f"least-distance program reports infeasible constraints (1 - g.u = {t:.3e})")
+        lam = (s / t) * u
+        y = x - A.T @ lam
+        _certify(x, y, lam, A, b)
+        return y
 
     def membership(self, x, tol=0.0):
         return self.contains(x, tol) or self.distance(x) <= tol
@@ -583,16 +617,103 @@ def membership(S, x, tol: float = 0.0) -> bool:
     return S.membership(x, tol)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _nnls(E, f):
+    """min ||E u - f|| over u >= 0 by Lawson & Hanson's active-set method.
+
+    Columns enter the passive set while the gradient E^T (f - E u) has a
+    positive entry.  A column whose least squares solve is singular or
+    gives it no positive weight is passed over until u next changes (Lawson
+    & Hanson's guard against nearly dependent columns).  A solve that would
+    leave the orthant is cut back to its boundary, and the columns it zeroes
+    leave again.  The gradient is compared column by column, scaled by the
+    column norms: columns far from active may be orders of magnitude
+    longer than the ones that matter, and a tolerance scaled by the
+    longest column would stop before the violated constraints enter.  The
+    caller scales the program so that f and the solution are O(1).
+    """
+    Q, q = E.T @ E, E.T @ f
+    m = q.size
+    tol = 10.0 * m * _EPS
+    norms = np.sqrt(Q.diagonal())
+    u = np.zeros(m)
+    passive, skipped = [], []
+    w = q / norms
+    for _ in range(4 * m + 4):
+        w[passive + skipped] = -np.inf
+        j = int(w.argmax())
+        if w[j] <= tol:
+            return u
+        trial = passive + [j]
+        sol = _passive_solve(E, f, Q, q, trial)
+        if sol is None or sol[-1] <= tol:
+            skipped.append(j)
+            continue
+        passive, skipped = trial, []
+        while sol.min() <= 0.0:
+            cur = u[passive]
+            neg = sol <= 0.0
+            cur += float((cur[neg] / (cur[neg] - sol[neg])).min()) * (sol - cur)
+            u[passive] = np.where(cur <= tol, 0.0, cur)
+            passive = [k for k, c in zip(passive, cur) if c > tol]
+            sol = _passive_solve(E, f, Q, q, passive)
+            if sol is None:
+                raise ProjectionCertificateError("NNLS passive set became singular")
+        u[passive] = sol
+        w = (q - Q @ u) / norms
+    raise ProjectionCertificateError(f"NNLS did not finish within {4 * m + 4} iterations")
+
+
+def _passive_solve(E, f, Q, q, cols):
+    """argmin ||E[:, cols] v - f||, None if singular.  Normal equations while
+    there are fewer columns than rows; a square system is solved directly,
+    since its normal equations would square a condition number that grows
+    with the distance of the projected point (E nears rank d then)."""
+    if len(cols) == 1:
+        return q[cols] / Q[cols[0], cols[0]]
+    try:
+        if len(cols) == f.size:
+            return np.linalg.solve(E[:, cols], f)
+        return np.linalg.solve(Q[cols][:, cols], q[cols])
+    except np.linalg.LinAlgError:
+        return None
+
+
+_KKT_TOL = 1e-9
+
+
+def _certify(x, y, lam, A, b):
+    """Raise unless (y, lam) satisfies the KKT conditions of projecting x
+    onto {A y <= b} at tolerance _KKT_TOL * max(1, ||x||)."""
+    tol = _KKT_TOL * max(1.0, math.sqrt(float(x @ x)))
+    slack = b - A @ y
+    stat = y - x + A.T @ lam
+    checks = (
+        ("primal feasibility", -float(slack.min())),
+        ("dual feasibility", -float(lam.min())),
+        ("complementary slackness", float(lam @ np.abs(slack)) / max(1.0, float(lam.sum()))),
+        ("stationarity", math.sqrt(float(stat @ stat))),
+    )
+    for name, value in checks:
+        if not value <= tol:
+            raise ProjectionCertificateError(
+                f"polyhedron projection failed its KKT certificate: {name} "
+                f"residual {value:.3e} > {tol:.3e}")
+
+
 def polyhedron_project_dykstra(S: Polyhedron, x, tol: float = 1e-10,
                                max_iter: int = 100_000) -> np.ndarray:
     """Project onto an intersection of halfspaces by cyclic Dykstra.
 
-    Iterates cycles of halfspace projections with correction terms and
-    stops when the displacement across one full cycle drops below tol AND
-    the iterate is feasible within 10*tol.  The feasibility condition
-    matters: Dykstra admits long plateaus where the iterate freezes while
-    the corrections rebalance, so small displacement alone certifies
-    nothing.  Raises :class:`DykstraNonConvergence` when the budget runs
+    An independent cross-check for ``Polyhedron.project``.  Iterates cycles
+    of halfspace projections with correction terms and stops when the sum
+    over the halfspaces of the squared changes of their corrections in one
+    cycle drops below tol**2 (Birgin & Raydan, SIAM J. Sci. Comput. 26(4),
+    2005).  The iterate's own displacement is no stopping test: Dykstra
+    admits long plateaus where the iterate freezes while the corrections
+    rebalance.  Raises :class:`DykstraNonConvergence` when the budget runs
     out.
     """
     if tol <= 0.0:
@@ -605,18 +726,21 @@ def polyhedron_project_dykstra(S: Polyhedron, x, tol: float = 1e-10,
     y = x.copy()
     corrections = np.zeros((m, S.dim))
     for _ in range(max_iter):
-        y_prev = y.copy()
+        change = 0.0
         for i in range(m):
             z = y + corrections[i]
             excess = float(np.dot(A[i], z)) - b[i]
             y = z - max(0.0, excess) * A[i]
-            corrections[i] = z - y
-        disp = float(np.linalg.norm(y - y_prev))
-        if disp < tol and float(np.max(A @ y - b)) <= 10.0 * tol:
+            new = z - y
+            step = new - corrections[i]
+            change += float(np.dot(step, step))
+            corrections[i] = new
+        if change < tol * tol:
             return y
     raise DykstraNonConvergence(
-        f"Dykstra did not converge within {max_iter} cycles (last displacement {disp:.3e})",
-        last_iterate=y, residual=disp)
+        f"Dykstra did not converge within {max_iter} cycles "
+        f"(last squared correction change {change:.3e})",
+        last_iterate=y, residual=change)
 
 
 def polyhedron_vertices(S: Polyhedron, tol: float = 1e-9) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from altproj.cli import ConfigError, load_config, main
+import altproj.sets
 from altproj.sets import DykstraNonConvergence, Polyhedron
 
 
@@ -338,3 +339,53 @@ def test_runtime_errors_exit_one_with_message(tmp_path, capsys, monkeypatch, com
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_projection_certificate_failure_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(altproj.sets, "_KKT_TOL", -1.0)
+    cfg = write_config(tmp_path, _classical(
+        {"kind": "polyhedron", "normals": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0],
+         "witness": [-1.0, -1.0]}, start=(2.0, 3.0)))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "projection failed at step 1" in err and "KKT certificate" in err
+
+
+def test_non_finite_record_exits_one_with_step(tmp_path, capsys):
+    doc = _classical({"kind": "halfspace", "a": [1.0, 1.0], "b": 0.0},
+                     {"kind": "halfspace", "a": [-1.0, -1.0], "b": 0.0}, (1e308, 1e308))
+    doc["max_iter"] = 3
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert "projection failed at step 1: non-finite record" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_orthant_with_fractional_dimension_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, _classical({"kind": "nonneg_orthant", "d": 2.7}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "'d' must be an integer" in capsys.readouterr().err
+
+
+_SEPARATION = {"probe": "separation", "M": 0.5, "omega": 0.2}
+
+
+@pytest.mark.parametrize("command, kind, params, key", [
+    ("run", "ell2", {"d": 5, "H": 2}, "ratio"),
+    ("run", "ell2", {"d": 5, "H": 2}, "slack"),
+    ("run", "ell2", {"d": 5, "H": 2}, "aw_windows"),
+    ("run", "stable-scenario", {"scenario": "overlapping_balls"}, "delta_scale"),
+    ("run", "perturbed", {"blocks": [{"A": BALL, "B": BALL, "len": 2}], "start": [1.0, 1.0]},
+     "stop_residual"),
+    ("run", "classical", _classical(BALL)["params"], "stop_residual"),
+    ("probe", "probe", _SEPARATION, "M"),
+    ("probe", "probe", _SEPARATION, "omega"),
+])
+@pytest.mark.parametrize("bad", ["0.5", True], ids=["str", "bool"])
+def test_numeric_params_reject_strings_and_bools(tmp_path, capsys, command, kind, params, key,
+                                                 bad):
+    value = [1, bad] if key == "aw_windows" else bad
+    cfg = write_config(tmp_path, {"kind": kind, "params": {**params, key: value}})
+    for cmd in (command, "validate"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"params.{key}" in capsys.readouterr().err

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from altproj.engine import (Adaptive, Blocks, Constant, ProjectionStepError,
-                            RunConfig, ScheduleExhausted, resolve_pair,
-                            run_classical, run_perturbed, trace_to_csv,
+from altproj.engine import (Adaptive, BlockLog, Blocks, Constant, ProjectionStepError,
+                            RunConfig, ScheduleExhausted, Trace, TraceRecord,
+                            resolve_pair, run_classical, run_perturbed, trace_to_csv,
                             trace_to_json)
 from altproj.sets import Ball, OrthoSubspace
 
@@ -232,6 +232,57 @@ def test_trace_json_includes_coordinates(tmp_path):
     assert doc["meta"] == {"k": "v"}
     assert doc["records"][0]["a"] == list(trace.records[0].a)
     assert doc["status"] == "max_iter"
+
+
+def _reference_json(trace, meta):
+    """The document as ``json.dumps(doc, indent=1)`` writes it."""
+    import json
+    return json.dumps({
+        "meta": meta or {},
+        "status": trace.status,
+        "schedule_complete": trace.schedule_complete,
+        "blocks": [{"block": bl.block_id, "start_n": bl.start_n, "end_n": bl.end_n,
+                    "advance": bl.advance} for bl in trace.blocks],
+        "records": [{"n": r.n, "block": r.block_id, "block_step": r.block_step,
+                     "a": r.a.tolist(), "b": r.b.tolist(), "norm_a": r.norm_a,
+                     "norm_b": r.norm_b, "res_a": r.res_a, "gap_ab": r.gap_ab,
+                     "dist_target": r.dist_target} for r in trace.records],
+    }, indent=1)
+
+
+def _hand_built_traces():
+    rng = np.random.default_rng(5)
+    odd = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-310, 5e-324, 1.7976931348623157e308]
+    records = []
+    for n in range(1, 41):
+        d = 1 + n % 4
+        a = rng.standard_normal(d) * 10.0 ** float(rng.integers(-20, 20))
+        b = rng.standard_normal(d)
+        if n % 5 == 0:
+            a[n % d] = odd[n % len(odd)]
+            b[0] = odd[(n + 3) % len(odd)]
+        scalars = [float(v) for v in rng.standard_normal(4)]
+        if n % 3 == 0:
+            scalars[n % 4] = odd[n % len(odd)]
+        dist = None if n % 2 else (odd[n % len(odd)] if n % 4 == 0 else float(rng.uniform()))
+        records.append(TraceRecord(n, 1 + n // 10, 1 + n % 10, a, b, *scalars, dist))
+    blocks = (BlockLog(1, 1, 10, "length"), BlockLog(2, 11, 40, "run_end"))
+    return [
+        Trace(tuple(records), blocks, "max_iter", False),
+        Trace(tuple(records[:1]), (), "residual_met", True),
+        Trace((), (), "schedule_exhausted", False),
+    ]
+
+
+@pytest.mark.parametrize("meta", [None, {}, {"config_sha256": "ab" * 32, "seed": 7},
+                                  {"nested": {"list": [1, 2.5, None, True], "s": "x\u00e9\""},
+                                   "empty": {"l": [], "d": {}}}],
+                         ids=["none", "empty", "flat", "nested"])
+def test_trace_json_byte_identical_to_json_dumps(meta):
+    for trace in _hand_built_traces():
+        buf = io.StringIO()
+        trace_to_json(trace, buf, meta=meta)
+        assert buf.getvalue() == _reference_json(trace, meta)
 
 
 class _FailsAfter:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from hypothesis.extra.numpy import arrays
 from altproj.geometry import ConeSpec
 from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, DykstraNonConvergence,
                           Halfspace, Hyperplane, NonnegOrthant, OrthoSubspace,
-                          Polygon2D, Polyhedron, ProjectionUnsupported,
+                          Polygon2D, Polyhedron, ProjectionCertificateError,
+                          ProjectionUnsupported,
                           ShiftedConvexCone, SupportUnavailable, membership,
                           polyhedron_project_dykstra, project, sample_points,
                           set_from_dict, set_to_dict, slice_sample,
@@ -107,6 +112,103 @@ def test_dykstra_matches_bruteforce_random(rng):
         got = polyhedron_project_dykstra(P, x, tol=1e-12)
         oracle = polyhedron_projection_bruteforce(P, x)
         np.testing.assert_allclose(got, oracle, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# exact polyhedron projection
+
+
+def _polyhedron_4_to_11(rng):
+    """d in {2, 3} with 4-11 constraints: the distribution on which Dykstra,
+    stopped on iterate displacement, returned non-nearest points (in 12 of
+    the 1000 draws below, off by up to 0.13)."""
+    d = int(rng.integers(2, 4))
+    m = int(rng.integers(4, 12))
+    center = rng.standard_normal(d) * 0.5
+    A = rng.standard_normal((m, d))
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    b = A @ center + rng.uniform(0.3, 2.0, size=m)
+    return Polyhedron(A, b, witness=center)
+
+
+def _kkt_gap(P, x, y, active_tol=1e-9):
+    """Largest KKT violation of y as the projection of x onto P, with the
+    multipliers recomputed here by least squares on the tight constraints."""
+    A, b = P.normals, P.b
+    slack = b - A @ y
+    tight = slack <= active_tol * max(1.0, float(np.linalg.norm(x)))
+    lam = np.zeros(len(b))
+    if tight.any():
+        lam[tight] = np.linalg.lstsq(A[tight].T, x - y, rcond=None)[0]
+    return max(-float(slack.min()), -float(lam.min()),
+               float(np.linalg.norm(y - x + A.T @ lam)))
+
+
+def test_polyhedron_projection_hand_case():
+    # Dykstra stopped on displacement returned (1.5, 0) here.
+    P = Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([2.0, 0.5, 1.5]),
+                   witness=np.zeros(2))
+    x = np.array([3.0, 2.0])
+    np.testing.assert_allclose(P.project(x), [1.25, 0.25], atol=1e-12)
+    np.testing.assert_allclose(polyhedron_project_dykstra(P, x), [1.25, 0.25], atol=1e-9)
+    np.testing.assert_allclose(polyhedron_projection_bruteforce(P, x), [1.25, 0.25],
+                               atol=1e-12)
+
+
+def test_polyhedron_projection_exact_on_dykstra_failure_distribution():
+    rng = np.random.default_rng(64)
+    worst = {"oracle": 0.0, "dykstra": 0.0, "kkt": 0.0, "vi": -np.inf, "idem": 0.0,
+             "nonexp": -np.inf}
+    for _ in range(1000):
+        P = _polyhedron_4_to_11(rng)
+        x = rng.standard_normal(P.dim) * 2.5
+        z = rng.standard_normal(P.dim) * 2.5
+        oracle = polyhedron_projection_bruteforce(P, x)
+        px, pz = P.project(x), P.project(z)
+        worst["oracle"] = max(worst["oracle"], float(np.linalg.norm(px - oracle)))
+        worst["dykstra"] = max(worst["dykstra"], float(np.linalg.norm(
+            polyhedron_project_dykstra(P, x) - oracle)))
+        worst["kkt"] = max(worst["kkt"], _kkt_gap(P, x, px))
+        worst["idem"] = max(worst["idem"], float(np.linalg.norm(P.project(px) - px)))
+        worst["nonexp"] = max(worst["nonexp"],
+                              float(np.linalg.norm(px - pz) - np.linalg.norm(x - z)))
+        for y in [P.witness, pz] + [P.project(rng.standard_normal(P.dim) * 3.0)
+                                    for _ in range(4)]:
+            worst["vi"] = max(worst["vi"], float((x - px) @ (y - px)))
+    assert worst["oracle"] <= 1e-8, worst
+    assert worst["dykstra"] <= 1e-8, worst
+    assert worst["kkt"] <= 1e-9, worst
+    assert worst["vi"] <= 1e-8, worst
+    assert worst["idem"] <= 1e-10, worst
+    assert worst["nonexp"] <= 1e-9, worst
+
+
+def test_polyhedron_feasible_point_returned_unchanged():
+    P = Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]),
+                   witness=np.zeros(2))
+    x = np.array([0.2, -0.5])
+    y = P.project(x)
+    np.testing.assert_array_equal(y, x)
+    assert y is not x
+
+
+def test_polyhedron_certificate_failure_raises(monkeypatch):
+    import altproj.sets as sets_module
+    monkeypatch.setattr(sets_module, "_KKT_TOL", -1.0)
+    P = Polyhedron(np.array([[1.0, 0.0]]), np.array([0.0]), witness=np.array([-1.0, 0.0]))
+    with pytest.raises(ProjectionCertificateError, match="KKT certificate"):
+        P.project(np.array([2.0, 3.0]))
+
+
+def test_polyhedron_projection_does_not_import_scipy_optimize():
+    code = ("import sys; import numpy as np; from altproj.sets import Polyhedron; "
+            "P = Polyhedron(np.eye(2), np.zeros(2), witness=-np.ones(2)); "
+            "P.project(np.array([1.0, 2.0])); P.distance(np.array([3.0, -1.0])); "
+            "print('scipy.optimize' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +402,12 @@ def test_orthonormality_enforced():
 def test_polyhedron_requires_feasible_witness():
     with pytest.raises(ValueError):
         Polyhedron(np.array([[1.0, 0.0]]), np.array([0.0]), witness=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("d", [2.7, 2.0, True, "2", 0])
+def test_orthant_dimension_must_be_a_positive_integer(d):
+    with pytest.raises(ValueError, match="'d'"):
+        NonnegOrthant(d)
 
 
 def test_ball_radius_positive():
