@@ -8,6 +8,11 @@ probe     execute a probe config, write the probe report JSON
 validate  dry-run: build everything, re-check construction invariants,
           print the checked-inequality ledger, run nothing long
 
+Every config is checked against the package's ``schema.json`` before anything is
+built.  The schema owns the config's own fields, ``sets.set_from_dict`` set
+descriptors and ``constructions.stable_scenario`` its ``scenario_params``; the
+builders hold the defaults and the checks that dimensions agree.
+
 Exit codes: 0 completed, 2 a schedule exhausted its budget before its
 predicates fired, 1 any other error (IO, schema, infeasible parameters).
 """
@@ -15,8 +20,11 @@ predicates fired, 1 any other error (IO, schema, infeasible parameters).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,33 +44,101 @@ class ConfigError(ValueError):
     """Schema violation; the message names the offending field."""
 
 
+def _fail(field, msg):
+    raise ConfigError(f"config field {field!r}: {msg}" if field else f"config root: {msg}")
+
+
 def _require(cond, field, msg):
     if not cond:
-        raise ConfigError(f"config field {field!r}: {msg}")
+        _fail(field, msg)
 
 
-def _check_keys(d: dict, allowed: set, context: str):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown field(s) {sorted(unknown)} in {context}")
-
-
-# The config kinds and the params fields each accepts.
-_PARAM_KEYS = {
-    "classical": {"A", "B", "start", "stop_residual", "target"},
-    "perturbed": {"blocks", "start", "stop_residual", "target"},
-    "example44": {"n_blocks", "max_block_len", "start"},
-    "example51": {"n_blocks", "max_block_len", "start"},
-    "ell2": {"d", "H", "ratio", "slack", "start", "max_block_n",
-             "engine_step_budget", "aw_windows"},
-    "stable-scenario": {"scenario", "delta_law", "delta_scale", "start",
-                        "scenario_params"},
-    "probe": {"probe", "U", "V", "set", "f", "alphas", "n_samples",
-              "A", "C", "N", "family", "count", "M", "omega"},
+# The draft-07 subset the config validator implements.  An integer is an int,
+# not a bool or 2.0; a number is an int or float that is a finite double.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: (isinstance(v, float) and math.isfinite(v)
+                         or _TYPES["integer"](v) and abs(v) <= sys.float_info.max),
 }
+_BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"),
+           "exclusiveMaximum": (operator.lt, "<")}
+_KEYWORDS = {"type", "enum", "const", "required", "properties", "additionalProperties",
+             "minItems", "items", "$ref", "allOf", "if", "then", "definitions",
+             "$schema", "title", "description", *_BOUNDS}
 
 
-def load_config(path) -> dict:
+def _check_schema(schema, defs):
+    """Raise ValueError on any keyword or $ref the validator does not implement."""
+    if schema is False:
+        return
+    if not isinstance(schema, dict) or schema.keys() - _KEYWORDS:
+        raise ValueError(f"schema keyword(s) not implemented: {schema!r:.80}")
+    if (schema.get("additionalProperties", False) is not False or "$ref" in schema and (
+            len(schema) > 1 or schema["$ref"].removeprefix("#/definitions/") not in defs)):
+        raise ValueError(f"schema value not implemented: {schema!r:.80}")
+    for sub in (*schema.get("properties", {}).values(), *schema.get("definitions", {}).values(),
+                *schema.get("allOf", ()), *[schema[k] for k in ("items", "if", "then")
+                                            if k in schema]):
+        _check_schema(sub, defs)
+
+
+@functools.cache
+def config_schema() -> dict:
+    """The config schema shipped with the package, read and checked once per process."""
+    schema = json.loads(Path(__file__).with_name("schema.json").read_text())
+    _check_schema(schema, schema.get("definitions", {}))
+    return schema
+
+
+def _check(value, schema, field=""):
+    """Raise ConfigError naming the first field of ``value`` that breaks ``schema``."""
+    _require(schema is not False, field, "is not used by this kind of config")
+    if "$ref" in schema:
+        schema = config_schema()["definitions"][schema["$ref"].removeprefix("#/definitions/")]
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_TYPES[t](value) for t in types):
+        _fail(field, f"must be of type {' or '.join(types)}, got {value!r:.60}")
+    if "enum" in schema and value not in schema["enum"]:
+        _fail(field, f"must be one of {tuple(schema['enum'])}")
+    if "const" in schema and value != schema["const"]:
+        _fail(field, f"must be {schema['const']!r}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        if "additionalProperties" in schema and not props.keys() >= value.keys():
+            raise ConfigError(f"unknown field(s) {sorted(value.keys() - props.keys())} in "
+                              f"{field or 'config root'}")
+        for key in schema.get("required", ()):
+            _require(key in value, f"{field}.{key}".lstrip("."), "is required")
+        for key, sub in props.items():
+            if key in value:
+                _check(value[key], sub, f"{field}.{key}".lstrip("."))
+    if isinstance(value, list):
+        _require(len(value) >= schema.get("minItems", 0), field,
+                 f"must have at least {schema.get('minItems')} item(s)")
+        for i, item in enumerate(value if "items" in schema else ()):
+            _check(item, schema["items"], f"{field}[{i}]")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        for word, (ok, op) in _BOUNDS.items():
+            if word in schema and not ok(value, schema[word]):
+                _fail(field, f"must be {op} {schema[word]}")
+    for sub in schema.get("allOf", ()):
+        _check(value, sub, field)
+    if "if" in schema:
+        try:
+            _check(value, schema["if"])
+        except ConfigError:
+            return
+        _check(value, schema.get("then", {}), field)
+
+
+def load_config(path, **overrides) -> dict:
+    """Read a config, set the root fields of ``overrides`` that are not None
+    (the command line's --seed and --max-iter) and check it against the schema."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -71,34 +147,17 @@ def load_config(path) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, {"kind", "seed", "max_iter", "record_stride", "output", "params"},
-                "config root")
-    _require("kind" in cfg, "kind", "is required")
-    _require(cfg["kind"] in _PARAM_KEYS, "kind", f"must be one of {tuple(_PARAM_KEYS)}")
+    if isinstance(cfg, dict):
+        cfg.update((k, v) for k, v in overrides.items() if v is not None)
+    _check(cfg, config_schema())
     cfg.setdefault("seed", 0)
-    _require(isinstance(cfg["seed"], int), "seed", "must be an integer")
-    if "record_stride" in cfg:
-        _require(isinstance(cfg["record_stride"], int) and cfg["record_stride"] >= 1,
-                 "record_stride", "must be a positive integer")
-    if "max_iter" in cfg:
-        _require(isinstance(cfg["max_iter"], int) and cfg["max_iter"] >= 1,
-                 "max_iter", "must be a positive integer")
-    out = cfg.setdefault("output", {})
-    _require(isinstance(out, dict), "output", "must be an object")
-    _check_keys(out, {"trace_csv", "trace_json", "report_json", "construction_json"},
-                "output")
-    params = cfg.setdefault("params", {})
-    _require(isinstance(params, dict), "params", "must be an object")
-    _check_keys(params, _PARAM_KEYS[cfg["kind"]], f"params ({cfg['kind']})")
+    cfg.setdefault("output", {})
     cfg["_sha256"] = hashlib.sha256(raw).hexdigest()
     return cfg
 
 
 def _parse_set(obj, field, dim=None):
     """A projectable set from its descriptor, in R^dim when dim is given."""
-    _require(isinstance(obj, dict), field, "must be a set-descriptor object")
     try:
         S = set_from_dict(obj)
     except Exception as exc:
@@ -108,36 +167,14 @@ def _parse_set(obj, field, dim=None):
     return S
 
 
-def _int(p, key, default=None, minimum=1):
-    """params[key] (or default), an integer >= minimum; required without default."""
-    val = p.get(key, default)
-    _require(isinstance(val, int) and val >= minimum, f"params.{key}",
-             f"must be an integer >= {minimum}")
-    return val
-
-
-_REQUIRED = object()
-
-
-def _number(p, key, default=_REQUIRED):
-    """params[key] (or default), a JSON number: strings and bools are rejected;
-    the value is returned as given."""
-    val = p.get(key, default)
-    _require(val is not _REQUIRED, f"params.{key}", "is required")
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool), f"params.{key}",
-             f"must be a number, got {val!r}")
-    return val
-
-
-def _vector(p, key, dim=None, default=_REQUIRED):
-    """params[key] as a finite point; ``default`` when absent or null."""
+def _vector(p, key, dim=None, default=None):
+    """params[key] as a point in R^dim; ``default`` when absent or null."""
     if p.get(key) is None:
-        _require(default is not _REQUIRED, f"params.{key}", "is required")
         return default
-    try:
-        return as_point(p[key], dim=dim)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field 'params.{key}': {exc}")
+    x = as_point(p[key])
+    _require(dim is None or x.size == dim, f"params.{key}",
+             f"has dimension {x.size}, expected {dim}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -150,15 +187,13 @@ class Job:
     schedule: object = None
     scenario: object = None
     construction: object = None
-    n_blocks: int = 0
 
 
-def _engine_job(cfg, p, schedule, dim, max_iter, start=_REQUIRED, target=None, scenario=None):
+def _engine_job(cfg, p, schedule, dim, max_iter, start=None, target=None, scenario=None):
     """Job running the engine on ``schedule`` from params.start in R^dim."""
     run_cfg = RunConfig(start=_vector(p, "start", dim, start),
                         max_iter=cfg.get("max_iter", max_iter),
-                        stop_residual=(None if p.get("stop_residual") is None
-                                       else _number(p, "stop_residual")),
+                        stop_residual=p.get("stop_residual"),
                         record_stride=cfg.get("record_stride", 1),
                         target=_vector(p, "target", dim, target))
     return Job(lambda out_dir, quiet: run_perturbed(schedule, run_cfg), schedule=schedule,
@@ -166,57 +201,39 @@ def _engine_job(cfg, p, schedule, dim, max_iter, start=_REQUIRED, target=None, s
 
 
 def _build_classical(cfg, p):
-    A = _parse_set(p.get("A"), "params.A")
-    B = _parse_set(p.get("B"), "params.B", A.dim)
+    A = _parse_set(p["A"], "params.A")
+    B = _parse_set(p["B"], "params.B", A.dim)
     return _engine_job(cfg, p, Constant(A, B), A.dim, max_iter=1000)
 
 
 def _build_perturbed(cfg, p):
-    _require(isinstance(p.get("blocks"), list) and p["blocks"],
-             "params.blocks", "must be a nonempty list")
     dim = _vector(p, "start").size
-    blocks = []
-    for i, blk in enumerate(p["blocks"]):
-        field = f"params.blocks[{i}]"
-        _require(isinstance(blk, dict), field, "must be an object")
-        _check_keys(blk, {"A", "B", "len"}, field)
-        _require(isinstance(blk.get("len"), int) and blk["len"] >= 1,
-                 f"{field}.len", "must be a positive integer")
-        blocks.append((_parse_set(blk.get("A"), f"{field}.A", dim),
-                       _parse_set(blk.get("B"), f"{field}.B", dim), blk["len"]))
-    schedule = Blocks(tuple(blocks))
+    schedule = Blocks(tuple((_parse_set(blk["A"], f"params.blocks[{i}].A", dim),
+                             _parse_set(blk["B"], f"params.blocks[{i}].B", dim), blk["len"])
+                            for i, blk in enumerate(p["blocks"])))
     return _engine_job(cfg, p, schedule, dim, max_iter=schedule.total_length)
 
 
 def _build_scenario(cfg, p):
-    _require("scenario" in p, "params.scenario", "is required")
-    extra = p.get("scenario_params", {})
-    _require(isinstance(extra, dict), "params.scenario_params", "must be an object")
     scen = cons.stable_scenario(p["scenario"], delta_law=p.get("delta_law", "inv_n"),
-                                delta_scale=_number(p, "delta_scale", 1.0), **extra)
+                                delta_scale=p.get("delta_scale", 1.0),
+                                **p.get("scenario_params", {}))
     return _engine_job(cfg, p, scen.make_schedule(), scen.A.dim, max_iter=10_000,
                        start=scen.default_start, target=scen.target, scenario=scen)
 
 
-def _build_example(cfg, p, run, min_blocks):
-    n_blocks = _int(p, "n_blocks", minimum=min_blocks)
-    max_block_len = _int(p, "max_block_len", 10_000)
-    start = _vector(p, "start", 2, (0.0, 0.0))
-    stride = cfg.get("record_stride", 1)
-    return Job(lambda out_dir, quiet: run(n_blocks, max_block_len=max_block_len, start=start,
-                                          record_stride=stride), n_blocks=n_blocks)
+def _build_example(cfg, p, run):
+    args = (p["n_blocks"], p.get("max_block_len", 10_000), _vector(p, "start", 2, (0.0, 0.0)),
+            cfg.get("record_stride", 1))
+    return Job(lambda out_dir, quiet: run(*args))
 
 
 def _build_ell2(cfg, p):
-    d, H = _int(p, "d"), _int(p, "H")
     c = cons.build_ell2_construction(
-        d, H, ratio=_number(p, "ratio", 0.5), slack=_number(p, "slack", 0.5),
-        start=_vector(p, "start", d, None), max_block_n=_int(p, "max_block_n", 10 ** 8))
-    budget = _int(p, "engine_step_budget", 5_000_000, minimum=0)
+        p["d"], p["H"], ratio=p.get("ratio", 0.5), slack=p.get("slack", 0.5),
+        start=_vector(p, "start", p["d"]), max_block_n=p.get("max_block_n", 10 ** 8))
+    budget = p.get("engine_step_budget", 5_000_000)
     windows = p.get("aw_windows", [1, 2, 4])
-    _require(isinstance(windows, list) and all(
-        isinstance(N, int) and not isinstance(N, bool) and N >= 1 for N in windows),
-        "params.aw_windows", "must be a list of integers >= 1")
     out = cfg["output"]
     stride = cfg.get("record_stride", 0)  # 0: ell2_run picks about 1000 records
 
@@ -260,36 +277,30 @@ def _aw_family_pair(family, k):
 
 def _build_probe(cfg, p):
     seed = cfg["seed"]
-    probe = p.get("probe")
-    _require(probe in ("omega", "exposure", "aw", "separation"),
-             "params.probe", "must be omega | exposure | aw | separation")
-    for key in {"omega": ("U", "V")}.get(probe, ()):
-        _require(key in p, f"params.{key}", "is required")
+    probe = p["probe"]
     # The two closed-form probes are computed here, so validate checks them in full.
     if probe == "omega":
         rep = var.omega_angle(np.array(p["U"], dtype=float), np.array(p["V"], dtype=float))
         return Job(lambda out_dir, quiet: {"probe": "omega", "seed": seed,
                                            "result": rep.as_dict()})
     if probe == "exposure":
-        S = _parse_set(p.get("set"), "params.set")
+        S = _parse_set(p["set"], "params.set")
         f = _vector(p, "f", S.dim)
-        alphas = [float(a) for a in _vector(p, "alphas")]
-        n = _int(p, "n_samples", 400)
+        alphas = [float(a) for a in p["alphas"]]
+        n = p.get("n_samples", 400)
         return Job(lambda out_dir, quiet: {
             "probe": "exposure", "seed": seed, "n_samples": n,
             "result": var.strongly_exposes_probe(S, f, alphas, n_samples=n,
                                                  rng_seed=seed).as_dict()})
     if probe == "separation":
-        eps, eta = var.separation_constants(float(_number(p, "M")), float(_number(p, "omega")))
+        eps, eta = var.separation_constants(float(p["M"]), float(p["omega"]))
         return Job(lambda out_dir, quiet: {"probe": "separation", "seed": seed,
                                            "result": {"eps": eps, "eta": eta}})
-    N = _int(p, "N", 2)
-    n = _int(p, "n_samples", 1500)
+    N = p.get("N", 2)
+    n = p.get("n_samples", 1500)
     if "family" in p:
         family = p["family"]
-        _require(family in ("unstable_bodies", "tilted_lines"), "params.family",
-                 "must be unstable_bodies | tilted_lines")
-        count = _int(p, "count", 6)
+        count = p.get("count", 6)
 
         def execute(out_dir, quiet):
             rows = [{"index": k, **var.aw_distance(*_aw_family_pair(family, k), N, n_samples=n,
@@ -298,8 +309,8 @@ def _build_probe(cfg, p):
             return {"probe": "aw", "seed": seed, "family": family, "N": N,
                     "n_samples": n, "result": rows}
         return Job(execute)
-    A = _parse_set(p.get("A"), "params.A")
-    C = _parse_set(p.get("C"), "params.C", A.dim)
+    A = _parse_set(p["A"], "params.A")
+    C = _parse_set(p["C"], "params.C", A.dim)
     return Job(lambda out_dir, quiet: {
         "probe": "aw", "seed": seed,
         "result": var.aw_distance(A, C, N, n_samples=n, rng_seed=seed).as_dict()})
@@ -309,8 +320,8 @@ _BUILDERS = {
     "classical": _build_classical,
     "perturbed": _build_perturbed,
     "stable-scenario": _build_scenario,
-    "example44": lambda cfg, p: _build_example(cfg, p, cons.run_example_unstable, 2),
-    "example51": lambda cfg, p: _build_example(cfg, p, cons.run_example_unbounded_lines, 1),
+    "example44": lambda cfg, p: _build_example(cfg, p, cons.run_example_unstable),
+    "example51": lambda cfg, p: _build_example(cfg, p, cons.run_example_unbounded_lines),
     "ell2": _build_ell2,
     "probe": _build_probe,
 }
@@ -319,24 +330,6 @@ _BUILDERS = {
 def build_job(cfg) -> Job:
     """Read and check every parameter of a loaded config; nothing long runs."""
     return _BUILDERS[cfg["kind"]](cfg, cfg["params"])
-
-
-def _summary(trace, quiet):
-    last = trace.final
-    done = len(trace.completed_blocks())
-    line = (f"status={trace.status} schedule_complete={trace.schedule_complete} "
-            f"steps={last.n} blocks_completed={done} norm_a={last.norm_a:.6g} "
-            f"res_a={last.res_a:.3g}"
-            + (f" dist_target={last.dist_target:.6g}" if last.dist_target is not None else ""))
-    if not quiet:
-        print(line)
-    return line
-
-
-def _exit_code(trace) -> int:
-    if trace.status == "schedule_exhausted" and not trace.schedule_complete:
-        return 2
-    return 0
 
 
 def cmd_run(cfg, out_dir: Path, quiet: bool) -> int:
@@ -351,8 +344,13 @@ def cmd_run(cfg, out_dir: Path, quiet: bool) -> int:
     json_name = cfg["output"].get("trace_json")
     if json_name:
         trace_to_json(trace, out_dir / json_name, meta=meta)
-    _summary(trace, quiet)
-    return _exit_code(trace)
+    last = trace.final
+    if not quiet:
+        print(f"status={trace.status} schedule_complete={trace.schedule_complete} "
+              f"steps={last.n} blocks_completed={len(trace.completed_blocks())} "
+              f"norm_a={last.norm_a:.6g} res_a={last.res_a:.3g}"
+              + (f" dist_target={last.dist_target:.6g}" if last.dist_target is not None else ""))
+    return 2 if trace.status == "schedule_exhausted" and not trace.schedule_complete else 0
 
 
 def cmd_probe(cfg, out_dir: Path, quiet: bool) -> int:
@@ -387,14 +385,14 @@ def cmd_validate(cfg, out_dir: Path, quiet: bool) -> int:
                  est.h_N <= 3.0 * scen.delta(n) + 1e-9,
                  f"h_2 = {est.h_N:.3g}, delta = {scen.delta(n):.3g}")
     if kind == "example44":
-        for h in range(1, job.n_blocks + 1):
+        for h in range(1, cfg["params"]["n_blocks"] + 1):
             A, B, C, D = cons.example_unstable_bodies(h)
             anchor = np.array([1.0, 0.0]) if h % 2 == 1 else np.array([-1.0, 0.0])
             note(f"pair {h}: bodies touch at {anchor.tolist()}",
                  C.contains(anchor, 1e-12) and D.contains(anchor, 1e-12),
                  f"C has {len(C.vertices)} vertices, D has {len(D.vertices)}")
     elif kind == "example51":
-        for k in range(1, job.n_blocks + 1):
+        for k in range(1, cfg["params"]["n_blocks"] + 1):
             L = cons.tilted_line(k)
             ok = (L.distance(np.array([0.0, 1.0 / k])) < 1e-12
                   and L.distance(np.array([float(k), 0.0])) < 1e-12)
@@ -437,17 +435,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.max_iter is not None:
-            cfg["max_iter"] = args.max_iter
-        out_dir = Path(args.out)
-        if args.command == "run":
-            return cmd_run(cfg, out_dir, args.quiet)
-        if args.command == "probe":
-            return cmd_probe(cfg, out_dir, args.quiet)
-        return cmd_validate(cfg, out_dir, args.quiet)
+        cfg = load_config(args.config, seed=args.seed, max_iter=args.max_iter)
+        command = {"run": cmd_run, "probe": cmd_probe, "validate": cmd_validate}[args.command]
+        return command(cfg, Path(args.out), args.quiet)
     except ScheduleExhausted as exc:
         print(f"schedule exhausted: {exc}", file=sys.stderr)
         return 2

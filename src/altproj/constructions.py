@@ -594,7 +594,7 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
             notes={"interior_radius": 1.0})
 
     if kind == "transversal_planes":
-        kappa = float(params.pop("kappa", 0.5))
+        kappa = float(_param(params, "kappa", 0.5))
         _no_more(params)
         U = OrthoSubspace(np.array([[1.0, 0.0, 0.0, 0.0],
                                     [0.0, 1.0, 0.0, 0.0]]))
@@ -612,18 +612,13 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
             notes={"omega": kappa / math.sqrt(1.0 + kappa ** 2)})
 
     if kind == "orthant_bounds":
-        d = int(params.pop("d", 3))
-        normals = params.pop("normals", None)
-        offsets = params.pop("offsets", None)
+        d = int(_param(params, "d", 3, kinds="iu"))
+        K = NonnegOrthant(d)
+        normals = _param(params, "normals", np.vstack([np.ones(d), np.eye(d)[0] + 0.5]), ndim=2)
+        offsets = _param(params, "offsets", np.array([float(d), 2.0]), ndim=1)
         _no_more(params)
-        if normals is None:
-            normals = np.vstack([np.ones(d), np.eye(d)[0] + 0.5])
-            offsets = np.array([float(d), 2.0])
-        normals = np.asarray(normals, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
         if np.any(offsets <= 0.0):
             raise InfeasibleParams("offsets must be strictly positive")
-        K = NonnegOrthant(d)
         B = Polyhedron(normals, offsets, witness=np.zeros(d))
         shift = np.ones(d) / math.sqrt(d)
         return StableScenario(
@@ -636,14 +631,14 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
             notes={})
 
     if kind == "orthant_halfspace":
-        d = int(params.pop("d", 2))
-        a = as_point(np.asarray(params.pop("a", np.array([1.0, -1.0])), dtype=float), dim=d)
-        b = float(params.pop("b", 0.5))
+        d = int(_param(params, "d", 2, kinds="iu"))
+        K = NonnegOrthant(d)
+        a = as_point(_param(params, "a", np.array([1.0, -1.0]), ndim=1), dim=d)
+        b = float(_param(params, "b", 0.5))
         _no_more(params)
         if np.all(a <= 0.0):
             raise InfeasibleParams("normal lies in the polar cone of the orthant")
         witness = _strict_orthant_witness(a, b)
-        K = NonnegOrthant(d)
         B = Halfspace(a, b)
         shift = np.ones(d) / math.sqrt(d)
         return StableScenario(
@@ -655,15 +650,14 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
             notes={"witness": witness.tolist()})
 
     if kind == "orthant_polar":
-        d = int(params.pop("d", 3))
-        a = as_point(np.asarray(params.pop("a", np.array([-1.0, -2.0, -0.5])),
-                                dtype=float), dim=d)
+        d = int(_param(params, "d", 3, kinds="iu"))
+        K = NonnegOrthant(d)
+        a = as_point(_param(params, "a", np.array([-1.0, -2.0, -0.5]), ndim=1), dim=d)
         _no_more(params)
         if not np.all(a < 0.0):
             raise InfeasibleParams(
                 "normal must be componentwise strictly negative "
                 "(interior of the orthant's polar cone)")
-        K = NonnegOrthant(d)
         B = Halfspace(a, 0.0)
         shift = np.ones(d) / math.sqrt(d)
         return StableScenario(
@@ -675,6 +669,21 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
             notes={"polar_interior": True})
 
     raise InfeasibleParams(f"unknown scenario kind {kind!r}")
+
+
+def _param(params: dict, name: str, default, ndim: int = 0, kinds: str = "iuf") -> np.ndarray:
+    """Pop scenario parameter ``name`` (or take ``default``) as an ``ndim``-dimensional array
+    of finite numbers of a dtype kind in ``kinds``; anything else raises InfeasibleParams."""
+    value = params.pop(name, default)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in kinds or arr.ndim != ndim or not np.isfinite(arr).all():
+        kind = "integer" if kinds == "iu" else ("number", "vector", "matrix")[ndim]
+        raise InfeasibleParams(f"scenario parameter {name!r} must be a finite {kind}, "
+                               f"got {value!r:.60}")
+    return arr
 
 
 def _no_more(params: dict):

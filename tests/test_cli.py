@@ -389,3 +389,100 @@ def test_numeric_params_reject_strings_and_bools(tmp_path, capsys, command, kind
     for cmd in (command, "validate"):
         assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"params.{key}" in capsys.readouterr().err
+
+
+_PROBE = {"kind": "probe", "params": {"probe": "separation", "M": 0.5, "omega": 0.3}}
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("run", {"kind": "example51", "max_iter": 3, "params": {"n_blocks": 4}}, "max_iter"),
+    ("run", {"kind": "example44", "max_iter": 3, "params": {"n_blocks": 4}}, "max_iter"),
+    ("run", {"kind": "ell2", "max_iter": 3, "params": {"d": 5, "H": 2}}, "max_iter"),
+    ("probe", {**_PROBE, "max_iter": 3}, "max_iter"),
+    ("probe", {**_PROBE, "record_stride": 3}, "record_stride"),
+    ("probe", {**_PROBE, "output": {"trace_csv": "t.csv"}}, "output.trace_csv"),
+    ("run", {**_classical(BALL), "output": {"report_json": "r.json"}}, "output.report_json"),
+])
+def test_fields_a_kind_ignores_are_rejected(tmp_path, capsys, command, doc, field):
+    cfg = write_config(tmp_path, doc)
+    for cmd in (command, "validate"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"config field {field!r}: is not used" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("run", {"kind": "example51", "params": {"n_blocks": 4}}),
+    ("run", {"kind": "ell2", "params": {"d": 5, "H": 2}}),
+    ("probe", _PROBE),
+])
+def test_max_iter_flag_is_checked_like_the_field(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, doc)
+    for cmd in (command, "validate"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--max-iter", "3"]) == 1
+        assert "config field 'max_iter'" in capsys.readouterr().err
+
+
+def test_max_iter_flag_overrides_before_the_check(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**_classical(BALL), "max_iter": 50})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--max-iter", "3"]) == 0
+    assert "steps=3" in capsys.readouterr().out
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--max-iter", "0"]) == 1
+    assert "config field 'max_iter': must be >= 1" in capsys.readouterr().err
+
+
+_HALFSPACES = {"kind": "classical", "max_iter": 20, "params": {
+    "A": {"kind": "halfspace", "a": [1.0, 0.0], "b": 0.0},
+    "B": {"kind": "halfspace", "a": [0.0, 1.0], "b": 0.0}, "start": [1.0, 1.0]}}
+
+
+def _with(doc, path, value):
+    """A copy of doc with the field at path (a tuple of keys) set to value."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("run", _with(_HALFSPACES, ("output", "trace_csv"), 5), "output.trace_csv"),
+    ("probe", _with(_PROBE, ("output", "report_json"), ["x"]), "output.report_json"),
+    ("run", _with(_HALFSPACES, ("max_iter",), True), "max_iter"),
+    ("run", _with(_HALFSPACES, ("seed",), True), "seed"),
+    ("run", {"kind": "example51", "params": {"n_blocks": True}}, "params.n_blocks"),
+    ("run", {"kind": "perturbed", "params": {"blocks": [{"A": BALL, "B": BALL, "len": True}],
+                                             "start": [1.0, 1.0]}}, "params.blocks[0].len"),
+    ("run", _with(_HALFSPACES, ("params", "stop_residual"), "NaN"), "params.stop_residual"),
+    ("run", _with(_HALFSPACES, ("params", "stop_residual"), "1e400"), "params.stop_residual"),
+    ("run", {"kind": "stable-scenario", "params": {"scenario": "tangent_disc",
+                                                   "delta_scale": "1e400"}},
+     "params.delta_scale"),
+], ids=["trace_csv_int", "report_json_list", "max_iter_true", "seed_true", "n_blocks_true",
+        "len_true", "stop_residual_nan", "stop_residual_1e400", "delta_scale_1e400"])
+def test_schema_rejects_what_was_ignored_or_crashed(tmp_path, capsys, command, doc, field):
+    path = tmp_path / "cfg.json"
+    # NaN and 1e400 are written as bare JSON tokens, which json.loads reads as floats
+    path.write_text(json.dumps(doc).replace('"NaN"', "NaN").replace('"1e400"', "1e400"))
+    for cmd in (command, "validate"):
+        assert main([cmd, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"config field {field!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenario, params, name", [
+    ("orthant_bounds", {"d": 2.7}, "d"),
+    ("orthant_polar", {"d": "x"}, "d"),
+    ("transversal_planes", {"kappa": "0.5"}, "kappa"),
+    ("orthant_halfspace", {"a": ["1", "-1"]}, "a"),
+])
+def test_scenario_params_named_on_run_and_validate(tmp_path, capsys, scenario, params, name):
+    cfg = write_config(tmp_path, {"kind": "stable-scenario", "max_iter": 5, "params": {
+        "scenario": scenario, "scenario_params": params}})
+    for cmd in ("run", "validate"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"scenario parameter {name!r}" in capsys.readouterr().err

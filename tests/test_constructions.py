@@ -340,6 +340,30 @@ def test_orthant_bounds_requires_positive_offsets():
                         normals=np.array([[1.0, 0.0]]), offsets=np.array([0.0]))
 
 
+@pytest.mark.parametrize("kind, params, name", [
+    ("orthant_bounds", {"d": 2.7}, "d"),
+    ("orthant_polar", {"d": "x"}, "d"),
+    ("orthant_halfspace", {"d": True}, "d"),
+    ("transversal_planes", {"kappa": "0.5"}, "kappa"),
+    ("transversal_planes", {"kappa": math.nan}, "kappa"),
+    ("orthant_halfspace", {"b": False}, "b"),
+    ("orthant_halfspace", {"a": ["1", "-1"]}, "a"),
+    ("orthant_polar", {"a": [[-1.0, -1.0, -1.0]]}, "a"),
+    ("orthant_bounds", {"d": 2, "normals": [[1.0, 0.0], [1.0]], "offsets": [1.0, 1.0]},
+     "normals"),
+    ("orthant_bounds", {"d": 2, "normals": [[1.0, 0.0]], "offsets": [math.inf]}, "offsets"),
+])
+def test_scenario_params_are_checked_not_coerced(kind, params, name):
+    with pytest.raises(InfeasibleParams, match=f"scenario parameter '{name}'"):
+        stable_scenario(kind, **params)
+
+
+def test_orthant_bounds_uses_offsets_given_alone():
+    scen = stable_scenario("orthant_bounds", d=2, offsets=[3.0, 4.0])
+    # default normals (1, 1) and (1.5, 0.5); the default offsets (2, 2) exclude this point
+    assert scen.B.contains(np.array([1.4, 1.4]))
+
+
 def test_unknown_scenario_kind_rejected():
     with pytest.raises(InfeasibleParams):
         stable_scenario("nope")
