@@ -96,7 +96,7 @@ def config_schema() -> dict:
 
 def _check(value, schema, field=""):
     """Raise ConfigError naming the first field of ``value`` that breaks ``schema``."""
-    _require(schema is not False, field, "is not used by this kind of config")
+    _require(schema is not False, field, "is not used here")
     if "$ref" in schema:
         schema = config_schema()["definitions"][schema["$ref"].removeprefix("#/definitions/")]
     types = schema.get("type", ())

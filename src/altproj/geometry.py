@@ -45,6 +45,18 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
+def as_points(X, dim: int) -> np.ndarray:
+    """Validate and convert ``X`` to a finite (k, dim) float64 array of k points."""
+    P = np.asarray(X, dtype=float)
+    if P.ndim != 2:
+        raise ValueError(f"points must be a 2-D (k, d) array, got shape {P.shape}")
+    if not np.isfinite(P).all():
+        raise ValueError("points have non-finite coordinates")
+    if P.shape[1] != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {P.shape[1]}")
+    return P
+
+
 def inner(u, v) -> float:
     """Euclidean inner product with a dimension check."""
     u = as_point(u)
@@ -54,6 +66,13 @@ def inner(u, v) -> float:
 
 def norm(u) -> float:
     return float(np.linalg.norm(as_point(u)))
+
+
+def row_norms(X) -> np.ndarray:
+    """Norms of the rows of a (k, d) array, each bit-equal to ``norm`` of the
+    row: ``np.vecdot`` sums in the order of the 1-D ``np.dot`` under
+    ``np.linalg.norm``, where ``np.linalg.norm(X, axis=1)`` does not."""
+    return np.sqrt(np.vecdot(X, X))
 
 
 def cos_angle(u, v) -> float:

@@ -6,7 +6,9 @@ tag.  Projections are exact closed forms everywhere except ``Polyhedron``,
 whose projection solves the least-distance program by active-set NNLS
 (Lawson & Hanson, *Solving Least Squares Problems*, ch. 23) and checks a
 KKT certificate on every call; the shifted cone is membership-only.  The
-module-level functions delegate to the kind's methods.
+module-level functions delegate to the kind's methods.  ``project_many``
+projects a (k, d) batch of points, bit-equal row by row to ``project``;
+the sampled probes project their samples through it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import ConeSpec, as_point, cone_contains
+from .geometry import ConeSpec, as_point, as_points, cone_contains, row_norms
 
 
 class ProjectionUnsupported(ValueError):
@@ -73,13 +75,40 @@ def _finite(x, name: str) -> float:
     return x
 
 
-def _take(doc: dict, names, kind: str) -> list:
-    """The values of ``names`` in a set descriptor; unknown or missing fields raise."""
+def _numeric(value) -> bool:
+    """A number or a nested list of numbers; not a string or a bool, which
+    numpy's float conversion would silently accept.  Exact type tests keep
+    this cheap on the long lists of a polyhedron descriptor."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        t = type(v)
+        if t is list or t is tuple:
+            stack.extend(v)
+        elif not (t is float or t is int or isinstance(v, (np.integer, np.floating))
+                  or t is np.ndarray and v.dtype.kind in "iuf"):
+            return False
+    return True
+
+
+def _take(doc: dict, names, kind: str, text=()) -> list:
+    """The values of ``names`` in a set descriptor.  Unknown or missing
+    fields raise, and so does a field other than those in ``text`` that is
+    not numeric."""
     unknown, missing = sorted(set(doc) - set(names) - {"kind"}), set(names) - set(doc)
     if unknown or missing:
         raise ValueError(f"set kind {kind!r}: unknown field(s) {unknown}, "
                          f"missing field(s) {sorted(missing)}")
+    for name in names:
+        if name not in text and not _numeric(doc[name]):
+            raise ValueError(f"set kind {kind!r}: field {name!r} must be a number or an "
+                             f"array of numbers, got {doc[name]!r:.60}")
     return [doc[name] for name in names]
+
+
+def _positive_part(v) -> np.ndarray:
+    """``max(0.0, v)`` elementwise, with the scalar built-in's choice of zero."""
+    return np.where(v > 0.0, v, 0.0)
 
 
 class ConvexSet:
@@ -93,6 +122,22 @@ class ConvexSet:
     def distance(self, x) -> float:
         x = as_point(x, dim=self.dim)
         return float(np.linalg.norm(x - self.project(x)))
+
+    def project_many(self, X) -> np.ndarray:
+        """Row i is ``project(X[i])``, for a (k, dim) array X.  The kinds with
+        a closed form override this loop with whole-array arithmetic that
+        gives the same bits: row dot products by ``np.vecdot``, which sums
+        in the order of the 1-D ``np.dot``, and row norms by ``row_norms``."""
+        X = as_points(X, self.dim)
+        out = np.empty_like(X)
+        for i, x in enumerate(X):
+            out[i] = self.project(x)
+        return out
+
+    def distance_many(self, X) -> np.ndarray:
+        """Row i is ``distance(X[i])``, for a (k, dim) array X."""
+        X = as_points(X, self.dim)
+        return row_norms(X - self.project_many(X))
 
     def membership(self, x, tol: float = 0.0) -> bool:
         """True iff dist(x, S) <= tol."""
@@ -152,9 +197,20 @@ class Halfspace(_UnitNormal):
             return x.copy()
         return x - excess * self.a
 
+    def project_many(self, X):
+        X = as_points(X, self.dim)
+        excess = np.vecdot(X, self.a) - self.b
+        out = X.copy()
+        out_side = excess > 0.0
+        out[out_side] -= excess[out_side, None] * self.a
+        return out
+
     def distance(self, x):
         x = as_point(x, dim=self.dim)
         return max(0.0, float(np.dot(self.a, x)) - self.b)
+
+    def distance_many(self, X):
+        return _positive_part(np.vecdot(as_points(X, self.dim), self.a) - self.b)
 
     def support_value(self, f):
         fa = float(np.dot(f, self.a))
@@ -172,9 +228,16 @@ class Hyperplane(_UnitNormal):
         x = as_point(x, dim=self.dim)
         return x - (float(np.dot(self.a, x)) - self.b) * self.a
 
+    def project_many(self, X):
+        X = as_points(X, self.dim)
+        return X - (np.vecdot(X, self.a) - self.b)[:, None] * self.a
+
     def distance(self, x):
         x = as_point(x, dim=self.dim)
         return abs(float(np.dot(self.a, x)) - self.b)
+
+    def distance_many(self, X):
+        return np.abs(np.vecdot(as_points(X, self.dim), self.a) - self.b)
 
     def support_value(self, f):
         fa = float(np.dot(f, self.a))
@@ -208,9 +271,21 @@ class Ball(ConvexSet):
             return x.copy()
         return self.center + (self.radius / n) * d
 
+    def project_many(self, X):
+        X = as_points(X, self.dim)
+        D = X - self.center
+        n = row_norms(D)
+        out = X.copy()
+        far = n > self.radius
+        out[far] = self.center + (self.radius / n[far])[:, None] * D[far]
+        return out
+
     def distance(self, x):
         x = as_point(x, dim=self.dim)
         return max(0.0, float(np.linalg.norm(x - self.center)) - self.radius)
+
+    def distance_many(self, X):
+        return _positive_part(row_norms(as_points(X, self.dim) - self.center) - self.radius)
 
     def support_value(self, f):
         return float(np.dot(f, self.center)) + self.radius * float(np.linalg.norm(f))
@@ -306,6 +381,30 @@ class Polygon2D(ConvexSet):
                 best, best_d = cand, d
         return best
 
+    def project_many(self, X):
+        """``project`` on every row: each row's nearest edge candidate, the
+        first of equal ones as in the loop, or the row itself when every
+        edge test puts it inside."""
+        X = as_points(X, 2)
+        v = self.vertices
+        m = len(v)
+        if m == 1:
+            return np.repeat(v, len(X), axis=0)
+        P = v if m >= 3 else v[:1]                    # edge starts p
+        E = np.roll(v, -1, axis=0)[:len(P)] - P       # edges q - p
+        t = np.vecdot(X[:, None, :] - P, E) / np.vecdot(E, E)
+        t = _positive_part(t)
+        t = np.where(t < 1.0, t, 1.0)
+        cand = P + t[:, :, None] * E
+        gap = X[:, None, :] - cand
+        out = cand[np.arange(len(X)), row_norms(gap).argmin(axis=1)]
+        if m >= 3:
+            outward = ((X[:, None, 0] - P[:, 0]) * E[:, 1]
+                       - (X[:, None, 1] - P[:, 1]) * E[:, 0])
+            inside = ~(outward > 0.0).any(axis=1)
+            out[inside] = X[inside]
+        return out
+
     def membership(self, x, tol=0.0):
         return self.contains(x, tol) or self.distance(x) <= tol
 
@@ -348,6 +447,11 @@ class OrthoSubspace(ConvexSet):
         x = as_point(x, dim=self.dim)
         return self.basis.T @ (self.basis @ x)
 
+    def project_many(self, X):
+        # stacked matrix-vector products: the same BLAS call per row as project
+        X = as_points(X, self.dim)
+        return (self.basis.T @ (self.basis @ X[:, :, None]))[:, :, 0]
+
     def support_value(self, f):
         if float(np.linalg.norm(self.basis @ f)) <= 1e-12 * np.linalg.norm(f):
             return 0.0
@@ -383,6 +487,10 @@ class AffineSubspace(ConvexSet):
         y = x - self.anchor
         return self.anchor + self.basis.T @ (self.basis @ y)
 
+    def project_many(self, X):
+        Y = as_points(X, self.dim) - self.anchor
+        return self.anchor + (self.basis.T @ (self.basis @ Y[:, :, None]))[:, :, 0]
+
     def support_value(self, f):
         if float(np.linalg.norm(self.basis @ f)) <= 1e-12 * np.linalg.norm(f):
             return float(np.dot(f, self.anchor))
@@ -413,9 +521,15 @@ class NonnegOrthant(ConvexSet):
     def project(self, x):
         return np.maximum(as_point(x, dim=self.d), 0.0)
 
+    def project_many(self, X):
+        return np.maximum(as_points(X, self.d), 0.0)
+
     def distance(self, x):
         x = as_point(x, dim=self.d)
         return float(np.linalg.norm(np.minimum(x, 0.0)))
+
+    def distance_many(self, X):
+        return row_norms(np.minimum(as_points(X, self.d), 0.0))
 
     def support_value(self, f):
         if np.all(f <= 0.0):
@@ -553,6 +667,12 @@ class DiagonalAffineGraph(ConvexSet):
         x = (alpha + self.theta * (beta - self.offset)) / (1.0 + self.theta ** 2)
         return np.concatenate([x, self.offset + self.theta * x])
 
+    def project_many(self, Z):
+        Z = as_points(Z, self.dim)
+        d = self.half_dim
+        x = (Z[:, :d] + self.theta * (Z[:, d:] - self.offset)) / (1.0 + self.theta ** 2)
+        return np.concatenate([x, self.offset + self.theta * x], axis=1)
+
     def support_value(self, f):
         d = self.half_dim
         f = as_point(f, dim=2 * d)
@@ -586,6 +706,9 @@ class ShiftedConvexCone(ConvexSet):
     def project(self, x):
         raise ProjectionUnsupported("projection onto shifted cones is not provided")
 
+    def project_many(self, X):
+        return self.project(X)
+
     def membership(self, x, tol=0.0):
         """The cone residual test; no distance is computed."""
         return cone_contains(self.cone, x, tol)
@@ -598,7 +721,7 @@ class ShiftedConvexCone(ConvexSet):
     @classmethod
     def from_dict(cls, doc):
         return cls(ConeSpec(*_take(doc, ("riesz", "alpha", "shift", "direction", "cone_kind"),
-                                   cls.kind)))
+                                   cls.kind, text=("cone_kind",))))
 
 
 SET_KINDS = (Halfspace, Hyperplane, Ball, Polygon2D, OrthoSubspace,
@@ -793,12 +916,7 @@ def sample_points(S, n: int, rng, scale: float = 1.0) -> np.ndarray:
     points land on the boundary, which is where excesses and cone shifts
     are attained, so the bias is deliberate.
     """
-    d = S.dim
-    out = np.empty((n, d))
-    for i in range(n):
-        z = rng.standard_normal(d) * scale
-        out[i] = S.project(z)
-    return out
+    return S.project_many(rng.standard_normal((n, S.dim)) * scale)
 
 
 def slice_sample(S, f, alpha: float, n_samples: int, rng_seed: int) -> np.ndarray:
@@ -862,20 +980,20 @@ def slice_sample(S, f, alpha: float, n_samples: int, rng_seed: int) -> np.ndarra
                 pts.append(w @ clipped)
         return np.array(pts[:n_samples])
 
-    # generic rejection over boundary-biased samples
-    pts = []
+    # generic rejection over boundary-biased samples, drawn in batches of at
+    # most the number still missing: the draws of a one-at-a-time loop
+    found, count, tries = [], 0, 0
     budget = 200 * n_samples
-    tries = 0
-    while len(pts) < n_samples and tries < budget:
-        x = S.project(rng.standard_normal(S.dim) * (2.0 + abs(sup)))
-        tries += 1
-        if float(np.dot(f, x)) >= level - 1e-12:
-            pts.append(x)
-    if not pts:
+    while count < n_samples and tries < budget:
+        k = min(n_samples - count, budget - tries)
+        X = S.project_many(rng.standard_normal((k, S.dim)) * (2.0 + abs(sup)))
+        tries += k
+        found.append(X[np.vecdot(X, f) >= level - 1e-12])
+        count += len(found[-1])
+    if not count:
         raise SamplerFailure(f"no slice samples found within budget {budget}")
-    while len(pts) < n_samples:
-        pts.append(pts[len(pts) % max(1, len(pts))])
-    return np.array(pts[:n_samples])
+    # when the budget ran out first, the points found are repeated in turn
+    return np.concatenate(found)[np.arange(n_samples) % count]
 
 
 def _clip_polygon_halfplane(vertices: np.ndarray, f: np.ndarray, level: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConeSpec, as_point, cone_contains
+from .geometry import ConeSpec, as_point, cone_contains, row_norms
 from .sets import (AffineSubspace, DiagonalAffineGraph, Halfspace,
                    OrthoSubspace, SamplerFailure, membership, sample_points,
                    slice_sample, support_point, support_value)
@@ -139,28 +139,33 @@ def _excess_line(L1, L2, N: int) -> float:
 
 
 def _sampled_excess(A, C, N, n_samples, rng) -> float:
-    """sup over sampled points of A in the N-ball of dist(., C)."""
+    """sup over sampled points of A in the N-ball of dist(., C).
+
+    Samples are drawn in batches of at most the number still missing, so
+    the draws, the budget and the result are those of drawing one at a time.
+    """
     base = A.project(np.zeros(A.dim))
     if float(np.linalg.norm(base)) > N + 1e-9:
         raise SamplerFailure("set does not meet the N-ball")
-    pts = [base]
+    pts = [base[None]]
+    count = 1
     scales = np.geomspace(0.25 * N, 2.0 * N, 8)
     tries = 0
     budget = 20 * n_samples
-    while len(pts) < n_samples and tries < budget:
-        s = scales[tries % len(scales)]
-        x = A.project(rng.standard_normal(A.dim) * s)
-        tries += 1
-        nx = float(np.linalg.norm(x))
-        if nx <= N + 1e-12:
-            pts.append(x)
-        elif nx > 0:
-            # pull the sample back along the segment to base; stays in A
-            lam = min(1.0, max(0.0, (N * 0.999) / nx))
-            y = base + lam * (x - base)
-            if float(np.linalg.norm(y)) <= N + 1e-12:
-                pts.append(y)
-    return max(float(C.distance(x)) for x in pts)
+    while count < n_samples and tries < budget:
+        k = min(n_samples - count, budget - tries)
+        s = scales[np.arange(tries, tries + k) % len(scales)]
+        X = A.project_many(rng.standard_normal((k, A.dim)) * s[:, None])
+        tries += k
+        # pull samples outside the ball back along the segment to base (by a
+        # factor below 0.999); the pulled point stays in A
+        nx = row_norms(X)
+        out = nx > N + 1e-12
+        X[out] = base + ((N * 0.999) / nx[out])[:, None] * (X[out] - base)
+        X = X[row_norms(X) <= N + 1e-12]
+        pts.append(X)
+        count += len(X)
+    return float(C.distance_many(np.concatenate(pts)).max())
 
 
 def aw_distance(A, C, N: int, n_samples: int = 2000, rng_seed: int = 0,
@@ -202,32 +207,37 @@ def aw_distance(A, C, N: int, n_samples: int = 2000, rng_seed: int = 0,
 # Exposure probes
 
 
-def _min_shift_into_cone(fa: float, a: np.ndarray, x0: np.ndarray, alpha: float,
-                         tol: float = 1e-10, cap: float = 1e12) -> float:
-    """Minimal lam >= 0 with f(a) + lam >= alpha*||a + lam*x0||.
+def _min_shifts_into_cone(fa: np.ndarray, a: np.ndarray, x0: np.ndarray, alpha: float,
+                          tol: float = 1e-10, cap: float = 1e12) -> np.ndarray:
+    """Row i is the minimal lam >= 0 with fa[i] + lam >= alpha*||a[i] + lam*x0||.
 
-    The defect lam -> f(a) + lam - alpha*||a + lam*x0|| is strictly
-    increasing (alpha < 1), so bisection applies; lam beyond ``cap``
-    reports infinity.
+    The defect lam -> fa + lam - alpha*||a + lam*x0|| is strictly
+    increasing (alpha < 1), so bisection applies; every row is bisected at
+    once, each on its own bracket until that bracket is narrower than
+    ``tol`` or its midpoint rounds to one of its ends (above about 5e5 the
+    spacing of doubles exceeds ``tol``).  A lam beyond ``cap`` reports
+    infinity.
     """
-    na = float(np.linalg.norm(a))
 
-    def g(lam):
-        return fa + lam - alpha * float(np.linalg.norm(a + lam * x0))
+    def g(lam, rows):
+        return fa[rows] + lam - alpha * row_norms(a[rows] + lam[:, None] * x0)
 
-    if g(0.0) >= 0.0:
-        return 0.0
-    hi = (alpha * na - fa) / (1.0 - alpha) + 1.0
-    if hi > cap:
-        return math.inf
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lam = np.zeros(len(fa))
+    short = np.flatnonzero(~(g(lam, slice(None)) >= 0.0))
+    hi = (alpha * row_norms(a[short]) - fa[short]) / (1.0 - alpha) + 1.0
+    lam[short[hi > cap]] = math.inf
+    rows, hi = short[hi <= cap], hi[hi <= cap]
+    lo = np.zeros(len(rows))
+    active = np.flatnonzero(hi - lo > tol)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        stuck = (mid == lo[active]) | (mid == hi[active])
+        up = g(mid, rows[active]) >= 0.0
+        hi[active[up]] = mid[up]
+        lo[active[~up]] = mid[~up]
+        active = active[(hi[active] - lo[active] > tol) & ~stuck]
+    lam[rows] = hi
+    return lam
 
 
 def epsilon_alpha(A, f, x0, alpha: float, n_boundary: int = 2000,
@@ -252,18 +262,27 @@ def epsilon_alpha(A, f, x0, alpha: float, n_boundary: int = 2000,
         raise ValueError("0 must belong to the (pre-translated) set")
     rng = np.random.default_rng(rng_seed)
     scales = np.geomspace(0.5, max_radius, 16)
-    best = 0.0
-    for i in range(n_boundary):
-        z = rng.standard_normal(f.size) * scales[i % len(scales)]
-        a = A.project(z)
-        fa = float(np.dot(f, a))
-        if fa < -1e-7:
+    s = scales[np.arange(n_boundary) % len(scales)]
+    a = A.project_many(rng.standard_normal((n_boundary, f.size)) * s[:, None])
+    fa = np.vecdot(a, f)
+    lam = _min_shifts_into_cone(np.where(fa < 0.0, 0.0, fa), a, x0, alpha)
+    # the first sample that breaks the orientation or needs an unbounded
+    # shift decides, as it would in a sample-by-sample scan
+    wrong, unbounded = fa < -1e-7, lam == math.inf
+    if (wrong | unbounded).any():
+        if wrong[int(np.argmax(wrong | unbounded))]:
             raise ValueError("f does not attain its infimum over the set at 0")
-        lam = _min_shift_into_cone(max(fa, 0.0), a, x0, alpha)
-        if lam == math.inf:
-            return math.inf
-        best = max(best, lam)
-    return best
+        return math.inf
+    return float(lam.max(initial=0.0))
+
+
+def _diameter(pts) -> float:
+    """Largest distance between two of the points, from the pairwise
+    differences of 64 points at a time, so that memory stays at
+    64 * len(pts) * d doubles instead of len(pts)**2 * d."""
+    sq = max(float(np.max(np.sum((pts[i:i + 64, None, :] - pts) ** 2, axis=-1)))
+             for i in range(0, len(pts), 64))
+    return math.sqrt(sq)
 
 
 def strongly_exposes_probe(A, f, alphas, n_samples: int = 400,
@@ -284,9 +303,7 @@ def strongly_exposes_probe(A, f, alphas, n_samples: int = 400,
     diams = []
     eps_vals = []
     for i, alpha in enumerate(alphas):
-        pts = slice_sample(A, f, alpha, n_samples, rng_seed + i)
-        diffs = pts[:, None, :] - pts[None, :, :]
-        diams.append(float(np.sqrt(np.max(np.sum(diffs ** 2, axis=-1)))))
+        diams.append(_diameter(slice_sample(A, f, alpha, n_samples, rng_seed + i)))
         eps_vals.append(epsilon_alpha(translated, fprime, fprime, alpha,
                                       n_boundary=n_samples, rng_seed=rng_seed))
     ratios = tuple(e / a for e, a in zip(eps_vals, alphas))

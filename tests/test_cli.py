@@ -486,3 +486,72 @@ def test_scenario_params_named_on_run_and_validate(tmp_path, capsys, scenario, p
     for cmd in ("run", "validate"):
         assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"scenario parameter {name!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("delta_law", "inv_n"), ("delta_scale", 2.0),
+                                        ("kind", "tangent_disc")])
+def test_scenario_params_reject_the_keywords_params_sets(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, {"kind": "stable-scenario", "max_iter": 5, "params": {
+        "scenario": "tangent_disc", "scenario_params": {key: value}}})
+    for cmd in ("run", "validate"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"config field 'params.scenario_params.{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("A, field", [
+    ({"kind": "halfspace", "a": ["1", "0"], "b": 0.5}, "'a'"),
+    ({"kind": "halfspace", "a": [1.0, 0.0], "b": "0.5"}, "'b'"),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": True}, "'radius'"),
+    ({"kind": "ball", "center": [0.0, False], "radius": 1.0}, "'center'"),
+    ({"kind": "polygon2d", "vertices": [[0.0, 0.0], [1.0, "1"], [0.0, 1.0]]}, "'vertices'"),
+    ({"kind": "polyhedron", "normals": [[1.0, 0.0]], "b": [1.0], "witness": None},
+     "'witness'"),
+    ({"kind": "nonneg_orthant", "d": True}, "'d'"),
+], ids=["str_array", "str_scalar", "bool_scalar", "bool_in_array", "str_in_matrix",
+        "null", "bool_dimension"])
+def test_set_descriptors_reject_strings_and_bools(tmp_path, capsys, A, field):
+    cfg = write_config(tmp_path, _classical(A))
+    for cmd in ("run", "validate"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"set kind {A['kind']!r}: field {field}" in err and "params.A" in err
+    assert not (tmp_path / "o").exists()
+
+
+_OMEGA = {"probe": "omega", "U": [[1.0, 0.0]], "V": [[0.0, 1.0]]}
+_EXPOSURE = {"probe": "exposure", "set": BALL, "f": [0.0, 1.0], "alphas": [0.1]}
+_AW_FAMILY = {"probe": "aw", "family": "tilted_lines"}
+_AW_SETS = {"probe": "aw", "A": BALL, "C": BALL}
+
+
+@pytest.mark.parametrize("params, key", [
+    ({**_OMEGA, "n_samples": 5}, "n_samples"),
+    ({**_OMEGA, "family": "tilted_lines"}, "family"),
+    ({**_EXPOSURE, "N": 2}, "N"),
+    ({**_EXPOSURE, "U": [[1.0, 0.0]]}, "U"),
+    ({"probe": "separation", "M": 0.5, "omega": 0.1, "alphas": [0.1]}, "alphas"),
+    ({"probe": "separation", "M": 0.5, "omega": 0.1, "n_samples": 5}, "n_samples"),
+    ({**_AW_FAMILY, "A": BALL}, "A"),
+    ({**_AW_FAMILY, "C": BALL}, "C"),
+    ({**_AW_FAMILY, "f": [0.0, 1.0]}, "f"),
+    ({**_AW_SETS, "count": 3}, "count"),
+    ({**_AW_SETS, "omega": 0.1}, "omega"),
+])
+def test_probe_params_the_probe_never_reads_are_rejected(tmp_path, capsys, params, key):
+    cfg = write_config(tmp_path, {"kind": "probe", "params": params})
+    for cmd in ("probe", "validate"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"config field 'params.{key}': is not used" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("params", [
+    {**_OMEGA}, {**_EXPOSURE, "n_samples": 20},
+    {"probe": "separation", "M": 0.5, "omega": 0.1},
+    {**_AW_FAMILY, "count": 2, "N": 2, "n_samples": 20},
+    {**_AW_SETS, "N": 2, "n_samples": 20},
+])
+def test_probe_params_each_probe_reads_are_accepted(tmp_path, params):
+    cfg = write_config(tmp_path, {"kind": "probe", "params": params})
+    assert main(["validate", "--config", str(cfg), "--quiet"]) == 0

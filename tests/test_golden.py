@@ -3,9 +3,9 @@
 Every file these configs write is pinned by its SHA-256, so a refactor
 that changes any trace, report or construction digit fails here.  The
 hashes were recorded with numpy 2.4 and scipy 1.17 on x86-64; other
-versions may round the last digit differently.  ``graph_growth_half``,
-``tangent_disc_scenario`` and ``probe_aw_squares`` take 3-14 s each and
-are not pinned here.
+versions may round the last digit differently.  ``graph_growth_half``
+and ``tangent_disc_scenario`` take several seconds each and are not pinned
+here.
 """
 
 import hashlib
@@ -33,6 +33,8 @@ GOLDEN = {
             "b8770ac8c91cda4ba5f9db68316f4a0297dbc6ad5b85cac5369c2759a35b3c5e",
         "graph_growth_quarter_report.json":
             "91ca87e00a38fd8ee86eeecb10ec70bef777b8bda8f0f9be5b3bc52a2986edf4"},
+    ("probe", "probe_aw_squares"): {
+        "aw_squares.json": "c1a8a4995d74f2a434bfd46d1c8f08b9e5a3b88c364e12f4b3fd644148e0bf9b"},
     ("probe", "probe_exposure_disc"): {
         "exposure_disc.json": "6f8348c87b8de6dde6bd3c574ae09e3bc323fb0912385b5f8d3286be2f564a28"},
     ("probe", "probe_omega_planes"): {

@@ -471,3 +471,67 @@ def test_sample_points_land_in_set(rng):
         S = random_set(kind, rng)
         for p in sample_points(S, 16, rng):
             assert membership(S, p, 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# batched projections
+
+
+def _batch_points(S, rng):
+    """Points inside, on and far outside S: projections, vertices, Gaussians."""
+    d = S.dim
+    X = [rng.standard_normal(d) * s for s in (0.01, 0.5, 1.0, 3.0, 1e3, 1e6) for _ in range(20)]
+    X += [S.project(x) for x in X[:60]] + [np.zeros(d)]
+    if isinstance(S, Polygon2D):
+        X += list(S.vertices) + [0.5 * (S.vertices[0] + S.vertices[-1])]
+    return np.array(X)
+
+
+_BATCH_SETS = [("polygon2d-1", lambda rng: Polygon2D([[0.5, -1.0]])),
+               ("polygon2d-2", lambda rng: Polygon2D([[0.5, -1.0], [-1.0, 2.0]])),
+               ("polygon2d-2-axis", lambda rng: Polygon2D([[0.0, 0.0], [0.0, 1.0]]))] + [
+    (kind, lambda rng, kind=kind: random_set(kind, rng)) for kind in PROJECTABLE_KINDS]
+
+
+@pytest.mark.parametrize("make", [m for _, m in _BATCH_SETS], ids=[n for n, _ in _BATCH_SETS])
+def test_batched_projection_bit_equal_to_scalar(make, rng):
+    for _ in range(4):
+        S = make(rng)
+        X = _batch_points(S, rng)
+        P, D = S.project_many(X), S.distance_many(X)
+        assert P.shape == X.shape and D.shape == (len(X),)
+        assert np.array_equal(P, np.array([S.project(x) for x in X]))
+        assert np.array_equal(D, np.array([S.distance(x) for x in X]))
+        assert S.project_many(X[:0]).shape == (0, S.dim)
+
+
+def test_batched_projection_rejects_bad_arrays():
+    S = Ball(np.zeros(2), 1.0)
+    for X in (np.zeros(2), np.zeros((3, 3)), np.array([[0.0, np.nan]])):
+        with pytest.raises(ValueError):
+            S.project_many(X)
+
+
+def test_batched_projection_unsupported_on_cone_kind():
+    C = ShiftedConvexCone(ConeSpec(np.array([0.0, 1.0]), 0.5))
+    with pytest.raises(ProjectionUnsupported):
+        C.project_many(np.zeros((3, 2)))
+    with pytest.raises(ProjectionUnsupported):
+        C.distance_many(np.zeros((0, 2)))
+
+
+def test_slice_sample_fallback_cycles_through_a_short_draw():
+    # The slice x >= 5.5 of this box lies 2.7 draw scales out along f: the
+    # 1600 draws of the budget hit it only 4 times, so those 4 are repeated.
+    S = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                   np.array([6.0, -5.0, 1.0, 1.0]), witness=np.array([5.5, 0.0]))
+    f, alpha, n, seed = np.array([0.01, 0.0]), 0.005, 8, 0
+    rng, sup = np.random.default_rng(seed), support_value(S, f)
+    found = []
+    for _ in range(200 * n):   # the one-at-a-time rejection loop
+        x = S.project(rng.standard_normal(2) * (2.0 + abs(sup)))
+        if float(np.dot(f, x)) >= sup - alpha - 1e-12:
+            found.append(x)
+    assert 2 <= len(found) < n
+    pts = slice_sample(S, f, alpha, n, seed)
+    assert np.array_equal(pts, np.array(found)[np.arange(n) % len(found)])

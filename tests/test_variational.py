@@ -177,6 +177,16 @@ def test_epsilon_alpha_supporting_halfspace_ratio_stays_large():
         assert est / alpha >= 100.0
 
 
+def test_epsilon_alpha_terminates_where_doubles_are_coarser_than_the_tolerance():
+    # shifts near 2e6, where adjacent doubles are 4.7e-10 apart: a bracket
+    # can stop shrinking before it is 1e-10 wide
+    R, alpha = 1e4, 0.99999
+    disc = Ball(np.array([0.0, R]), R)
+    f = np.array([0.0, 1.0])
+    est = epsilon_alpha(disc, f, f, alpha, n_boundary=200, rng_seed=0, max_radius=R)
+    assert 1e6 < est <= R * disc_min_shift_exact(alpha)
+
+
 def test_epsilon_alpha_singleton_is_zero():
     origin = Polygon2D([(0.0, 0.0)])
     f = np.array([0.0, 1.0])
@@ -422,3 +432,65 @@ def test_sample_cone_point_respects_cones(rng):
     for _ in range(200):
         assert cone_contains(c, sample_cone_point(x0, 0.8, "C", rng), tol=1e-9)
         assert cone_contains(v, sample_cone_point(x0, 0.3, "V", rng), tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# batched samplers against one-sample-at-a-time reference loops
+
+
+def _excess_one_at_a_time(A, C, N, n_samples, rng):
+    base = A.project(np.zeros(A.dim))
+    pts = [base]
+    scales = np.geomspace(0.25 * N, 2.0 * N, 8)
+    tries = 0
+    while len(pts) < n_samples and tries < 20 * n_samples:
+        x = A.project(rng.standard_normal(A.dim) * scales[tries % len(scales)])
+        tries += 1
+        nx = float(np.linalg.norm(x))
+        if nx <= N + 1e-12:
+            pts.append(x)
+        else:
+            y = base + min(1.0, max(0.0, (N * 0.999) / nx)) * (x - base)
+            if float(np.linalg.norm(y)) <= N + 1e-12:
+                pts.append(y)
+    return max(float(C.distance(x)) for x in pts)
+
+
+def _epsilon_one_at_a_time(A, f, alpha, n_boundary, rng_seed, max_radius=1e3):
+    rng = np.random.default_rng(rng_seed)
+    scales = np.geomspace(0.5, max_radius, 16)
+    best = 0.0
+    for i in range(n_boundary):
+        a = A.project(rng.standard_normal(f.size) * scales[i % len(scales)])
+        fa = max(float(np.dot(f, a)), 0.0)
+
+        def g(lam):
+            return fa + lam - alpha * float(np.linalg.norm(a + lam * f))
+
+        if g(0.0) >= 0.0:
+            continue
+        lo, hi = 0.0, (alpha * float(np.linalg.norm(a)) - fa) / (1.0 - alpha) + 1.0
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if g(mid) >= 0.0 else (mid, hi)
+        best = max(best, hi)
+    return best
+
+
+def test_batched_samplers_equal_one_at_a_time_loops(rng):
+    for _ in range(6):
+        A = polygon_containing_ball(rng)
+        C = polygon_containing_ball(rng)
+        n, seed = int(rng.integers(2, 400)), int(rng.integers(1000))
+        est = aw_distance(A, C, 2, n_samples=n, rng_seed=seed, mode="sampled")
+        ref = np.random.default_rng(seed)
+        assert est.e_A_to_C == _excess_one_at_a_time(A, C, 2, n, ref)
+        assert est.e_C_to_A == _excess_one_at_a_time(C, A, 2, n, ref)
+        f = np.array([0.0, 1.0])
+        low = A.translate(-A.vertices[np.argmin(A.vertices @ f)])
+        r = float(rng.uniform(0.5, 3.0))
+        disc = Ball(np.array([0.0, r]), r)
+        for S in (low, disc):
+            alpha = float(rng.uniform(0.05, 0.9))
+            assert (epsilon_alpha(S, f, f, alpha, n_boundary=n, rng_seed=seed)
+                    == _epsilon_one_at_a_time(S, f, alpha, n, seed))
