@@ -5,17 +5,14 @@ families."""
 from .geometry import (ConeSpec, DimensionMismatch, ProductPoint, as_point,
                        cone_contains, cone_from_angle, cos_angle, inner, norm,
                        pack, unpack)
-from .sets import (AffineSubspace, Ball, DiagonalAffineGraph,
-                   DykstraNonConvergence, Halfspace, Hyperplane, NonnegOrthant,
-                   OrthoSubspace, Polygon2D, Polyhedron, ProjectionCertificateError,
-                   ProjectionUnsupported, SamplerFailure, ShiftedConvexCone, SupportUnavailable,
-                   membership, polyhedron_project_dykstra, project,
+from .sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, Hyperplane,
+                   NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron,
+                   ProjectionCertificateError, SamplerFailure, SupportUnavailable,
                    sample_points, set_from_dict, set_to_dict, slice_sample,
                    support_point, support_value)
 from .engine import (Adaptive, BlockLog, Blocks, Constant, ProjectionStepError,
                      RunConfig, ScheduleExhausted, Trace, TraceRecord,
-                     resolve_pair, run_classical, run_perturbed, trace_to_csv,
-                     trace_to_json)
+                     run_classical, run_perturbed, trace_to_csv, trace_to_json)
 from .variational import (AngleReport, AwEstimate, ExposureProbe, aw_distance,
                           check_cos_separation, check_fact_norms,
                           epsilon_alpha, eventual_containment_probe,

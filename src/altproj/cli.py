@@ -36,8 +36,7 @@ from . import variational as var
 from .engine import (Blocks, Constant, ProjectionStepError, RunConfig, ScheduleExhausted,
                      run_perturbed, trace_to_csv, trace_to_json)
 from .geometry import as_point
-from .sets import (DykstraNonConvergence, ProjectionCertificateError, SamplerFailure,
-                   set_from_dict)
+from .sets import ProjectionCertificateError, SamplerFailure, set_from_dict
 
 
 class ConfigError(ValueError):
@@ -157,12 +156,11 @@ def load_config(path, **overrides) -> dict:
 
 
 def _parse_set(obj, field, dim=None):
-    """A projectable set from its descriptor, in R^dim when dim is given."""
+    """A set from its descriptor, in R^dim when dim is given."""
     try:
         S = set_from_dict(obj)
     except Exception as exc:
         raise ConfigError(f"config field {field!r}: bad set descriptor ({exc})")
-    _require(S.projectable, field, "is a membership-only kind; runs and probes need a projection")
     _require(dim is None or S.dim == dim, field, f"has dimension {S.dim}, expected {dim}")
     return S
 
@@ -441,8 +439,8 @@ def main(argv=None) -> int:
     except ScheduleExhausted as exc:
         print(f"schedule exhausted: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ProjectionStepError, ProjectionCertificateError, DykstraNonConvergence,
-            SamplerFailure, cons.BlockBudgetExceeded) as exc:
+    except (ValueError, ProjectionStepError, ProjectionCertificateError, SamplerFailure,
+            cons.BlockBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

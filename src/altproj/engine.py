@@ -8,8 +8,8 @@ where the pair (A_n, B_n) is produced by a schedule: ``pair(block_id)``
 gives a block's sets and ``advance(block_id, block_step, a_n)`` says after
 each step whether, and why, the block ends.  Every step is
 computed; ``record_stride`` only thins the log.  Runs are strictly
-sequential and deterministic, and a trace can be re-simulated from any of
-its records bit-identically.
+sequential and deterministic: the same schedule and run config give the
+same trace, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ from .geometry import as_point
 
 
 class ScheduleExhausted(RuntimeError):
-    """No pair is defined for the requested iteration index."""
-
-    def __init__(self, message, n=None):
-        super().__init__(message)
-        self.n = n
+    """No pair is defined for the requested block."""
 
 
 class ProjectionStepError(RuntimeError):
@@ -188,7 +184,7 @@ class Trace:
         return [bl for bl in self.blocks if bl.advance in ("predicate", "length")]
 
 
-def run_perturbed(schedule, cfg: RunConfig, resume_from: TraceRecord | None = None) -> Trace:
+def run_perturbed(schedule, cfg: RunConfig) -> Trace:
     """Run the two-step projection recursion under a schedule.
 
     Halts on max_iter, on stop_residual, when the schedule has no pair
@@ -198,24 +194,10 @@ def run_perturbed(schedule, cfg: RunConfig, resume_from: TraceRecord | None = No
     """
     records = []
     block_logs = []
-
-    if resume_from is None:
-        prev = cfg.start.copy()
-        n = 1
-        block_id, block_step = 1, 0
-        block_start_n = 1
-    else:
-        prev = resume_from.a.copy()
-        n = resume_from.n + 1
-        block_id, block_step = resume_from.block_id, resume_from.block_step
-        block_start_n = resume_from.n - resume_from.block_step + 1
-        cause = schedule.advance(block_id, block_step, prev)
-        if cause is not None and cause != "budget":
-            block_logs.append(BlockLog(block_id, block_start_n, resume_from.n, cause))
-            block_id += 1
-            block_step = 0
-            block_start_n = n
-
+    prev = cfg.start.copy()
+    n = 1
+    block_id, block_step = 1, 0
+    block_start_n = 1
     status = "max_iter"
     schedule_complete = False
 
@@ -289,47 +271,6 @@ def run_perturbed(schedule, cfg: RunConfig, resume_from: TraceRecord | None = No
 def run_classical(A, B, cfg: RunConfig) -> Trace:
     """Unperturbed alternating projections: constant pair (A, B)."""
     return run_perturbed(Constant(A, B), cfg)
-
-
-def resolve_pair(schedule, n: int, trace_so_far: Trace | None = None):
-    """The pair (A_n, B_n, block_id) the schedule assigns to step n.
-
-    For Constant and Blocks this is a pure function of n.  For Adaptive
-    schedules the block position depends on past iterates, so the trace
-    prefix must contain the record of step n-1 (full-rate logging).
-    """
-    if n < 1:
-        raise ValueError("iteration indices start at 1")
-    if isinstance(schedule, Constant):
-        return schedule.A, schedule.B, 1
-    if isinstance(schedule, Blocks):
-        acc = 0
-        for k, (A, B, L) in enumerate(schedule.blocks, start=1):
-            acc += L
-            if n <= acc:
-                return A, B, k
-        raise ScheduleExhausted(f"blocks schedule ends at step {acc}, requested {n}", n=n)
-    if n == 1:
-        A, B = schedule.pair(1)
-        return A, B, 1
-    if trace_so_far is None:
-        raise ValueError("adaptive resolution beyond step 1 needs the trace prefix")
-    last = None
-    for rec in trace_so_far.records:
-        if rec.n == n - 1:
-            last = rec
-            break
-    if last is None:
-        raise ValueError(f"trace prefix does not contain step {n - 1}")
-    block_id, block_step = last.block_id, last.block_step
-    cause = schedule.advance(block_id, block_step, last.a)
-    if cause == "budget":
-        raise ScheduleExhausted(
-            f"block {block_id} exhausted its budget without firing", n=n)
-    if cause is not None:
-        block_id += 1
-    A, B = schedule.pair(block_id)
-    return A, B, block_id
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Projectable convex set kinds with exact or certified-iterative projection.
+"""Convex set kinds, each answering the same methods through an exact projection.
 
 A set kind is one :class:`ConvexSet` subclass listed in ``SET_KINDS``: its
 projection, closed-form overrides where they are cheaper, and a ``kind``
-tag.  Projections are exact closed forms everywhere except ``Polyhedron``,
-whose projection solves the least-distance program by active-set NNLS
-(Lawson & Hanson, *Solving Least Squares Problems*, ch. 23) and checks a
-KKT certificate on every call; the shifted cone is membership-only.  The
-module-level functions delegate to the kind's methods.  ``project_many``
-projects a (k, d) batch of points, bit-equal row by row to ``project``;
-the sampled probes project their samples through it.
+tag.  All nine kinds are projectable.  Projections are exact closed forms
+everywhere except ``Polyhedron``, whose projection solves the
+least-distance program by active-set NNLS (Lawson & Hanson, *Solving Least
+Squares Problems*, ch. 23) and checks a KKT certificate on every call; the
+same NNLS decides, by Farkas' lemma, in which directions a polyhedron is
+unbounded.  ``project_many`` projects a (k, d) batch of points, bit-equal
+row by row to ``project``; the sampled probes project their samples
+through it.  The runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -18,24 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import ConeSpec, as_point, as_points, cone_contains, row_norms
-
-
-class ProjectionUnsupported(ValueError):
-    """Projection requested on a membership-only set kind."""
-
-
-class DykstraNonConvergence(RuntimeError):
-    """Cyclic Dykstra failed to settle within its iteration budget.
-
-    Carries the last iterate and the last cycle's sum of squared
-    correction changes.
-    """
-
-    def __init__(self, message, last_iterate, residual):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
+from .geometry import as_point, as_points, row_norms
 
 
 class ProjectionCertificateError(RuntimeError):
@@ -91,16 +75,15 @@ def _numeric(value) -> bool:
     return True
 
 
-def _take(doc: dict, names, kind: str, text=()) -> list:
-    """The values of ``names`` in a set descriptor.  Unknown or missing
-    fields raise, and so does a field other than those in ``text`` that is
-    not numeric."""
+def _take(doc: dict, names, kind: str) -> list:
+    """The values of ``names`` in a set descriptor.  Unknown, missing and
+    non-numeric fields raise."""
     unknown, missing = sorted(set(doc) - set(names) - {"kind"}), set(names) - set(doc)
     if unknown or missing:
         raise ValueError(f"set kind {kind!r}: unknown field(s) {unknown}, "
                          f"missing field(s) {sorted(missing)}")
     for name in names:
-        if name not in text and not _numeric(doc[name]):
+        if not _numeric(doc[name]):
             raise ValueError(f"set kind {kind!r}: field {name!r} must be a number or an "
                              f"array of numbers, got {doc[name]!r:.60}")
     return [doc[name] for name in names]
@@ -117,7 +100,6 @@ class ConvexSet:
     encoding; distance and membership follow from the projection."""
 
     kind = None
-    projectable = True  # False for membership-only kinds, whose project raises
 
     def distance(self, x) -> float:
         x = as_point(x, dim=self.dim)
@@ -687,58 +669,9 @@ class DiagonalAffineGraph(ConvexSet):
         return DiagonalAffineGraph(self.theta, self.offset + v[d:] - self.theta * v[:d])
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftedConvexCone(ConvexSet):
-    """Membership-only wrapper around a shifted convex cone C(f, alpha)."""
-
-    kind = "shifted_convex_cone"
-    projectable = False
-    cone: ConeSpec
-
-    def __post_init__(self):
-        if self.cone.kind != "C":
-            raise ValueError("ShiftedConvexCone requires a C-kind cone spec")
-
-    @property
-    def dim(self):
-        return self.cone.dim
-
-    def project(self, x):
-        raise ProjectionUnsupported("projection onto shifted cones is not provided")
-
-    def project_many(self, X):
-        return self.project(X)
-
-    def membership(self, x, tol=0.0):
-        """The cone residual test; no distance is computed."""
-        return cone_contains(self.cone, x, tol)
-
-    def to_dict(self):
-        c = self.cone
-        return {"kind": self.kind, "riesz": c.riesz.tolist(), "alpha": c.alpha,
-                "shift": c.shift, "direction": c.direction.tolist(), "cone_kind": c.kind}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(ConeSpec(*_take(doc, ("riesz", "alpha", "shift", "direction", "cone_kind"),
-                                   cls.kind, text=("cone_kind",))))
-
-
 SET_KINDS = (Halfspace, Hyperplane, Ball, Polygon2D, OrthoSubspace,
-             AffineSubspace, NonnegOrthant, Polyhedron, DiagonalAffineGraph,
-             ShiftedConvexCone)
+             AffineSubspace, NonnegOrthant, Polyhedron, DiagonalAffineGraph)
 _KIND_BY_TAG = {cls.kind: cls for cls in SET_KINDS}
-
-
-def project(S, x) -> np.ndarray:
-    """Metric projection of x onto S; raises for membership-only kinds."""
-    return S.project(x)
-
-
-def membership(S, x, tol: float = 0.0) -> bool:
-    """True iff dist(x, S) <= tol (cone residual test for the cone kind)."""
-    return S.membership(x, tol)
-
 
 _EPS = float(np.finfo(float).eps)
 
@@ -826,46 +759,6 @@ def _certify(x, y, lam, A, b):
                 f"residual {value:.3e} > {tol:.3e}")
 
 
-def polyhedron_project_dykstra(S: Polyhedron, x, tol: float = 1e-10,
-                               max_iter: int = 100_000) -> np.ndarray:
-    """Project onto an intersection of halfspaces by cyclic Dykstra.
-
-    An independent cross-check for ``Polyhedron.project``.  Iterates cycles
-    of halfspace projections with correction terms and stops when the sum
-    over the halfspaces of the squared changes of their corrections in one
-    cycle drops below tol**2 (Birgin & Raydan, SIAM J. Sci. Comput. 26(4),
-    2005).  The iterate's own displacement is no stopping test: Dykstra
-    admits long plateaus where the iterate freezes while the corrections
-    rebalance.  Raises :class:`DykstraNonConvergence` when the budget runs
-    out.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    x = as_point(x, dim=S.dim)
-    A, b = S.normals, S.b
-    m = A.shape[0]
-    if bool(np.all(A @ x <= b)):
-        return x.copy()
-    y = x.copy()
-    corrections = np.zeros((m, S.dim))
-    for _ in range(max_iter):
-        change = 0.0
-        for i in range(m):
-            z = y + corrections[i]
-            excess = float(np.dot(A[i], z)) - b[i]
-            y = z - max(0.0, excess) * A[i]
-            new = z - y
-            step = new - corrections[i]
-            change += float(np.dot(step, step))
-            corrections[i] = new
-        if change < tol * tol:
-            return y
-    raise DykstraNonConvergence(
-        f"Dykstra did not converge within {max_iter} cycles "
-        f"(last squared correction change {change:.3e})",
-        last_iterate=y, residual=change)
-
-
 def polyhedron_vertices(S: Polyhedron, tol: float = 1e-9) -> np.ndarray:
     """Enumerate vertices of a polyhedron in dimension <= 3."""
     d = S.dim
@@ -888,12 +781,17 @@ def polyhedron_vertices(S: Polyhedron, tol: float = 1e-9) -> np.ndarray:
 
 
 def _polyhedron_unbounded_in(S: Polyhedron, f: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether sup_S <f, .> = +inf, via an LP over a boxed recession cone."""
-    from scipy.optimize import linprog
-    d = S.dim
-    res = linprog(-f, A_ub=S.normals, b_ub=np.zeros(S.normals.shape[0]),
-                  bounds=[(-1.0, 1.0)] * d, method="highs")
-    return res.status == 0 and -res.fun > tol
+    """Whether sup_S <f, .> = +inf.  S is nonempty, so by Farkas' lemma the
+    supremum is finite iff f lies in the cone of the unit normals, that is,
+    iff min over lambda >= 0 of ||A^T lambda - f / ||f|||| is at most ``tol``
+    (Boyd & Vandenberghe, *Convex Optimization*, sec. 5.8).  An NNLS that
+    does not finish raises, as in ``project``."""
+    n = float(np.linalg.norm(f))
+    if n == 0.0:
+        return False
+    fhat = f / n
+    lam = _nnls(S.normals.T, fhat)
+    return float(np.linalg.norm(S.normals.T @ lam - fhat)) > tol
 
 
 def support_value(S, f) -> float:

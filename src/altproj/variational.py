@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import ConeSpec, as_point, cone_contains, row_norms
 from .sets import (AffineSubspace, DiagonalAffineGraph, Halfspace,
-                   OrthoSubspace, SamplerFailure, membership, sample_points,
+                   OrthoSubspace, SamplerFailure, _check_orthonormal, sample_points,
                    slice_sample, support_point, support_value)
 
 
@@ -258,7 +258,7 @@ def epsilon_alpha(A, f, x0, alpha: float, n_boundary: int = 2000,
         raise ValueError("x0 must satisfy f(x0) = 1")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    if not membership(A, np.zeros(f.size), 1e-7):
+    if not A.membership(np.zeros(f.size), 1e-7):
         raise ValueError("0 must belong to the (pre-translated) set")
     rng = np.random.default_rng(rng_seed)
     scales = np.geomspace(0.5, max_radius, 16)
@@ -370,10 +370,8 @@ def omega_angle(U_basis, V_basis) -> AngleReport:
     V = np.asarray(V_basis, dtype=float)
     if U.ndim != 2 or V.ndim != 2 or U.shape[0] < 1 or V.shape[0] < 1:
         raise ValueError("bases must be nonempty (k, d) arrays")
-    for B in (U, V):
-        gram = B @ B.T
-        if np.max(np.abs(gram - np.eye(len(B)))) > 1e-10:
-            raise ValueError("basis is not orthonormal (Gram check fails)")
+    _check_orthonormal(U)
+    _check_orthonormal(V)
     G = U @ V.T
     svals = np.clip(np.linalg.svd(G, compute_uv=False), 0.0, 1.0)
     return AngleReport(omega=float(svals[0]), principal_cosines=tuple(float(s) for s in svals))
@@ -430,7 +428,7 @@ def check_fact_norms(C, eps: float, K: float, n_trials: int = 10_000,
     for _ in range(256):
         u = rng.standard_normal(d)
         u /= float(np.linalg.norm(u))
-        if not membership(C, eps * u, 1e-9):
+        if not C.membership(eps * u, 1e-9):
             raise ValueError("eps-ball is not contained in the set")
     mu = K / eps
     worst = -math.inf

@@ -19,8 +19,7 @@ from altproj.constructions import (BlockBudgetExceeded,
                                    run_example_unbounded_lines,
                                    run_example_unstable, stable_scenario)
 from altproj.engine import RunConfig, run_classical
-from altproj.sets import (Ball, DiagonalAffineGraph, OrthoSubspace, Polygon2D,
-                          polyhedron_project_dykstra, project)
+from altproj.sets import Ball, DiagonalAffineGraph, OrthoSubspace, Polygon2D
 from altproj.variational import (aw_distance, check_cos_separation,
                                  check_fact_norms, epsilon_alpha, omega_angle,
                                  strongly_exposes_probe, wset_contains)
@@ -51,10 +50,7 @@ def test_criterion_1_projection_contracts():
             S = random_set(kind, rng)
             x = rng.standard_normal(S.dim) * 2.5
             z = rng.standard_normal(S.dim) * 2.5
-            if kind == "polyhedron":
-                proj = lambda p: polyhedron_project_dykstra(S, p, tol=1e-12)
-            else:
-                proj = lambda p: project(S, p)
+            proj = S.project
             px, pz = proj(x), proj(z)
             worst_nonexp = max(worst_nonexp,
                                np.linalg.norm(px - pz) - np.linalg.norm(x - z))

@@ -15,7 +15,6 @@ from altproj.constructions import (BlockBudgetExceeded, Ell2Construction,
                                    run_example_unstable, stable_scenario,
                                    tilted_line)
 from altproj.engine import RunConfig, ScheduleExhausted, run_classical
-from altproj.sets import membership
 from altproj.variational import aw_distance, strongly_exposes_probe
 
 
@@ -91,7 +90,7 @@ def test_constant_pair_converges_into_intersection():
     cfg = RunConfig(start=np.array([0.0, 0.2]), max_iter=3)
     trace = run_classical(A, B, cfg)
     final = trace.final.a
-    assert membership(A, final, 1e-9) and membership(B, final, 1e-9)
+    assert A.membership(final, 1e-9) and B.membership(final, 1e-9)
     assert abs(final[1]) <= 1e-12
 
 
@@ -307,8 +306,8 @@ def test_tangent_disc_separator_strongly_exposes():
 def test_overlapping_balls_contain_origin_for_all_n():
     scen = stable_scenario("overlapping_balls")
     for n in (1, 7, 50):
-        assert membership(scen.a_family(n), np.zeros(2), 1e-12)
-        assert membership(scen.b_family(n), np.zeros(2), 1e-12)
+        assert scen.a_family(n).membership(np.zeros(2), 1e-12)
+        assert scen.b_family(n).membership(np.zeros(2), 1e-12)
 
 
 def test_transversal_planes_omega_below_one():

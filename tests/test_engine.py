@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from altproj.engine import (Adaptive, BlockLog, Blocks, Constant, ProjectionStepError,
-                            RunConfig, ScheduleExhausted, Trace, TraceRecord,
-                            resolve_pair, run_classical, run_perturbed, trace_to_csv,
-                            trace_to_json)
+                            RunConfig, Trace, TraceRecord, run_classical, run_perturbed,
+                            trace_to_csv, trace_to_json)
 from altproj.sets import Ball, OrthoSubspace
 
 
@@ -42,35 +41,41 @@ def test_orthogonal_lines_reach_origin_fast():
     assert trace.final.norm_a <= 1e-12
 
 
-def test_perturbed_recursion_identities():
-    # with stride 1, every record satisfies b_n = P_B(a_{n-1}), a_n = P_A(b_n)
-    A, B = line(0.0), line(0.7)
-    cfg = RunConfig(start=np.array([1.0, 1.0]), max_iter=20)
-    trace = run_classical(A, B, cfg)
-    prev = cfg.start
+def _check_steps(trace, start, pairs):
+    """Full-rate trace: step n ran on ``pairs[block_id]``."""
+    prev = start
     for r in trace.records:
+        A, B = pairs[r.block_id]
         np.testing.assert_array_equal(r.b, B.project(prev))
         np.testing.assert_array_equal(r.a, A.project(r.b))
         prev = r.a
 
 
+def test_perturbed_recursion_identities():
+    # with stride 1, every record satisfies b_n = P_B(a_{n-1}), a_n = P_A(b_n)
+    A, B = line(0.0), line(0.7)
+    cfg = RunConfig(start=np.array([1.0, 1.0]), max_iter=20)
+    _check_steps(run_classical(A, B, cfg), cfg.start, {1: (A, B)})
+
+
 def test_blocks_resolution_prefix_sums():
+    # step n runs on the block whose prefix sum of lengths first reaches n
     P, Q = line(0.1), line(0.2)
     R, S = line(0.3), line(0.4)
-    sched = Blocks(((P, Q, 3), (R, S, 2)))
-    A, B, k = resolve_pair(sched, 4)
-    assert (A, B, k) == (R, S, 2)
-    assert resolve_pair(sched, 1)[2] == 1
-    assert resolve_pair(sched, 5)[2] == 2
-    with pytest.raises(ScheduleExhausted):
-        resolve_pair(sched, 6)
+    cfg = RunConfig(start=np.array([1.0, 0.5]), max_iter=100)
+    trace = run_perturbed(Blocks(((P, Q, 3), (R, S, 2))), cfg)
+    assert [(r.n, r.block_id) for r in trace.records] == [(1, 1), (2, 1), (3, 1),
+                                                          (4, 2), (5, 2)]
+    assert trace.status == "schedule_exhausted" and trace.final.n == 5
+    _check_steps(trace, cfg.start, {1: (P, Q), 2: (R, S)})
 
 
 def test_constant_resolution():
     sched = Constant(line(0.1), line(0.2))
-    for n in (1, 7, 1000):
-        A, B, k = resolve_pair(sched, n)
-        assert A is sched.A and B is sched.B and k == 1
+    cfg = RunConfig(start=np.array([1.0, 0.5]), max_iter=40)
+    trace = run_perturbed(sched, cfg)
+    assert {r.block_id for r in trace.records} == {1} and trace.final.n == 40
+    _check_steps(trace, cfg.start, {1: (sched.A, sched.B)})
 
 
 def test_adaptive_resolution_advances_on_predicate():
@@ -83,10 +88,8 @@ def test_adaptive_resolution_advances_on_predicate():
     fired = [r for r in trace.records if r.norm_a < 0.5]
     assert fired, "predicate should fire"
     n_fire = fired[0].n
-    A, B, k = resolve_pair(sched, n_fire + 1, trace)
-    assert k == 2 and A is pairs[1][0]
-    A, B, k = resolve_pair(sched, n_fire, trace)
-    assert k == 1
+    assert [r.block_id for r in trace.records][:n_fire + 1] == [1] * n_fire + [2]
+    _check_steps(trace, cfg.start, {1: pairs[0], 2: pairs[1]})
 
 
 def test_adaptive_budget_halts_with_exhausted_status():
@@ -153,36 +156,6 @@ def test_determinism_bitwise():
         np.testing.assert_array_equal(r1.a, r2.a)
         np.testing.assert_array_equal(r1.b, r2.b)
         assert r1.res_a == r2.res_a
-
-
-def test_resume_reproduces_suffix_bitwise():
-    A, B = line(0.0), line(0.77)
-    cfg = RunConfig(start=np.array([1.0, 0.4]), max_iter=30)
-    full = run_classical(A, B, cfg)
-    mid = full.records[11]
-    resumed = run_perturbed(Constant(A, B), cfg, resume_from=mid)
-    tail = [r for r in full.records if r.n > mid.n]
-    assert len(resumed.records) == len(tail)
-    for r1, r2 in zip(tail, resumed.records):
-        assert r1.n == r2.n
-        np.testing.assert_array_equal(r1.a, r2.a)
-        np.testing.assert_array_equal(r1.b, r2.b)
-        assert r1.res_a == r2.res_a and r1.gap_ab == r2.gap_ab
-
-
-def test_resume_through_adaptive_blocks():
-    pairs = [(line(0.2), line(0.9)), (line(0.15), line(1.2)), (line(0.1), line(0.5))]
-    sched = Adaptive(pairs=pairs,
-                     switch_predicate=lambda k, a: float(np.linalg.norm(a)) < 0.6 ** k,
-                     max_block_len=50)
-    cfg = RunConfig(start=np.array([1.3, 0.2]), max_iter=60)
-    full = run_perturbed(sched, cfg)
-    mid = full.records[len(full.records) // 2]
-    resumed = run_perturbed(sched, cfg, resume_from=mid)
-    tail = [r for r in full.records if r.n > mid.n]
-    for r1, r2 in zip(tail, resumed.records):
-        assert (r1.n, r1.block_id, r1.block_step) == (r2.n, r2.block_id, r2.block_step)
-        np.testing.assert_array_equal(r1.a, r2.a)
 
 
 def test_fejer_monotone_when_origin_in_both_sets():

@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from altproj.geometry import ConeSpec
-from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, DykstraNonConvergence,
-                          Halfspace, Hyperplane, NonnegOrthant, OrthoSubspace,
-                          Polygon2D, Polyhedron, ProjectionCertificateError,
-                          ProjectionUnsupported,
-                          ShiftedConvexCone, SupportUnavailable, membership,
-                          polyhedron_project_dykstra, project, sample_points,
-                          set_from_dict, set_to_dict, slice_sample,
-                          support_point, support_value)
+from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, Hyperplane,
+                          NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron,
+                          ProjectionCertificateError, SupportUnavailable,
+                          _polyhedron_unbounded_in, sample_points,
+                          set_from_dict, set_to_dict, slice_sample, support_point,
+                          support_value)
 
 from _oracles import (PROJECTABLE_KINDS, disc_slice_diameter,
-                      graph_projection_first_coords_oracle,
+                      graph_projection_first_coords_oracle, polyhedron_project_dykstra,
                       polyhedron_projection_bruteforce, random_set)
 
 
@@ -63,12 +61,6 @@ def test_graph_projection_matches_line_search_random(rng):
         np.testing.assert_allclose(got, oracle, atol=1e-10)
 
 
-def test_projection_rejected_on_cone_kind():
-    cone = ShiftedConvexCone(ConeSpec(np.array([0.0, 1.0]), 0.5))
-    with pytest.raises(ProjectionUnsupported):
-        project(cone, np.array([1.0, 1.0]))
-
-
 # ---------------------------------------------------------------------------
 # Dykstra
 
@@ -93,16 +85,6 @@ def test_dykstra_feasible_point_unchanged():
                    witness=np.zeros(2))
     x = np.array([0.2, -0.5])
     np.testing.assert_array_equal(polyhedron_project_dykstra(P, x), x)
-
-
-def test_dykstra_budget_error_carries_state():
-    # thin wedge: one cycle cannot settle, so a unit budget must fail
-    P = Polyhedron(np.array([[1.0, 0.02], [-1.0, 0.02]]), np.zeros(2),
-                   witness=np.array([0.0, -1.0]))
-    with pytest.raises(DykstraNonConvergence) as err:
-        polyhedron_project_dykstra(P, np.array([0.0, 5.0]), tol=1e-14, max_iter=1)
-    assert err.value.last_iterate.shape == (2,)
-    assert err.value.residual > 0.0
 
 
 def test_dykstra_matches_bruteforce_random(rng):
@@ -200,15 +182,98 @@ def test_polyhedron_certificate_failure_raises(monkeypatch):
         P.project(np.array([2.0, 3.0]))
 
 
-def test_polyhedron_projection_does_not_import_scipy_optimize():
-    code = ("import sys; import numpy as np; from altproj.sets import Polyhedron; "
-            "P = Polyhedron(np.eye(2), np.zeros(2), witness=-np.ones(2)); "
-            "P.project(np.array([1.0, 2.0])); P.distance(np.array([3.0, -1.0])); "
-            "print('scipy.optimize' in sys.modules)")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None           # every import of scipy now fails
+from pathlib import Path
+import numpy as np
+import altproj
+from altproj import cli
+from altproj.sets import Polyhedron, SupportUnavailable
+
+P = Polyhedron(np.eye(2), np.zeros(2), witness=-np.ones(2))
+P.project(np.array([1.0, 2.0])); P.distance(np.array([3.0, -1.0]))
+assert P.support_value(np.array([1.0, 1.0])) == 0.0
+try:
+    P.support_value(np.array([-1.0, 0.0]))
+    raise AssertionError("unbounded direction not detected")
+except SupportUnavailable:
+    pass
+out = sys.argv[2]
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    assert cli.main(["validate", "--config", str(path), "--out", out, "--quiet"]) == 0, path
+    if path.name.startswith("probe_"):
+        assert cli.main(["probe", "--config", str(path), "--out", out, "--quiet"]) == 0, path
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_polyhedron_projection_does_not_import_scipy_optimize(tmp_path):
+    """The runtime needs numpy only: with scipy made unimportable, polyhedron
+    projection and support values work, and every shipped config validates
+    and every shipped probe config runs."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(root / "configs"), str(tmp_path)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert out.stdout.strip() == "['scipy']"   # only the blocking entry
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "aw_squares.json", "exposure_disc.json", "omega_planes.json", "separation.json"]
+
+
+# ---------------------------------------------------------------------------
+# unbounded directions of a polyhedron: Farkas' lemma on NNLS against linprog
+
+
+def _unbounded_by_linprog(P, f):
+    """sup <f, .> over P is +inf iff the recession cone {A y <= 0}, boxed,
+    has a direction of positive ascent; an LP, independent of the NNLS."""
+    from scipy.optimize import linprog
+    res = linprog(-f, A_ub=P.normals, b_ub=np.zeros(len(P.b)),
+                  bounds=[(-1.0, 1.0)] * P.dim, method="highs")
+    assert res.status == 0
+    return -res.fun > 1e-9
+
+
+def test_polyhedron_unbounded_directions_match_linprog():
+    rng = np.random.default_rng(4000)
+    kinds = {"normal": 0, "boundary": 0, "interior": 0, "outside": 0, "random": 0}
+    for _ in range(250):
+        d, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        A = rng.standard_normal((m, d))
+        A /= np.linalg.norm(A, axis=1, keepdims=True)
+        r = rng.standard_normal(d)
+        flip = rng.uniform() < 0.5
+        if flip:        # every normal makes A r <= 0: r is a recession direction
+            A *= np.where(A @ r > 0.0, -1.0, 1.0)[:, None]
+        center = rng.standard_normal(d)
+        P = Polyhedron(A, A @ center + rng.uniform(0.3, 2.0, m), witness=center)
+        lam = rng.uniform(0.1, 2.0, m)
+        cases = [("normal", P.normals[int(rng.integers(m))], False),
+                 ("interior", P.normals.T @ lam, False),
+                 ("random", rng.standard_normal(d), None)]
+        if m > 1:
+            lam[rng.permutation(m)[:int(rng.integers(1, m))]] = 0.0
+            cases.append(("boundary", P.normals.T @ lam, False))
+        if flip:
+            cases.append(("outside", r, True))
+        for name, f, expected in cases:
+            got = _polyhedron_unbounded_in(P, f)
+            assert got == _unbounded_by_linprog(P, f), (name, P, f)
+            assert expected is None or got == expected, (name, P, f)
+            kinds[name] += 1
+    assert min(kinds.values()) >= 60, kinds
+
+
+def test_polyhedron_unbounded_direction_exact_cases():
+    a = np.array([0.6, -0.8])
+    P = Polyhedron(a[None], np.array([1.0]), witness=np.zeros(2))
+    assert not _polyhedron_unbounded_in(P, a)
+    assert _polyhedron_unbounded_in(P, -a)
+    ray = Polyhedron(np.array([[2.0]]), np.array([3.0]), witness=np.zeros(1))
+    assert support_value(ray, np.array([2.0])) == 3.0
+    with pytest.raises(SupportUnavailable, match="unbounded"):
+        support_value(ray, np.array([-2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +281,12 @@ def test_polyhedron_projection_does_not_import_scipy_optimize():
 
 
 def test_membership_examples():
-    assert membership(Ball(np.zeros(2), 1.0), np.array([0.5, 0.0]), 0.0)
-    assert membership(Hyperplane(np.array([0.0, 1.0]), 0.0),
-                      np.array([7.0, 1e-12]), 1e-9)
+    assert Ball(np.zeros(2), 1.0).membership(np.array([0.5, 0.0]), 0.0)
+    assert Hyperplane(np.array([0.0, 1.0]), 0.0).membership(np.array([7.0, 1e-12]), 1e-9)
     P = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]),
                    witness=np.zeros(2))
-    assert not membership(P, np.array([2.0, 0.0]), 0.5)
-    assert membership(P, np.array([2.0, 0.0]), 1.0 + 1e-9)
-
-
-def test_membership_cone_kind_uses_cone_residual():
-    cone = ShiftedConvexCone(ConeSpec(np.array([0.0, 1.0]), 0.5))
-    assert membership(cone, np.array([0.0, 2.0]), 0.0)
-    assert not membership(cone, np.array([2.0, 0.0]), 1e-9)
+    assert not P.membership(np.array([2.0, 0.0]), 0.5)
+    assert P.membership(np.array([2.0, 0.0]), 1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +324,7 @@ def test_support_value_polyhedron_matches_vertices(rng):
             continue
         pt = support_point(P, f)
         assert float(f @ pt) == pytest.approx(val, rel=1e-9, abs=1e-9)
-        assert membership(P, pt, 1e-7)
+        assert P.membership(pt, 1e-7)
 
 
 def test_slice_sample_whole_ball():
@@ -315,13 +373,13 @@ def test_projection_contract_per_kind(kind, rng):
         S = random_set(kind, rng)
         x = rng.standard_normal(S.dim) * 2.5
         z = rng.standard_normal(S.dim) * 2.5
-        px, pz = project(S, x), project(S, z)
+        px, pz = S.project(x), S.project(z)
         # membership of the projection
-        assert membership(S, px, 1e-9)
+        assert S.membership(px, 1e-9)
         # nonexpansiveness
         assert np.linalg.norm(px - pz) <= np.linalg.norm(x - z) + 1e-9
         # idempotence
-        assert np.linalg.norm(project(S, px) - px) <= 1e-10
+        assert np.linalg.norm(S.project(px) - px) <= 1e-10
         # variational inequality against sampled members
         for y in _sample_interior(S, rng, 12):
             assert float((x - px) @ (y - px)) <= 1e-8
@@ -366,7 +424,7 @@ def test_subspace_residual_orthogonality(rng):
     for _ in range(20):
         S = random_set("ortho_subspace", rng)
         x = rng.standard_normal(S.dim) * 3
-        r = x - project(S, x)
+        r = x - S.project(x)
         for row in S.basis:
             assert abs(float(r @ row)) <= 1e-9
 
@@ -423,7 +481,7 @@ def test_ball_radius_positive():
     lambda: Polyhedron(np.array([[np.inf, 0.0]]), np.array([1.0]), witness=np.zeros(2)),
     lambda: AffineSubspace(np.zeros(2), np.array([[np.nan, 1.0]])),
     lambda: Ball(np.zeros(2), np.inf),
-    lambda: ShiftedConvexCone(ConeSpec(np.array([0.0, 1.0]), 0.5, shift=np.inf)),
+    lambda: ConeSpec(np.array([0.0, 1.0]), 0.5, shift=np.inf),
 ], ids=["halfspace-nan-b", "halfspace-inf-b", "hyperplane-inf-b", "polyhedron-nan-b",
         "polyhedron-inf-normals", "affine-nan-basis", "ball-inf-radius", "cone-inf-shift"])
 def test_non_finite_input_rejected_at_construction(build):
@@ -441,9 +499,7 @@ def test_descriptor_rejects_unknown_and_names_missing_fields():
 
 
 def test_json_round_trip_all_kinds(rng):
-    sets = [random_set(kind, rng) for kind in PROJECTABLE_KINDS]
-    sets.append(ShiftedConvexCone(ConeSpec(rng.standard_normal(3), 0.37, shift=0.25)))
-    for S in sets:
+    for S in [random_set(kind, rng) for kind in PROJECTABLE_KINDS]:
         doc = json.loads(json.dumps(set_to_dict(S)))
         T = set_from_dict(doc)
         assert type(T) is type(S)
@@ -463,14 +519,14 @@ def test_translate_consistency(rng):
         T = S.translate(v)
         for _ in range(8):
             x = S.project(rng.standard_normal(S.dim) * 2)
-            assert membership(T, x + v, 1e-8)
+            assert T.membership(x + v, 1e-8)
 
 
 def test_sample_points_land_in_set(rng):
     for kind in PROJECTABLE_KINDS:
         S = random_set(kind, rng)
         for p in sample_points(S, 16, rng):
-            assert membership(S, p, 1e-8)
+            assert S.membership(p, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +566,6 @@ def test_batched_projection_rejects_bad_arrays():
     for X in (np.zeros(2), np.zeros((3, 3)), np.array([[0.0, np.nan]])):
         with pytest.raises(ValueError):
             S.project_many(X)
-
-
-def test_batched_projection_unsupported_on_cone_kind():
-    C = ShiftedConvexCone(ConeSpec(np.array([0.0, 1.0]), 0.5))
-    with pytest.raises(ProjectionUnsupported):
-        C.project_many(np.zeros((3, 2)))
-    with pytest.raises(ProjectionUnsupported):
-        C.distance_many(np.zeros((0, 2)))
 
 
 def test_slice_sample_fallback_cycles_through_a_short_draw():
