@@ -6,10 +6,11 @@ One run iterates the two-step recursion
 
 where the pair (A_n, B_n) is produced by a schedule: ``pair(block_id)``
 gives a block's sets and ``advance(block_id, block_step, a_n)`` says after
-each step whether, and why, the block ends.  Every step is
-computed; ``record_stride`` only thins the log.  Runs are strictly
-sequential and deterministic: the same schedule and run config give the
-same trace, bit for bit.
+each step whether, and why, the block ends.  ``pair`` is called once per
+block, at its first step, so a callable ``Adaptive`` family builds each
+block's sets lazily and once.  Every step is computed; ``record_stride``
+only thins the log.  Runs are strictly sequential and deterministic: the
+same schedule and run config give the same trace, bit for bit.
 """
 
 from __future__ import annotations
@@ -184,6 +185,12 @@ class Trace:
         return [bl for bl in self.blocks if bl.advance in ("predicate", "length")]
 
 
+def _norm(v) -> float:
+    """``float(np.linalg.norm(v))`` of a 1-D float64 array, bit for bit: the
+    same ``v.dot(v)`` and square root, without its argument dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def run_perturbed(schedule, cfg: RunConfig) -> Trace:
     """Run the two-step projection recursion under a schedule.
 
@@ -201,32 +208,32 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
     status = "max_iter"
     schedule_complete = False
 
-    def log(n, bid, bstep, a, b, prev_a, force=False):
-        if force or n % cfg.record_stride == 0 or n == 1 or n in cfg.record_indices:
-            dist = (float(np.linalg.norm(a - cfg.target))
-                    if cfg.target is not None else None)
-            norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-            res_a, gap_ab = float(np.linalg.norm(a - prev_a)), float(np.linalg.norm(a - b))
-            if not (math.isfinite(norm_a) and math.isfinite(norm_b) and math.isfinite(res_a)
-                    and math.isfinite(gap_ab) and (dist is None or math.isfinite(dist))):
-                raise ProjectionStepError(n, f"non-finite record: norm_a={norm_a} "
-                                          f"norm_b={norm_b} res_a={res_a} gap_ab={gap_ab} "
-                                          f"dist_target={dist}")
-            records.append(TraceRecord(
-                n=n, block_id=bid, block_step=bstep, a=a.copy(), b=b.copy(),
-                norm_a=norm_a, norm_b=norm_b, res_a=res_a, gap_ab=gap_ab,
-                dist_target=dist))
-            return True
-        return False
+    max_iter, stride, indices = cfg.max_iter, cfg.record_stride, cfg.record_indices
+    stop_residual = cfg.stop_residual
 
-    while n <= cfg.max_iter:
-        try:
-            A_n, B_n = schedule.pair(block_id)
-        except ScheduleExhausted:
-            status = "schedule_exhausted"
-            schedule_complete = all(bl.advance in ("predicate", "length")
-                                    for bl in block_logs) and len(block_logs) > 0
-            break
+    def log(n, bid, bstep, a, b, prev_a):
+        dist = _norm(a - cfg.target) if cfg.target is not None else None
+        norm_a, norm_b = _norm(a), _norm(b)
+        res_a, gap_ab = _norm(a - prev_a), _norm(a - b)
+        if not (math.isfinite(norm_a) and math.isfinite(norm_b) and math.isfinite(res_a)
+                and math.isfinite(gap_ab) and (dist is None or math.isfinite(dist))):
+            raise ProjectionStepError(n, f"non-finite record: norm_a={norm_a} "
+                                      f"norm_b={norm_b} res_a={res_a} gap_ab={gap_ab} "
+                                      f"dist_target={dist}")
+        records.append(TraceRecord(
+            n=n, block_id=bid, block_step=bstep, a=a.copy(), b=b.copy(),
+            norm_a=norm_a, norm_b=norm_b, res_a=res_a, gap_ab=gap_ab,
+            dist_target=dist))
+
+    while n <= max_iter:
+        if block_step == 0:
+            try:
+                A_n, B_n = schedule.pair(block_id)
+            except ScheduleExhausted:
+                status = "schedule_exhausted"
+                schedule_complete = all(bl.advance in ("predicate", "length")
+                                        for bl in block_logs) and len(block_logs) > 0
+                break
 
         try:
             b_n = B_n.project(prev)
@@ -237,10 +244,10 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
 
         cause = schedule.advance(block_id, block_step, a_n)
         halt = cause == "budget"
-        residual = float(np.linalg.norm(a_n - prev))
-        residual_stop = cfg.stop_residual is not None and residual < cfg.stop_residual
-        is_last = (n == cfg.max_iter) or halt or residual_stop
-        log(n, block_id, block_step, a_n, b_n, prev, force=cause is not None or is_last)
+        residual_stop = stop_residual is not None and _norm(a_n - prev) < stop_residual
+        if (cause is not None or n == max_iter or residual_stop or n % stride == 0
+                or n == 1 or n in indices):
+            log(n, block_id, block_step, a_n, b_n, prev)
 
         if cause is not None:
             block_logs.append(BlockLog(block_id, block_start_n, n, cause))

@@ -23,8 +23,14 @@ class DimensionMismatch(ValueError):
     """Raised when two points of different ambient dimension meet."""
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate and convert ``x`` to a finite 1-D float64 array.
+
+    A finite 1-D float64 ``np.ndarray`` is returned as is, without the
+    cost of ``np.asarray`` (which would not copy it either).
 
     Parameters
     ----------
@@ -33,12 +39,12 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     dim : int, optional
         Required dimension; mismatch raises :class:`DimensionMismatch`.
     """
-    p = np.asarray(x, dtype=float)
+    p = x if type(x) is np.ndarray and x.dtype == _FLOAT64 else np.asarray(x, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"point must be 1-D, got shape {p.shape}")
     if p.size == 0:
         raise ValueError("point must have at least one coordinate")
-    if not np.isfinite(p).all():
+    if np.count_nonzero(np.isfinite(p)) != p.size:  # cheaper than .all() on short rows
         raise ValueError("point has non-finite coordinates")
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")

@@ -633,6 +633,8 @@ class DiagonalAffineGraph(ConvexSet):
         o = as_point(self.offset, dim=t.size)
         object.__setattr__(self, "theta", _freeze(t, "theta"))
         object.__setattr__(self, "offset", _freeze(o, "offset"))
+        # not a field: the denominator 1 + theta^2 of both kernels
+        object.__setattr__(self, "_denom", 1.0 + self.theta ** 2)
 
     @property
     def half_dim(self):
@@ -645,15 +647,18 @@ class DiagonalAffineGraph(ConvexSet):
     def project(self, z):
         z = as_point(z, dim=self.dim)
         d = self.half_dim
-        alpha, beta = z[:d], z[d:]
-        x = (alpha + self.theta * (beta - self.offset)) / (1.0 + self.theta ** 2)
-        return np.concatenate([x, self.offset + self.theta * x])
+        out = np.empty(2 * d)
+        out[:d] = x = (z[:d] + self.theta * (z[d:] - self.offset)) / self._denom
+        out[d:] = self.offset + self.theta * x
+        return out
 
     def project_many(self, Z):
         Z = as_points(Z, self.dim)
         d = self.half_dim
-        x = (Z[:, :d] + self.theta * (Z[:, d:] - self.offset)) / (1.0 + self.theta ** 2)
-        return np.concatenate([x, self.offset + self.theta * x], axis=1)
+        out = np.empty(Z.shape)
+        out[:, :d] = x = (Z[:, :d] + self.theta * (Z[:, d:] - self.offset)) / self._denom
+        out[:, d:] = self.offset + self.theta * x
+        return out
 
     def support_value(self, f):
         d = self.half_dim

@@ -370,6 +370,9 @@ def omega_angle(U_basis, V_basis) -> AngleReport:
     V = np.asarray(V_basis, dtype=float)
     if U.ndim != 2 or V.ndim != 2 or U.shape[0] < 1 or V.shape[0] < 1:
         raise ValueError("bases must be nonempty (k, d) arrays")
+    for name, basis in (("U_basis", U), ("V_basis", V)):
+        if not np.isfinite(basis).all():
+            raise ValueError(f"{name} has non-finite entries")
     _check_orthonormal(U)
     _check_orthonormal(V)
     G = U @ V.T

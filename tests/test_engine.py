@@ -1,12 +1,14 @@
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from altproj.constructions import stable_scenario
 from altproj.engine import (Adaptive, BlockLog, Blocks, Constant, ProjectionStepError,
                             RunConfig, Trace, TraceRecord, run_classical, run_perturbed,
-                            trace_to_csv, trace_to_json)
+                            _norm, trace_to_csv, trace_to_json)
 from altproj.sets import Ball, OrthoSubspace
 
 
@@ -295,3 +297,89 @@ def test_runconfig_validation():
         RunConfig(start=np.array([1.0]), max_iter=3, record_stride=0)
     with pytest.raises(ValueError):
         RunConfig(start=np.array([np.nan]), max_iter=3)
+
+
+def test_norm_bit_equal_to_linalg_norm():
+    """engine._norm gives the bits of float(np.linalg.norm(v)) it replaces."""
+    rng = np.random.default_rng(8)
+    for _ in range(5000):
+        size = int(rng.integers(1, 20))
+        v = rng.standard_normal(size) * 10.0 ** rng.uniform(-150, 150)
+        assert _norm(v) == float(np.linalg.norm(v))
+
+
+class _CountingSchedule:
+    """Schedule wrapper that counts ``pair`` calls per block."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def pair(self, block_id):
+        self.calls[block_id] += 1
+        return self.inner.pair(block_id)
+
+    def advance(self, block_id, block_step, a_n):
+        return self.inner.advance(block_id, block_step, a_n)
+
+
+def test_blocks_pair_fetched_once_per_block():
+    """run_perturbed asks a Blocks schedule for each block's pair once."""
+    sched = _CountingSchedule(Blocks(((line(0.0), line(0.5), 4), (line(0.1), line(1.0), 3),
+                                      (line(0.2), line(0.7), 5))))
+    trace = run_perturbed(sched, RunConfig(start=np.array([1.0, 0.5]), max_iter=100))
+    assert trace.status == "schedule_exhausted" and trace.final.n == 12
+    assert sched.calls == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def test_adaptive_callable_family_built_once_per_block():
+    """A callable Adaptive family is called once per block, not once per step."""
+    built = Counter()
+
+    def family(k):
+        built[k] += 1
+        if k > 3:
+            raise IndexError(k)
+        return line(0.0), line(0.3 * k)
+
+    sched = Adaptive(pairs=family, switch_predicate=lambda k, a: np.linalg.norm(a) < 0.5 ** k,
+                     max_block_len=1000)
+    trace = run_perturbed(sched, RunConfig(start=np.array([1.0, 1.0]), max_iter=1000))
+    assert trace.status == "schedule_exhausted" and trace.schedule_complete
+    assert trace.final.n > 3  # some block ran several steps
+    assert built == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def test_stable_scenario_pair_fetched_every_step():
+    """A stable scenario advances every step, so its pair is built every step."""
+    sched = _CountingSchedule(stable_scenario("tangent_disc").make_schedule())
+    run_perturbed(sched, RunConfig(start=np.array([3.0, -2.0]), max_iter=40))
+    assert sched.calls == {k: 1 for k in range(1, 41)}
+
+
+def _residual_stop_reference(blocks, start, max_iter, stop_residual):
+    """(last step, status) of a loop that takes ||a_n - a_{n-1}|| every step."""
+    prev, n = start, 0
+    for A, B, length in blocks:
+        for _ in range(length):
+            n += 1
+            a = A.project(B.project(prev))
+            if float(np.linalg.norm(a - prev)) < stop_residual:
+                return n, "residual_met"
+            if n == max_iter:
+                return n, "max_iter"
+            prev = a
+    return n, "schedule_exhausted"
+
+
+@pytest.mark.parametrize("stop_residual", [1e-3, 1e-6, 1e-12, 1e-300])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_stop_residual_matches_per_step_reference(stop_residual, stride):
+    """Taking the residual only under stop_residual stops at the same step."""
+    blocks = ((line(0.0), line(0.9), 15), (line(0.2), line(0.8), 400))
+    start = np.array([1.0, 0.4])
+    cfg = RunConfig(start=start, max_iter=300, stop_residual=stop_residual,
+                    record_stride=stride)
+    trace = run_perturbed(Blocks(blocks), cfg)
+    assert (trace.final.n, trace.status) == _residual_stop_reference(
+        blocks, start, 300, stop_residual)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,71 @@ def test_as_point_rejects_nonfinite():
         as_point([1.0, np.nan])
     with pytest.raises(ValueError):
         as_point([np.inf, 0.0])
+
+
+def _as_point_reference(x, dim=None):
+    """as_point without its fast path: every input through ``np.asarray``."""
+    p = np.asarray(x, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"point must be 1-D, got shape {p.shape}")
+    if p.size == 0:
+        raise ValueError("point must have at least one coordinate")
+    if not np.isfinite(p).all():
+        raise ValueError("point has non-finite coordinates")
+    if dim is not None and p.size != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
+    return p
+
+
+def _read_only(values):
+    arr = np.array(values)
+    arr.setflags(write=False)
+    return arr
+
+
+_AS_POINT_INPUTS = {
+    "float64": (np.array([1.0, -2.0, 3.5]), None),
+    "strided_view": (np.arange(10.0)[::3], None),
+    "read_only": (_read_only([0.5, 0.25]), 2),
+    "big_endian": (np.array([1.0, 2.0], dtype=">f8"), None),
+    "float32": (np.array([0.1, 0.2], dtype=np.float32), None),
+    "int": (np.array([1, 2, 3]), 3),
+    "list": ([1.0, 2.0], None),
+    "zero_d": (np.array(1.0), None),
+    "two_d": (np.ones((2, 2)), None),
+    "empty": (np.array([]), None),
+    "nan": (np.array([1.0, np.nan]), None),
+    "inf": (np.array([np.inf, 0.0]), None),
+    "minus_inf": (np.array([0.0, -np.inf]), 2),
+    "wrong_dim": (np.array([1.0, 2.0]), 3),
+    "nan_and_wrong_dim": (np.array([np.nan, 2.0]), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AS_POINT_INPUTS))
+def test_as_point_fast_path_matches_reference(name):
+    """The float64 fast path returns the same object, or raises the same
+    exception type and message, as conversion through np.asarray."""
+    x, dim = _AS_POINT_INPUTS[name]
+    try:
+        expected = _as_point_reference(x, dim)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as err:
+            as_point(x, dim)
+        assert str(err.value) == str(exc)
+        return
+    got = as_point(x, dim)
+    assert (got is x) == (expected is x)
+    assert got.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_as_point_large_finite_coordinates_warn_nothing():
+    """The finiteness test must not square the coordinates (1e300**2 overflows)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = np.array([1e300, -1e300])
+        assert as_point(x) is x
 
 
 @given(vectors(5), vectors(5))

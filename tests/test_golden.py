@@ -4,8 +4,8 @@ Every file these configs write is pinned by its SHA-256, so a refactor
 that changes any trace, report or construction digit fails here.  The
 hashes were recorded with numpy 2.4 and scipy 1.17 on x86-64; other
 versions may round the last digit differently.  ``graph_growth_half``
-and ``tangent_disc_scenario`` take several seconds each and are not pinned
-here.
+(about 3.7e5 engine steps, several seconds) pins the engine's per-step
+path; ``tangent_disc_scenario`` takes longer still and is not pinned here.
 """
 
 import hashlib
@@ -28,6 +28,12 @@ GOLDEN = {
             "019fa0c686a3e7aecf385a403ff582b0adf2917a3941085ac64e9f50e88c1f2b"},
     ("run", "two_lines_classical"): {
         "trace.csv": "863fb48559f0551332311056d5df940dc35d087baf5c09be0190db8a250ecb1b"},
+    ("run", "graph_growth_half"): {
+        "graph_growth_half.csv":
+            "9012012f7c33838e4adeaf81355196b9c43a63eef31280b3153d8e0c9a9504ac",
+        "graph_growth_half_construction.json":
+            "24110917691cf837a1cdd3859237e704abaf69060a61bf5617831c66e30d18c4",
+        "report.json": "aa9025a0c836e6a1f315cb58cbc2a42374bfe7b7adf8c2f6e5304bdcd2769d93"},
     ("run", "graph_growth_quarter"): {
         "graph_growth_quarter_construction.json":
             "b8770ac8c91cda4ba5f9db68316f4a0297dbc6ad5b85cac5369c2759a35b3c5e",

@@ -356,6 +356,16 @@ def test_omega_trivial_intersection_characterization(rng):
     assert omega_angle(U, V_clean).omega < 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["U_basis", "V_basis"])
+def test_omega_rejects_non_finite_basis(which, bad):
+    """A non-finite basis entry is a ValueError naming the basis, not an SVD failure."""
+    bases = {"U_basis": np.array([[1.0, 0.0]]), "V_basis": np.array([[0.0, 1.0]])}
+    bases[which][0, 0] = bad
+    with pytest.raises(ValueError, match=f"{which} has non-finite entries"):
+        omega_angle(**bases)
+
+
 def test_omega_rejects_non_orthonormal():
     with pytest.raises(ValueError):
         omega_angle(np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]))
