@@ -10,7 +10,7 @@ from .sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, Hyperpl
                    ProjectionCertificateError, SamplerFailure, SupportUnavailable,
                    sample_points, set_from_dict, set_to_dict, slice_sample,
                    support_point, support_value)
-from .engine import (Adaptive, BlockLog, Blocks, Constant, ProjectionStepError,
+from .engine import (Adaptive, BlockLog, Blocks, Constant, PerStep, ProjectionStepError,
                      RunConfig, ScheduleExhausted, Trace, TraceRecord,
                      run_classical, run_perturbed, trace_to_csv, trace_to_json)
 from .variational import (AngleReport, AwEstimate, ExposureProbe, aw_distance,

@@ -216,6 +216,10 @@ def _build_scenario(cfg, p):
     scen = cons.stable_scenario(p["scenario"], delta_law=p.get("delta_law", "inv_n"),
                                 delta_scale=p.get("delta_scale", 1.0),
                                 **p.get("scenario_params", {}))
+    try:  # both delta laws shrink |delta_n|, so the step-1 pair is the worst case
+        scen.a_family(1), scen.b_family(1)
+    except ValueError as exc:
+        raise ConfigError(f"config field 'params.delta_scale': step-1 sets fail: {exc}") from exc
     return _engine_job(cfg, p, scen.make_schedule(), scen.A.dim, max_iter=10_000,
                        start=scen.default_start, target=scen.target, scenario=scen)
 
@@ -379,8 +383,8 @@ def cmd_validate(cfg, out_dir: Path, quiet: bool) -> int:
         for n in (1, 10):
             est = var.aw_distance(scen.a_family(n), scen.A, N=2,
                                   n_samples=200, rng_seed=cfg["seed"])
-            note(f"perturbation {n}: h_2(A_n, A) <= 3*delta_n",
-                 est.h_N <= 3.0 * scen.delta(n) + 1e-9,
+            note(f"perturbation {n}: h_2(A_n, A) <= 3*|delta_n|",
+                 est.h_N <= 3.0 * abs(scen.delta(n)) + 1e-9,
                  f"h_2 = {est.h_N:.3g}, delta = {scen.delta(n):.3g}")
     if kind == "example44":
         for h in range(1, cfg["params"]["n_blocks"] + 1):

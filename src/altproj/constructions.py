@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Adaptive, Blocks, RunConfig, ScheduleExhausted, Trace,
+from .engine import (Adaptive, Blocks, PerStep, RunConfig, ScheduleExhausted, Trace,
                      run_perturbed)
 from .geometry import as_point, pack, ProductPoint
 from .sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace,
@@ -499,9 +499,10 @@ def ell2_verify_engine(c: Ell2Construction, checkpoints, window: int = 64) -> fl
 class StableScenario:
     """A limit pair, its shrinking perturbation family, and run plumbing.
 
-    ``a_family(n)`` and ``b_family(n)`` give the step-n perturbed sets;
-    ``make_schedule()`` wraps them as an adaptive schedule advancing every
-    step.  ``target``, when set, is the expected norm-limit of the runs.
+    ``a_family(n)`` and ``b_family(n)`` give the step-n perturbed sets, built
+    from the validated limit sets; ``make_schedule()`` wraps them as a
+    ``PerStep`` schedule.  ``target``, when set, is the expected norm-limit
+    of the runs.
     """
 
     name: str
@@ -514,10 +515,8 @@ class StableScenario:
     default_start: np.ndarray
     notes: dict = field(default_factory=dict)
 
-    def make_schedule(self) -> Adaptive:
-        return Adaptive(pairs=lambda k: (self.a_family(k), self.b_family(k)),
-                        switch_predicate=lambda k, a: True,
-                        max_block_len=1)
+    def make_schedule(self) -> PerStep:
+        return PerStep(lambda k: (self.a_family(k), self.b_family(k)))
 
     def run(self, start=None, max_iter: int = 10_000, record_stride: int = 0) -> Trace:
         start = self.default_start if start is None else as_point(start)
@@ -575,7 +574,7 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
         return StableScenario(
             name=kind, A=A, B=B,
             a_family=lambda n: A.translate(delta(n) * up),
-            b_family=lambda n: Halfspace(np.array([0.0, 1.0]), -delta(n)),
+            b_family=lambda n: B._replace(b=-delta(n)),  # B's raw normal has norm 1
             delta=delta, target=np.zeros(2),
             default_start=np.array([3.0, -2.0]),
             notes={"touch_point": [0.0, 0.0], "separator": [0.0, -1.0]})
@@ -587,8 +586,10 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
         u = np.array([1.0, 0.0])
         return StableScenario(
             name=kind, A=A, B=B,
-            a_family=lambda n: Ball(A.center + delta(n) * u, A.radius + delta(n)),
-            b_family=lambda n: Ball(B.center - delta(n) * u, B.radius + delta(n)),
+            a_family=lambda n: A._replace(center=A.center + delta(n) * u,
+                                          radius=A.radius + delta(n)),
+            b_family=lambda n: B._replace(center=B.center - delta(n) * u,
+                                          radius=B.radius + delta(n)),
             delta=delta, target=None,
             default_start=np.array([4.0, 3.0]),
             notes={"interior_radius": 1.0})
@@ -611,62 +612,43 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
             default_start=np.array([2.0, -1.0, 1.5, 0.5]),
             notes={"omega": kappa / math.sqrt(1.0 + kappa ** 2)})
 
-    if kind == "orthant_bounds":
-        d = int(_param(params, "d", 3, kinds="iu"))
+    if kind in ("orthant_bounds", "orthant_halfspace", "orthant_polar"):
+        d = int(_param(params, "d", 2 if kind == "orthant_halfspace" else 3, kinds="iu"))
         K = NonnegOrthant(d)
-        normals = _param(params, "normals", np.vstack([np.ones(d), np.eye(d)[0] + 0.5]), ndim=2)
-        offsets = _param(params, "offsets", np.array([float(d), 2.0]), ndim=1)
-        _no_more(params)
-        if np.any(offsets <= 0.0):
-            raise InfeasibleParams("offsets must be strictly positive")
-        B = Polyhedron(normals, offsets, witness=np.zeros(d))
         shift = np.ones(d) / math.sqrt(d)
+        notes, start = {}, 2.0
+        if kind == "orthant_bounds":
+            normals = _param(params, "normals", np.vstack([np.ones(d), np.eye(d)[0] + 0.5]), ndim=2)
+            offsets = _param(params, "offsets", np.array([float(d), 2.0]), ndim=1)
+            _no_more(params)
+            if np.any(offsets <= 0.0):
+                raise InfeasibleParams("offsets must be strictly positive")
+            B = Polyhedron(normals, offsets, witness=np.zeros(d))
+            norms = np.linalg.norm(np.array(normals, dtype=float), axis=1)  # B divides by these
+            b_family = lambda n: B._replace(b=(offsets + delta(n)) / norms)
+        elif kind == "orthant_halfspace":
+            a = as_point(_param(params, "a", np.array([1.0, -1.0]), ndim=1), dim=d)
+            b = float(_param(params, "b", 0.5))
+            _no_more(params)
+            if np.all(a <= 0.0):
+                raise InfeasibleParams("normal lies in the polar cone of the orthant")
+            notes, start = {"witness": _strict_orthant_witness(a, b).tolist()}, 3.0
+            B, norm_a = Halfspace(a, b), float(np.linalg.norm(a))
+            b_family = lambda n: B._replace(b=(b + delta(n) * norm_a) / norm_a)
+        else:
+            a = as_point(_param(params, "a", np.array([-1.0, -2.0, -0.5]), ndim=1), dim=d)
+            _no_more(params)
+            if not np.all(a < 0.0):
+                raise InfeasibleParams(
+                    "normal must be componentwise strictly negative "
+                    "(interior of the orthant's polar cone)")
+            notes = {"polar_interior": True}
+            B, norm_a = Halfspace(a, 0.0), float(np.linalg.norm(a))
+            b_family = lambda n: B._replace(b=delta(n) * norm_a / norm_a)
         return StableScenario(
-            name=kind, A=K, B=B,
-            a_family=lambda n: K.translate(-delta(n) * shift),
-            b_family=lambda n: Polyhedron(normals, offsets + delta(n),
-                                          witness=np.zeros(d)),
-            delta=delta, target=None,
-            default_start=np.full(d, 2.0),
-            notes={})
-
-    if kind == "orthant_halfspace":
-        d = int(_param(params, "d", 2, kinds="iu"))
-        K = NonnegOrthant(d)
-        a = as_point(_param(params, "a", np.array([1.0, -1.0]), ndim=1), dim=d)
-        b = float(_param(params, "b", 0.5))
-        _no_more(params)
-        if np.all(a <= 0.0):
-            raise InfeasibleParams("normal lies in the polar cone of the orthant")
-        witness = _strict_orthant_witness(a, b)
-        B = Halfspace(a, b)
-        shift = np.ones(d) / math.sqrt(d)
-        return StableScenario(
-            name=kind, A=K, B=B,
-            a_family=lambda n: K.translate(-delta(n) * shift),
-            b_family=lambda n: Halfspace(a, b + delta(n) * float(np.linalg.norm(a))),
-            delta=delta, target=None,
-            default_start=np.full(d, 3.0),
-            notes={"witness": witness.tolist()})
-
-    if kind == "orthant_polar":
-        d = int(_param(params, "d", 3, kinds="iu"))
-        K = NonnegOrthant(d)
-        a = as_point(_param(params, "a", np.array([-1.0, -2.0, -0.5]), ndim=1), dim=d)
-        _no_more(params)
-        if not np.all(a < 0.0):
-            raise InfeasibleParams(
-                "normal must be componentwise strictly negative "
-                "(interior of the orthant's polar cone)")
-        B = Halfspace(a, 0.0)
-        shift = np.ones(d) / math.sqrt(d)
-        return StableScenario(
-            name=kind, A=K, B=B,
-            a_family=lambda n: K.translate(-delta(n) * shift),
-            b_family=lambda n: Halfspace(a, delta(n) * float(np.linalg.norm(a))),
-            delta=delta, target=None,
-            default_start=np.full(d, 2.0),
-            notes={"polar_interior": True})
+            name=kind, A=K, B=B, a_family=lambda n: K.translate(-delta(n) * shift),
+            b_family=b_family, delta=delta, target=None,
+            default_start=np.full(d, start), notes=notes)
 
     raise InfeasibleParams(f"unknown scenario kind {kind!r}")
 

@@ -1,4 +1,4 @@
-"""Alternating-projection runner for constant, block, and adaptive schedules.
+"""Alternating-projection runner for constant, block, adaptive and per-step schedules.
 
 One run iterates the two-step recursion
 
@@ -9,7 +9,8 @@ gives a block's sets and ``advance(block_id, block_step, a_n)`` says after
 each step whether, and why, the block ends.  ``pair`` is called once per
 block, at its first step, so a callable ``Adaptive`` family builds each
 block's sets lazily and once.  Every step is computed; ``record_stride``
-only thins the log.  Runs are strictly sequential and deterministic: the
+only thins the log, where a block end forces a record (a ``PerStep``
+one does not).  Runs are strictly sequential and deterministic: the
 same schedule and run config give the same trace, bit for bit.
 """
 
@@ -118,14 +119,28 @@ class Adaptive:
 
 
 @dataclass(frozen=True)
+class PerStep:
+    """Step n runs on ``family(n)`` as block n, whose end forces no record."""
+
+    family: object
+    log_block_ends = False
+
+    def pair(self, block_id: int):
+        return self.family(block_id)
+
+    def advance(self, block_id: int, block_step: int, a_n):
+        return "predicate"
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Run parameters: start point, budget, halting, and logging control.
 
     ``stop_residual`` halts once ||a_n - a_{n-1}|| drops below it; the
     default (None) runs to max_iter so that non-convergent runs are not
     self-truncated.  ``record_stride`` thins the log; first step, block
-    boundaries, indices in ``record_indices`` and the final step are
-    always logged.
+    boundaries (but not a ``PerStep`` schedule's), indices in
+    ``record_indices`` and the final step are always logged.
     """
 
     start: np.ndarray
@@ -210,6 +225,7 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
 
     max_iter, stride, indices = cfg.max_iter, cfg.record_stride, cfg.record_indices
     stop_residual = cfg.stop_residual
+    log_block_ends = getattr(schedule, "log_block_ends", True)
 
     def log(n, bid, bstep, a, b, prev_a):
         dist = _norm(a - cfg.target) if cfg.target is not None else None
@@ -245,8 +261,8 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
         cause = schedule.advance(block_id, block_step, a_n)
         halt = cause == "budget"
         residual_stop = stop_residual is not None and _norm(a_n - prev) < stop_residual
-        if (cause is not None or n == max_iter or residual_stop or n % stride == 0
-                or n == 1 or n in indices):
+        if (cause is not None and log_block_ends or n == max_iter or residual_stop
+                or n % stride == 0 or n == 1 or n in indices):
             log(n, block_id, block_step, a_n, b_n, prev)
 
         if cause is not None:
@@ -353,23 +369,23 @@ def trace_to_json(trace: Trace, path, meta: dict | None = None) -> None:
     """Full-precision JSON dump including iterate coordinates.
 
     The text is what ``json.dumps(doc, indent=1)`` gives.  Only the head
-    (meta, status, blocks) goes through ``json``; the records, the bulk of
-    the file, are written by a fixed template, which the stdlib's
-    pure-Python indenting encoder would make several times slower.
+    (meta, status) goes through ``json``; the block logs and the records,
+    the bulk of the file, are written by fixed templates, which the
+    stdlib's pure-Python indenting encoder would make several times slower.
     """
     head = json.dumps({
         "meta": meta or {},
         "status": trace.status,
         "schedule_complete": trace.schedule_complete,
-        "blocks": [{"block": bl.block_id, "start_n": bl.start_n,
-                    "end_n": bl.end_n, "advance": bl.advance}
-                   for bl in trace.blocks],
+        "blocks": [],
         "records": [],
     }, indent=1)
-    text = head
-    if trace.records:
-        body = ",\n".join(map(_json_record, trace.records))
-        text = head[:-len("[]\n}")] + "[\n" + body + "\n ]\n}"
+    blocks = ",\n".join(  # an advance cause is a plain word, which JSON writes as is
+        f'  {{\n   "block": {bl.block_id},\n   "start_n": {bl.start_n},\n'
+        f'   "end_n": {bl.end_n},\n   "advance": "{bl.advance}"\n  }}' for bl in trace.blocks)
+    records = ",\n".join(map(_json_record, trace.records))
+    text = (head[:-len('[],\n "records": []\n}')] + (f"[\n{blocks}\n ]" if blocks else "[]")
+            + ',\n "records": ' + (f"[\n{records}\n ]" if records else "[]") + "\n}")
     if hasattr(path, "write"):
         path.write(text)
     else:

@@ -9,11 +9,13 @@ Squares Problems*, ch. 23) and checks a KKT certificate on every call; the
 same NNLS decides, by Farkas' lemma, in which directions a polyhedron is
 unbounded.  ``project_many`` projects a (k, d) batch of points, bit-equal
 row by row to ``project``; the sampled probes project their samples
-through it.  The runtime needs numpy only.
+through it.  Per-step families build sets by ``ConvexSet._replace`` from
+validated ones, checking only what moves.  The runtime needs numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -46,7 +48,7 @@ def _unit(a, name="a"):
 def _freeze(arr, name: str) -> np.ndarray:
     """Read-only float copy of an array field; non-finite entries raise."""
     arr = np.array(arr, dtype=float)
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
@@ -100,6 +102,7 @@ class ConvexSet:
     encoding; distance and membership follow from the projection."""
 
     kind = None
+    _replaceable = frozenset()  # fields _replace may change: no attribute derives from them
 
     def distance(self, x) -> float:
         x = as_point(x, dim=self.dim)
@@ -144,6 +147,37 @@ class ConvexSet:
     def from_dict(cls, doc: dict):
         return cls(*_take(doc, [fld.name for fld in fields(cls)], cls.kind))
 
+    def _replace(self, cls=None, **changes):
+        """This validated set as a ``cls`` (default: its type) with new, as-stored values of
+        ``_replaceable`` fields, each checked as ``__post_init__`` does; the rest is shared."""
+        new = object.__new__(cls or type(self))
+        if not new._replaceable.issuperset(changes):
+            raise TypeError(f"{type(new).__name__} can replace only {sorted(new._replaceable)}")
+        new.__dict__.update(self.__dict__, **changes)
+        put = new.__dict__.__setitem__
+        if "center" in changes:
+            put("center", _freeze(as_point(new.center), "center"))
+        if "radius" in changes:
+            if not new.radius > 0.0:
+                raise ValueError("radius must be positive")
+            put("radius", _finite(new.radius, "radius"))
+        if "anchor" in changes:
+            if new.basis.shape[1] != as_point(new.anchor).size:
+                raise ValueError("basis shape incompatible with anchor")
+            put("anchor", _freeze(new.anchor, "anchor"))
+        if isinstance(new, Polyhedron):  # b's finiteness is tested after the witness, as there
+            b = np.array(new.b, dtype=float)
+            if b.shape != new.normals.shape[:1]:
+                raise ValueError("normals must be (m, d), b must be (m,)")
+            w = as_point(new.witness, dim=new.dim)
+            if (new.normals @ w > b + 1e-9).any():
+                raise ValueError("witness point is not feasible")
+            put("b", _freeze(b, "b"))
+            put("witness", _freeze(w, "witness"))
+        elif "b" in changes:
+            put("b", _finite(new.b, "b"))
+        return new
+
 
 @dataclass(frozen=True, eq=False)
 class _UnitNormal(ConvexSet):
@@ -152,6 +186,7 @@ class _UnitNormal(ConvexSet):
 
     a: np.ndarray
     b: float
+    _replaceable = frozenset({"b"})
 
     def __post_init__(self):
         a, n = _unit(self.a)
@@ -233,6 +268,7 @@ class Ball(ConvexSet):
     kind = "ball"
     center: np.ndarray
     radius: float
+    _replaceable = frozenset({"center", "radius"})
 
     def __post_init__(self):
         c = as_point(self.center)
@@ -276,7 +312,7 @@ class Ball(ConvexSet):
         return self.center + self.radius * f / float(np.linalg.norm(f))
 
     def translate(self, v):
-        return Ball(self.center + as_point(v, dim=self.dim), self.radius)
+        return self._replace(center=self.center + as_point(v, dim=self.dim))
 
 
 def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
@@ -440,7 +476,7 @@ class OrthoSubspace(ConvexSet):
         raise SupportUnavailable("subspace is unbounded in this direction")
 
     def translate(self, v):
-        return AffineSubspace(as_point(v, dim=self.dim), self.basis)
+        return self._replace(AffineSubspace, anchor=as_point(v, dim=self.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,6 +486,7 @@ class AffineSubspace(ConvexSet):
     kind = "affine_subspace"
     anchor: np.ndarray
     basis: np.ndarray
+    _replaceable = frozenset({"anchor"})
 
     def __post_init__(self):
         a = as_point(self.anchor)
@@ -479,7 +516,7 @@ class AffineSubspace(ConvexSet):
         raise SupportUnavailable("affine flat is unbounded in this direction")
 
     def translate(self, v):
-        return AffineSubspace(self.anchor + as_point(v, dim=self.dim), self.basis)
+        return self._replace(anchor=self.anchor + as_point(v, dim=self.dim))
 
     def min_norm_anchor(self):
         """The point of the flat closest to the origin."""
@@ -520,8 +557,7 @@ class NonnegOrthant(ConvexSet):
 
     def translate(self, v):
         v = as_point(v, dim=self.d)
-        normals = -np.eye(self.d)
-        return Polyhedron(normals, -v, witness=np.maximum(v, 0.0) + 1.0)
+        return _orthant_polyhedron(self.d)._replace(b=-v, witness=np.maximum(v, 0.0) + 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,6 +573,7 @@ class Polyhedron(ConvexSet):
     normals: np.ndarray
     b: np.ndarray
     witness: np.ndarray
+    _replaceable = frozenset({"b", "witness"})
 
     def __post_init__(self):
         A = _freeze(self.normals, "normals")
@@ -672,6 +709,12 @@ class DiagonalAffineGraph(ConvexSet):
         d = self.half_dim
         # {(x, off + Dx)} + (u, w) = {(x', off + w - Du + Dx')}
         return DiagonalAffineGraph(self.theta, self.offset + v[d:] - self.theta * v[:d])
+
+
+@functools.lru_cache(maxsize=8)
+def _orthant_polyhedron(d: int) -> Polyhedron:
+    """The orthant of R^d as a polyhedron, whose -I its translates share."""
+    return Polyhedron(-np.eye(d), np.zeros(d), witness=np.zeros(d))
 
 
 SET_KINDS = (Halfspace, Hyperplane, Ball, Polygon2D, OrthoSubspace,

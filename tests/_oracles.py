@@ -236,6 +236,36 @@ PROJECTABLE_KINDS = ("halfspace", "hyperplane", "ball", "polygon2d",
                      "polyhedron", "diagonal_affine_graph")
 
 
+def exact_fields(S):
+    """(type, to_dict) of a set with every float as ``float.hex``, so that
+    two sets compare equal only when their fields agree bit for bit."""
+    def hexed(v):
+        if isinstance(v, list):
+            return [hexed(x) for x in v]
+        return float.hex(v) if isinstance(v, float) else v
+    return type(S), {key: hexed(val) for key, val in S.to_dict().items()}
+
+
+def public_translate(S, v):
+    """S + v built by the public constructors alone."""
+    if isinstance(S, (Halfspace, Hyperplane)):
+        return type(S)(S.a, S.b + float(np.dot(S.a, v)))
+    if isinstance(S, Ball):
+        return Ball(S.center + v, S.radius)
+    if isinstance(S, Polygon2D):
+        return Polygon2D(S.vertices + v)
+    if isinstance(S, OrthoSubspace):
+        return AffineSubspace(v, S.basis)
+    if isinstance(S, AffineSubspace):
+        return AffineSubspace(S.anchor + v, S.basis)
+    if isinstance(S, NonnegOrthant):
+        return Polyhedron(-np.eye(S.d), -v, witness=np.maximum(v, 0.0) + 1.0)
+    if isinstance(S, Polyhedron):
+        return Polyhedron(S.normals, S.b + S.normals @ v, witness=S.witness + v)
+    d = S.half_dim
+    return DiagonalAffineGraph(S.theta, S.offset + v[d:] - S.theta * v[:d])
+
+
 def interior_point(S, rng):
     """A point of S, for seeding inner samples."""
     return S.project(rng.standard_normal(S.dim))

@@ -294,6 +294,12 @@ def _classical(A, B=BALL, start=(1.0, 1.0)):
     ("run", _classical({"kind": "shifted_convex_cone", "riesz": [0.0, 1.0], "alpha": 0.5,
                         "shift": 0.0, "direction": [0.0, 1.0], "cone_kind": "C"}),
      "unknown set kind tag"),
+    ("run", {"kind": "stable-scenario",
+             "params": {"scenario": "overlapping_balls", "delta_scale": -10}},
+     "params.delta_scale"),
+    ("run", {"kind": "stable-scenario",
+             "params": {"scenario": "orthant_bounds", "delta_scale": -10}},
+     "params.delta_scale"),
 ])
 def test_run_and_validate_reject_the_same_configs(tmp_path, capsys, command, doc, field):
     cfg = write_config(tmp_path, doc)
@@ -301,6 +307,27 @@ def test_run_and_validate_reject_the_same_configs(tmp_path, capsys, command, doc
         assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert field in capsys.readouterr().err
     assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("scenario, cause", [("overlapping_balls", "radius must be positive"),
+                                             ("orthant_bounds", "witness point is not feasible")])
+def test_unbuildable_step_one_fails_before_any_output(tmp_path, capsys, scenario, cause):
+    """A delta_scale that breaks step 1 fails at build time, naming field and cause."""
+    cfg = write_config(tmp_path, {"kind": "stable-scenario",
+                                  "params": {"scenario": scenario, "delta_scale": -10}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "'params.delta_scale'" in err and cause in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_delta_scale_runs_and_validates(tmp_path, capsys):
+    """A negative delta_scale that step 1 survives passes both run and validate."""
+    cfg = write_config(tmp_path, {"kind": "stable-scenario", "max_iter": 200,
+                                  "params": {"scenario": "tangent_disc", "delta_scale": -0.5}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_infinite_json_number_rejected(tmp_path, capsys):

@@ -15,7 +15,10 @@ from altproj.constructions import (BlockBudgetExceeded, Ell2Construction,
                                    run_example_unstable, stable_scenario,
                                    tilted_line)
 from altproj.engine import RunConfig, ScheduleExhausted, run_classical
+from altproj.sets import AffineSubspace, Ball, Halfspace, Polyhedron
 from altproj.variational import aw_distance, strongly_exposes_probe
+
+from _oracles import exact_fields
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +380,93 @@ def test_scenario_runs_converge_quickly():
     scen = stable_scenario("transversal_planes", delta_law="inv_n_sq")
     trace = scen.run(max_iter=1500)
     assert trace.final.norm_a < 1e-5
+
+
+SCENARIOS = ("tangent_disc", "overlapping_balls", "transversal_planes", "orthant_bounds",
+             "orthant_halfspace", "orthant_polar")
+
+
+def _public_pair(kind, scen, n):
+    """The step-n pair of a scenario with default parameters, built by the
+    public constructors alone."""
+    dn = scen.delta(n)
+    if kind == "tangent_disc":
+        up = np.array([0.0, 1.0])
+        return Ball(up + dn * up, 1.0), Halfspace(up, -dn)
+    if kind == "overlapping_balls":
+        u = np.array([1.0, 0.0])
+        return (Ball(np.array([0.5, 0.0]) + dn * u, 1.5 + dn),
+                Ball(np.array([-0.5, 0.0]) - dn * u, 1.5 + dn))
+    if kind == "transversal_planes":
+        return (AffineSubspace(dn * np.array([0.0, 0.0, 1.0, 0.0]), scen.A.basis),
+                AffineSubspace(dn * np.array([0.0, 1.0, 0.0, 0.0]), scen.B.basis))
+    d = scen.A.d
+    v = -dn * (np.ones(d) / math.sqrt(d))
+    A_n = Polyhedron(-np.eye(d), -v, witness=np.maximum(v, 0.0) + 1.0)
+    if kind == "orthant_bounds":
+        return A_n, Polyhedron(np.vstack([np.ones(d), np.eye(d)[0] + 0.5]),
+                               np.array([float(d), 2.0]) + dn, witness=np.zeros(d))
+    if kind == "orthant_halfspace":
+        a = np.array([1.0, -1.0])
+        return A_n, Halfspace(a, 0.5 + dn * float(np.linalg.norm(a)))
+    a = np.array([-1.0, -2.0, -0.5])
+    return A_n, Halfspace(a, dn * float(np.linalg.norm(a)))
+
+
+@pytest.mark.parametrize("law", ["inv_n", "inv_n_sq"])
+@pytest.mark.parametrize("kind", SCENARIOS)
+def test_scenario_step_sets_bit_equal_to_public_constructors(kind, law):
+    """Each step-n set has the type and exact fields the public constructor gives."""
+    for scale in (1.0, 0.3, 0.0):
+        scen = stable_scenario(kind, delta_law=law, delta_scale=scale)
+        for n in [*range(1, 51), 10 ** 3, 10 ** 5]:
+            A_n, B_n = _public_pair(kind, scen, n)
+            assert exact_fields(scen.a_family(n)) == exact_fields(A_n), (scale, n)
+            assert exact_fields(scen.b_family(n)) == exact_fields(B_n), (scale, n)
+
+
+@pytest.mark.parametrize("kind, scale, steps, message", [
+    ("overlapping_balls", -10.0, (1, 2, 6), "radius must be positive"),
+    ("orthant_bounds", -10.0, (1, 2, 4), "witness point is not feasible"),
+    ("orthant_halfspace", 1.5e308, (1,), "b must be finite"),
+])
+def test_scenario_step_sets_fail_as_the_public_constructors_do(kind, scale, steps, message):
+    """A step whose perturbation breaks a set raises the constructor's error."""
+    scen = stable_scenario(kind, delta_scale=scale)
+    for n in steps:
+        with pytest.raises(ValueError) as want:
+            _public_pair(kind, scen, n)
+        with pytest.raises(ValueError) as got:
+            scen.a_family(n), scen.b_family(n)
+        assert str(got.value) == str(want.value) == message
+
+
+@pytest.mark.parametrize("kind", SCENARIOS)
+def test_scenario_steps_leave_the_limit_sets_unchanged(kind):
+    """Step sets have read-only arrays and do not touch the limit sets they share."""
+    scen = stable_scenario(kind)
+    before = exact_fields(scen.A), exact_fields(scen.B)
+    for n in range(1, 20):
+        for S in (scen.a_family(n), scen.b_family(n)):
+            assert not any(v.flags.writeable for v in vars(S).values()
+                           if isinstance(v, np.ndarray))
+    assert (exact_fields(scen.A), exact_fields(scen.B)) == before
+
+
+def _same_record(r, s):
+    return (r.n, r.block_id, r.block_step, r.a.tobytes(), r.b.tobytes(), r.norm_a, r.norm_b,
+            r.res_a, r.gap_ab, r.dist_target) == (
+        s.n, s.block_id, s.block_step, s.a.tobytes(), s.b.tobytes(), s.norm_a, s.norm_b,
+        s.res_a, s.gap_ab, s.dist_target)
+
+
+@pytest.mark.parametrize("kind", ["tangent_disc", "orthant_halfspace"])
+def test_scenario_run_honours_record_stride(kind):
+    """A scenario run logs steps 1, k*stride and the last, as the full-rate run does."""
+    scen = stable_scenario(kind)
+    full = scen.run(max_iter=2500, record_stride=1)
+    thin = scen.run(max_iter=2500, record_stride=1000)
+    assert [r.n for r in thin.records] == [1, 1000, 2000, 2500]
+    by_n = {r.n: r for r in full.records}
+    assert all(_same_record(r, by_n[r.n]) for r in thin.records)
+    assert thin.blocks == full.blocks and len(thin.blocks) == 2500

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from altproj.constructions import stable_scenario
-from altproj.engine import (Adaptive, BlockLog, Blocks, Constant, ProjectionStepError,
-                            RunConfig, Trace, TraceRecord, run_classical, run_perturbed,
-                            _norm, trace_to_csv, trace_to_json)
+from altproj.engine import (Adaptive, BlockLog, Blocks, Constant, PerStep,
+                            ProjectionStepError, RunConfig, Trace, TraceRecord, run_classical,
+                            run_perturbed, _norm, trace_to_csv, trace_to_json)
 from altproj.sets import Ball, OrthoSubspace
 
 
@@ -258,6 +258,33 @@ def test_trace_json_byte_identical_to_json_dumps(meta):
         buf = io.StringIO()
         trace_to_json(trace, buf, meta=meta)
         assert buf.getvalue() == _reference_json(trace, meta)
+
+
+def test_trace_json_blocks_byte_identical_to_json_dumps():
+    """The templated "blocks" list equals json.dumps(doc, indent=1) for 0, 1 and 2000 blocks."""
+    causes = ("predicate", "length", "budget", "run_end")
+    records = _hand_built_traces()[0].records[:3]
+    for count in (0, 1, 2000):
+        blocks = tuple(BlockLog(k, 3 * k - 2, 3 * k, causes[k % 4]) for k in range(1, count + 1))
+        for recs in ((), records):
+            trace = Trace(recs, blocks, "schedule_exhausted", True)
+            buf = io.StringIO()
+            trace_to_json(trace, buf, meta={"seed": 1})
+            assert buf.getvalue() == _reference_json(trace, {"seed": 1})
+
+
+def test_block_ends_force_records_except_under_per_step():
+    """Adaptive block ends force a record, PerStep's do not; both log the same blocks."""
+    def pairs(k):
+        return line(0.0), line(0.3 + 1.0 / k)
+
+    cfg = RunConfig(start=np.array([1.0, 1.0]), max_iter=30, record_stride=10)
+    adaptive = run_perturbed(Adaptive(pairs, lambda k, a: True, max_block_len=1), cfg)
+    per_step = run_perturbed(PerStep(pairs), cfg)
+    assert [r.n for r in adaptive.records] == list(range(1, 31))
+    assert [r.n for r in per_step.records] == [1, 10, 20, 30]
+    assert per_step.blocks == adaptive.blocks
+    assert [bl.advance for bl in per_step.blocks] == ["predicate"] * 30
 
 
 class _FailsAfter:

@@ -5,7 +5,8 @@ that changes any trace, report or construction digit fails here.  The
 hashes were recorded with numpy 2.4 and scipy 1.17 on x86-64; other
 versions may round the last digit differently.  ``graph_growth_half``
 (about 3.7e5 engine steps, several seconds) pins the engine's per-step
-path; ``tangent_disc_scenario`` takes longer still and is not pinned here.
+path, and ``tangent_disc_scenario`` (1e5 steps, a record every 1000) the
+per-step scenario sets and ``record_stride`` under a ``PerStep`` schedule.
 """
 
 import hashlib
@@ -39,6 +40,8 @@ GOLDEN = {
             "b8770ac8c91cda4ba5f9db68316f4a0297dbc6ad5b85cac5369c2759a35b3c5e",
         "graph_growth_quarter_report.json":
             "91ca87e00a38fd8ee86eeecb10ec70bef777b8bda8f0f9be5b3bc52a2986edf4"},
+    ("run", "tangent_disc_scenario"): {
+        "tangent_disc.csv": "aada120ecb3ad7b9eed284c0a621c38e25758096553a3d4c6c9832777d60c2a0"},
     ("probe", "probe_aw_squares"): {
         "aw_squares.json": "c1a8a4995d74f2a434bfd46d1c8f08b9e5a3b88c364e12f4b3fd644148e0bf9b"},
     ("probe", "probe_exposure_disc"): {

@@ -18,9 +18,9 @@ from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, 
                           set_from_dict, set_to_dict, slice_sample, support_point,
                           support_value)
 
-from _oracles import (PROJECTABLE_KINDS, disc_slice_diameter,
+from _oracles import (PROJECTABLE_KINDS, disc_slice_diameter, exact_fields,
                       graph_projection_first_coords_oracle, polyhedron_project_dykstra,
-                      polyhedron_projection_bruteforce, random_set)
+                      polyhedron_projection_bruteforce, public_translate, random_set)
 
 
 # ---------------------------------------------------------------------------
@@ -583,3 +583,92 @@ def test_slice_sample_fallback_cycles_through_a_short_draw():
     assert 2 <= len(found) < n
     pts = slice_sample(S, f, alpha, n, seed)
     assert np.array_equal(pts, np.array(found)[np.arange(n) % len(found)])
+
+
+# ---------------------------------------------------------------------------
+# sets built from a validated set: translates and ConvexSet._replace
+
+
+@pytest.mark.parametrize("kind", PROJECTABLE_KINDS)
+def test_translate_bit_equal_to_public_constructor(kind):
+    """translate gives the type and exact fields of the public constructor's set."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for i in range(40):
+        S = random_set(kind, rng)
+        v = rng.standard_normal(S.dim) * 10.0 ** float(rng.integers(-3, 4))
+        if i % 4 == 0:
+            v[0] = (0.0, -0.0)[i % 8 // 4]
+        assert exact_fields(S.translate(v)) == exact_fields(public_translate(S, v))
+
+
+_BALL = Ball(np.array([1.0, -2.0]), 1.5)
+_FLAT = AffineSubspace(np.array([0.5, 0.5, 0.0]), np.array([[1.0, 0.0, 0.0]]))
+_HALF = Halfspace(np.array([3.0, 4.0]), 1.0)
+_POLY = Polyhedron(np.array([[1.0, 1.0], [-2.0, 0.5]]), np.array([1.0, 2.0]),
+                   witness=np.zeros(2))
+_BIG = 1.5e308
+
+
+@pytest.mark.parametrize("public, fast", [
+    (lambda: Ball([np.nan, 0.0], 1.5), lambda: _BALL._replace(center=[np.nan, 0.0])),
+    (lambda: Ball([_BIG + _BIG, 0.0], 1.5),
+     lambda: Ball([_BIG, 0.0], 1.5).translate([_BIG, 0.0])),
+    (lambda: Ball([1.0, -2.0], np.nan), lambda: _BALL._replace(radius=np.nan)),
+    (lambda: Ball([1.0, -2.0], np.inf), lambda: _BALL._replace(radius=np.inf)),
+    (lambda: Ball([1.0, -2.0], 0.0), lambda: _BALL._replace(radius=0.0)),
+    (lambda: Ball([1.0, -2.0], -1.0), lambda: _BALL._replace(radius=-1.0)),
+    (lambda: Ball([np.nan, 0.0], -1.0),
+     lambda: _BALL._replace(radius=-1.0, center=[np.nan, 0.0])),
+    (lambda: AffineSubspace([np.inf, 0.0, 0.0], _FLAT.basis),
+     lambda: _FLAT._replace(anchor=[np.inf, 0.0, 0.0])),
+    (lambda: AffineSubspace([0.0, 0.0], _FLAT.basis), lambda: _FLAT._replace(anchor=[0.0, 0.0])),
+    (lambda: AffineSubspace([_BIG + _BIG, 0.0, 0.0], _FLAT.basis),
+     lambda: AffineSubspace([_BIG, 0.0, 0.0], _FLAT.basis).translate([_BIG, 0.0, 0.0])),
+    (lambda: Halfspace([3.0, 4.0], np.nan), lambda: _HALF._replace(b=np.nan)),
+    (lambda: Halfspace([3.0, 4.0], -np.inf), lambda: _HALF._replace(b=-np.inf)),
+    (lambda: Polyhedron(_POLY.normals, [np.nan, 1.0], witness=[0.0, 0.0]),
+     lambda: _POLY._replace(b=[np.nan, 1.0])),
+    (lambda: Polyhedron(_POLY.normals, [np.inf, 1.0], witness=[0.0, 0.0]),
+     lambda: _POLY._replace(b=[np.inf, 1.0])),
+    (lambda: Polyhedron(_POLY.normals, [1.0, -0.5], witness=[0.0, 0.0]),
+     lambda: _POLY._replace(b=[1.0, -0.5])),
+    (lambda: Polyhedron(_POLY.normals, [1.0, 1.0, 1.0], witness=[0.0, 0.0]),
+     lambda: _POLY._replace(b=[1.0, 1.0, 1.0])),
+    (lambda: Polyhedron(_POLY.normals, _POLY.b, witness=[np.nan, 0.0]),
+     lambda: _POLY._replace(witness=[np.nan, 0.0])),
+    (lambda: Polyhedron(_POLY.normals, _POLY.b, witness=[0.0, 0.0, 0.0]),
+     lambda: _POLY._replace(witness=[0.0, 0.0, 0.0])),
+    (lambda: Polyhedron(_POLY.normals, _POLY.b, witness=[5.0, 5.0]),
+     lambda: _POLY._replace(witness=[5.0, 5.0])),
+])
+def test_replaced_field_fails_as_the_constructor_does(public, fast):
+    """A bad replaced field raises the constructor's exception type and message."""
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
+        public()
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as got:
+        fast()
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_replace_refuses_fields_with_derived_attributes():
+    """Only a kind's _replaceable fields can be replaced (not theta, which _denom uses)."""
+    G = DiagonalAffineGraph(np.array([0.5]), np.array([1.0]))
+    for S, name in ((G, "theta"), (G, "offset"), (_BALL, "anchor"), (_POLY, "normals"),
+                    (NonnegOrthant(2), "d"), (_HALF, "a")):
+        with pytest.raises(TypeError, match="can replace only"):
+            S._replace(**{name: getattr(S, name, 1.0)})
+
+
+def test_replaced_sets_are_read_only_and_leave_their_source_unchanged(rng):
+    """A translate's arrays are read-only and the set it came from keeps its fields."""
+    from dataclasses import fields
+    for kind in PROJECTABLE_KINDS:
+        S = random_set(kind, rng)
+        before = exact_fields(S)
+        T = S.translate(rng.standard_normal(S.dim))
+        arrays = [getattr(T, f.name) for f in fields(T)
+                  if isinstance(getattr(T, f.name), np.ndarray)]
+        assert arrays and not any(arr.flags.writeable for arr in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0][...] = 0.0
+        assert exact_fields(S) == before
