@@ -10,8 +10,10 @@ validate  dry-run: build everything, re-check construction invariants,
 
 Every config is checked against the package's ``schema.json`` before anything is
 built.  The schema owns the config's own fields, ``sets.set_from_dict`` set
-descriptors and ``constructions.stable_scenario`` its ``scenario_params``; the
-builders hold the defaults and the checks that dimensions agree.
+descriptors and ``constructions.stable_scenario`` its ``scenario_params``.  One
+builder per config kind holds the defaults and the checks that dimensions agree,
+and returns a ``Job``: what ``run`` or ``probe`` executes and the ledger rows
+``validate`` prints.
 
 Exit codes: 0 completed, 2 a schedule exhausted its budget before its
 predicates fired, 1 any other error (IO, schema, infeasible parameters).
@@ -179,23 +181,32 @@ def _vector(p, key, dim=None, default=None):
 class Job:
     """A config read and checked once.  ``execute(out_dir, quiet)`` does the
     long work and returns the trace to write (None if there is none) or the
-    probe report; the other fields are what ``validate`` re-checks."""
+    probe report; ``checks()`` re-checks the built instances without running
+    anything long and gives the ``(name, ok, detail)`` rows ``validate`` prints."""
 
     execute: object
-    schedule: object = None
-    scenario: object = None
-    construction: object = None
+    checks: object
 
 
 def _engine_job(cfg, p, schedule, dim, max_iter, start=None, target=None, scenario=None):
-    """Job running the engine on ``schedule`` from params.start in R^dim."""
+    """Job running the engine on ``schedule`` from params.start in R^dim; a
+    ``scenario``'s checks bound its first perturbations in the AW sense."""
     run_cfg = RunConfig(start=_vector(p, "start", dim, start),
                         max_iter=cfg.get("max_iter", max_iter),
                         stop_residual=p.get("stop_residual"),
                         record_stride=cfg.get("record_stride", 1),
                         target=_vector(p, "target", dim, target))
-    return Job(lambda out_dir, quiet: run_perturbed(schedule, run_cfg), schedule=schedule,
-               scenario=scenario)
+
+    def checks():
+        yield "schedule and run config construct", True, type(schedule).__name__
+        for n in (1, 10) if scenario is not None else ():
+            est = var.aw_distance(scenario.a_family(n), scenario.A, N=2,
+                                  n_samples=200, rng_seed=cfg["seed"])
+            yield (f"perturbation {n}: h_2(A_n, A) <= 3*|delta_n|",
+                   est.h_N <= 3.0 * abs(scenario.delta(n)) + 1e-9,
+                   f"h_2 = {est.h_N:.3g}, delta = {scenario.delta(n):.3g}")
+
+    return Job(lambda out_dir, quiet: run_perturbed(schedule, run_cfg), checks)
 
 
 def _build_classical(cfg, p):
@@ -224,10 +235,26 @@ def _build_scenario(cfg, p):
                        start=scen.default_start, target=scen.target, scenario=scen)
 
 
-def _build_example(cfg, p, run):
+def _example44_row(h):
+    A, B, C, D = cons.example_unstable_bodies(h)
+    anchor = np.array([1.0, 0.0]) if h % 2 == 1 else np.array([-1.0, 0.0])
+    return (f"pair {h}: bodies touch at {anchor.tolist()}",
+            C.contains(anchor, 1e-12) and D.contains(anchor, 1e-12),
+            f"C has {len(C.vertices)} vertices, D has {len(D.vertices)}")
+
+
+def _example51_row(k):
+    L = cons.tilted_line(k)
+    return (f"line {k}: passes through (0, 1/{k}) and ({k}, 0)",
+            L.distance(np.array([0.0, 1.0 / k])) < 1e-12
+            and L.distance(np.array([float(k), 0.0])) < 1e-12, "")
+
+
+def _build_example(cfg, p, run, row):
+    """Job running an example's blocks; ``row(k)`` checks the k-th block's sets."""
     args = (p["n_blocks"], p.get("max_block_len", 10_000), _vector(p, "start", 2, (0.0, 0.0)),
             cfg.get("record_stride", 1))
-    return Job(lambda out_dir, quiet: run(*args))
+    return Job(lambda out_dir, quiet: run(*args), lambda: map(row, range(1, p["n_blocks"] + 1)))
 
 
 def _build_ell2(cfg, p):
@@ -266,7 +293,8 @@ def _build_ell2(cfg, p):
             json.dumps(report, indent=1))
         return trace
 
-    return Job(execute, construction=c)
+    return Job(execute, lambda: [*c.verify_conditions(),
+                                 ("block lengths", True, str([blk.N for blk in c.blocks]))])
 
 
 def _aw_family_pair(family, k):
@@ -277,27 +305,27 @@ def _aw_family_pair(family, k):
     return cons.tilted_line(k), cons.OrthoSubspace(np.array([[1.0, 0.0]]))
 
 
-def _build_probe(cfg, p):
+def _probe_execute(cfg, p):
+    """The ``execute`` of a probe config's job."""
     seed = cfg["seed"]
     probe = p["probe"]
     # The two closed-form probes are computed here, so validate checks them in full.
     if probe == "omega":
         rep = var.omega_angle(np.array(p["U"], dtype=float), np.array(p["V"], dtype=float))
-        return Job(lambda out_dir, quiet: {"probe": "omega", "seed": seed,
-                                           "result": rep.as_dict()})
+        return lambda out_dir, quiet: {"probe": "omega", "seed": seed, "result": rep.as_dict()}
     if probe == "exposure":
         S = _parse_set(p["set"], "params.set")
         f = _vector(p, "f", S.dim)
         alphas = [float(a) for a in p["alphas"]]
         n = p.get("n_samples", 400)
-        return Job(lambda out_dir, quiet: {
+        return lambda out_dir, quiet: {
             "probe": "exposure", "seed": seed, "n_samples": n,
             "result": var.strongly_exposes_probe(S, f, alphas, n_samples=n,
-                                                 rng_seed=seed).as_dict()})
+                                                 rng_seed=seed).as_dict()}
     if probe == "separation":
         eps, eta = var.separation_constants(float(p["M"]), float(p["omega"]))
-        return Job(lambda out_dir, quiet: {"probe": "separation", "seed": seed,
-                                           "result": {"eps": eps, "eta": eta}})
+        return lambda out_dir, quiet: {"probe": "separation", "seed": seed,
+                                       "result": {"eps": eps, "eta": eta}}
     N = p.get("N", 2)
     n = p.get("n_samples", 1500)
     if "family" in p:
@@ -310,22 +338,25 @@ def _build_probe(cfg, p):
                     for k in range(1, count + 1)]
             return {"probe": "aw", "seed": seed, "family": family, "N": N,
                     "n_samples": n, "result": rows}
-        return Job(execute)
+        return execute
     A = _parse_set(p["A"], "params.A")
     C = _parse_set(p["C"], "params.C", A.dim)
-    return Job(lambda out_dir, quiet: {
+    return lambda out_dir, quiet: {
         "probe": "aw", "seed": seed,
-        "result": var.aw_distance(A, C, N, n_samples=n, rng_seed=seed).as_dict()})
+        "result": var.aw_distance(A, C, N, n_samples=n, rng_seed=seed).as_dict()}
 
 
 _BUILDERS = {
     "classical": _build_classical,
     "perturbed": _build_perturbed,
     "stable-scenario": _build_scenario,
-    "example44": lambda cfg, p: _build_example(cfg, p, cons.run_example_unstable),
-    "example51": lambda cfg, p: _build_example(cfg, p, cons.run_example_unbounded_lines),
+    "example44": lambda cfg, p: _build_example(cfg, p, cons.run_example_unstable,
+                                               _example44_row),
+    "example51": lambda cfg, p: _build_example(cfg, p, cons.run_example_unbounded_lines,
+                                               _example51_row),
     "ell2": _build_ell2,
-    "probe": _build_probe,
+    "probe": lambda cfg, p: Job(_probe_execute(cfg, p),
+                                lambda: [("probe parameters construct", True, p["probe"])]),
 }
 
 
@@ -369,43 +400,7 @@ def cmd_probe(cfg, out_dir: Path, quiet: bool) -> int:
 
 def cmd_validate(cfg, out_dir: Path, quiet: bool) -> int:
     """Build the configured instances and re-check their invariants."""
-    kind = cfg["kind"]
-    job = build_job(cfg)
-    checked = []
-
-    def note(name, ok, detail=""):
-        checked.append((name, ok, detail))
-
-    if job.schedule is not None:
-        note("schedule and run config construct", True, type(job.schedule).__name__)
-    if job.scenario is not None:
-        scen = job.scenario
-        for n in (1, 10):
-            est = var.aw_distance(scen.a_family(n), scen.A, N=2,
-                                  n_samples=200, rng_seed=cfg["seed"])
-            note(f"perturbation {n}: h_2(A_n, A) <= 3*|delta_n|",
-                 est.h_N <= 3.0 * abs(scen.delta(n)) + 1e-9,
-                 f"h_2 = {est.h_N:.3g}, delta = {scen.delta(n):.3g}")
-    if kind == "example44":
-        for h in range(1, cfg["params"]["n_blocks"] + 1):
-            A, B, C, D = cons.example_unstable_bodies(h)
-            anchor = np.array([1.0, 0.0]) if h % 2 == 1 else np.array([-1.0, 0.0])
-            note(f"pair {h}: bodies touch at {anchor.tolist()}",
-                 C.contains(anchor, 1e-12) and D.contains(anchor, 1e-12),
-                 f"C has {len(C.vertices)} vertices, D has {len(D.vertices)}")
-    elif kind == "example51":
-        for k in range(1, cfg["params"]["n_blocks"] + 1):
-            L = cons.tilted_line(k)
-            ok = (L.distance(np.array([0.0, 1.0 / k])) < 1e-12
-                  and L.distance(np.array([float(k), 0.0])) < 1e-12)
-            note(f"line {k}: passes through (0, 1/{k}) and ({k}, 0)", ok)
-    elif kind == "ell2":
-        for name, ok, detail in job.construction.verify_conditions():
-            note(name, ok, detail)
-        note("block lengths", True, str([blk.N for blk in job.construction.blocks]))
-    elif kind == "probe":
-        note("probe parameters construct", True, cfg["params"]["probe"])
-
+    checked = list(build_job(cfg).checks())
     failures = [name for name, ok, _ in checked if not ok]
     if not quiet:
         for name, ok, detail in checked:

@@ -280,13 +280,9 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
         if residual_stop:
             status = "residual_met"
             break
-    else:
-        status = "max_iter"
 
     if block_step > 0 and status != "schedule_exhausted":
         block_logs.append(BlockLog(block_id, block_start_n, n - 1, "run_end"))
-    if status == "max_iter" and not records:
-        raise RuntimeError("run produced no records")  # unreachable: max_iter >= 1
     return Trace(records=tuple(records), blocks=tuple(block_logs), status=status,
                  schedule_complete=schedule_complete)
 
@@ -304,6 +300,15 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _write_text(text: str, path) -> None:
+    """Write ``text`` to a file object, or to the file at a path."""
+    if hasattr(path, "write"):
+        path.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def trace_to_csv(trace: Trace, path, meta: dict | None = None) -> None:
     """Write the logged records as CSV (shortest round-trip decimals).
 
@@ -318,12 +323,7 @@ def trace_to_csv(trace: Trace, path, meta: dict | None = None) -> None:
         dist = "" if r.dist_target is None else _fmt(r.dist_target)
         lines.append(",".join([str(r.n), str(r.block_id), _fmt(r.res_a),
                                _fmt(r.norm_a), _fmt(r.norm_b), _fmt(r.gap_ab), dist]))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write_text("\n".join(lines) + "\n", path)
 
 
 _JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -386,8 +386,4 @@ def trace_to_json(trace: Trace, path, meta: dict | None = None) -> None:
     records = ",\n".join(map(_json_record, trace.records))
     text = (head[:-len('[],\n "records": []\n}')] + (f"[\n{blocks}\n ]" if blocks else "[]")
             + ',\n "records": ' + (f"[\n{records}\n ]" if records else "[]") + "\n}")
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write_text(text, path)

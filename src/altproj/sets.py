@@ -9,8 +9,11 @@ Squares Problems*, ch. 23) and checks a KKT certificate on every call; the
 same NNLS decides, by Farkas' lemma, in which directions a polyhedron is
 unbounded.  ``project_many`` projects a (k, d) batch of points, bit-equal
 row by row to ``project``; the sampled probes project their samples
-through it.  Per-step families build sets by ``ConvexSet._replace`` from
-validated ones, checking only what moves.  The runtime needs numpy only.
+through it.  A kind with fields to check checks them in one ``_store``:
+the constructor turns its input into stored form (a unit normal,
+normalised rows) and passes it there, and ``ConvexSet._replace``, which
+per-step families use to build sets from validated ones, passes only the
+fields that move.  The runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -149,33 +152,12 @@ class ConvexSet:
 
     def _replace(self, cls=None, **changes):
         """This validated set as a ``cls`` (default: its type) with new, as-stored values of
-        ``_replaceable`` fields, each checked as ``__post_init__`` does; the rest is shared."""
+        ``_replaceable`` fields, checked by the kind's ``_store``; the rest is shared."""
         new = object.__new__(cls or type(self))
         if not new._replaceable.issuperset(changes):
             raise TypeError(f"{type(new).__name__} can replace only {sorted(new._replaceable)}")
-        new.__dict__.update(self.__dict__, **changes)
-        put = new.__dict__.__setitem__
-        if "center" in changes:
-            put("center", _freeze(as_point(new.center), "center"))
-        if "radius" in changes:
-            if not new.radius > 0.0:
-                raise ValueError("radius must be positive")
-            put("radius", _finite(new.radius, "radius"))
-        if "anchor" in changes:
-            if new.basis.shape[1] != as_point(new.anchor).size:
-                raise ValueError("basis shape incompatible with anchor")
-            put("anchor", _freeze(new.anchor, "anchor"))
-        if isinstance(new, Polyhedron):  # b's finiteness is tested after the witness, as there
-            b = np.array(new.b, dtype=float)
-            if b.shape != new.normals.shape[:1]:
-                raise ValueError("normals must be (m, d), b must be (m,)")
-            w = as_point(new.witness, dim=new.dim)
-            if (new.normals @ w > b + 1e-9).any():
-                raise ValueError("witness point is not feasible")
-            put("b", _freeze(b, "b"))
-            put("witness", _freeze(w, "witness"))
-        elif "b" in changes:
-            put("b", _finite(new.b, "b"))
+        new.__dict__.update(self.__dict__)
+        new._store(**changes)
         return new
 
 
@@ -190,8 +172,15 @@ class _UnitNormal(ConvexSet):
 
     def __post_init__(self):
         a, n = _unit(self.a)
-        object.__setattr__(self, "a", _freeze(a, "a"))
-        object.__setattr__(self, "b", _finite(float(self.b) / n, "b"))
+        self._store(a=a, b=float(self.b) / n)
+
+    def _store(self, **fields):
+        """Check and set fields given in stored form: a unit normal, a scaled offset."""
+        if "a" in fields:
+            fields["a"] = _freeze(fields["a"], "a")
+        if "b" in fields:
+            fields["b"] = _finite(fields["b"], "b")
+        self.__dict__.update(fields)
 
     @property
     def dim(self):
@@ -271,11 +260,17 @@ class Ball(ConvexSet):
     _replaceable = frozenset({"center", "radius"})
 
     def __post_init__(self):
-        c = as_point(self.center)
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
-        object.__setattr__(self, "center", _freeze(c, "center"))
-        object.__setattr__(self, "radius", _finite(self.radius, "radius"))
+        self._store(center=self.center, radius=self.radius)
+
+    def _store(self, **fields):
+        """Check and set the given fields, as the constructor takes them."""
+        if "center" in fields:
+            fields["center"] = _freeze(as_point(fields["center"]), "center")
+        if "radius" in fields:
+            if not fields["radius"] > 0.0:
+                raise ValueError("radius must be positive")
+            fields["radius"] = _finite(fields["radius"], "radius")
+        self.__dict__.update(fields)
 
     @property
     def dim(self):
@@ -489,13 +484,18 @@ class AffineSubspace(ConvexSet):
     _replaceable = frozenset({"anchor"})
 
     def __post_init__(self):
-        a = as_point(self.anchor)
-        b = _freeze(self.basis, "basis")
+        self._store(anchor=self.anchor, basis=self.basis)
+
+    def _store(self, **fields):
+        """Check and set the given fields, as the constructor takes them, against
+        the stored basis when none is given."""
+        a = as_point(fields["anchor"]) if "anchor" in fields else self.anchor
+        b = _freeze(fields["basis"], "basis") if "basis" in fields else self.basis
         if b.ndim != 2 or b.shape[1] != a.size:
             raise ValueError("basis shape incompatible with anchor")
-        _check_orthonormal(b)
-        object.__setattr__(self, "anchor", _freeze(a, "anchor"))
-        object.__setattr__(self, "basis", b)
+        if "basis" in fields:
+            _check_orthonormal(b)
+        self.__dict__.update(anchor=_freeze(a, "anchor"), basis=b)
 
     @property
     def dim(self):
@@ -578,19 +578,25 @@ class Polyhedron(ConvexSet):
     def __post_init__(self):
         A = _freeze(self.normals, "normals")
         b = _freeze(self.b, "b")
-        if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size or A.shape[0] < 1:
+        if A.ndim == 2 and b.shape == A.shape[:1]:  # otherwise _store reports the shapes
+            norms = np.linalg.norm(A, axis=1)
+            if np.any(norms == 0.0):
+                raise ValueError("zero constraint normal")
+            A, b = _freeze(A / norms[:, None], "normals"), b / norms
+        self._store(normals=A, b=b, witness=self.witness)
+
+    def _store(self, **fields):
+        """Check and set fields given in stored form (unit rows, scaled offsets),
+        against the stored ones not given; b must be finite before the witness
+        is tested."""
+        A = fields.get("normals", self.normals)
+        b = _freeze(fields.get("b", self.b), "b")
+        if A.ndim != 2 or b.shape != A.shape[:1] or not b.size:
             raise ValueError("normals must be (m, d), b must be (m,)")
-        norms = np.linalg.norm(A, axis=1)
-        if np.any(norms == 0.0):
-            raise ValueError("zero constraint normal")
-        A = A / norms[:, None]
-        b = b / norms
-        w = as_point(self.witness, dim=A.shape[1])
-        if np.any(A @ w > b + 1e-9):
+        w = as_point(fields.get("witness", self.witness), dim=A.shape[1])
+        if (A @ w > b + 1e-9).any():
             raise ValueError("witness point is not feasible")
-        object.__setattr__(self, "normals", _freeze(A, "normals"))
-        object.__setattr__(self, "b", _freeze(b, "b"))
-        object.__setattr__(self, "witness", _freeze(w, "witness"))
+        self.__dict__.update(normals=A, b=b, witness=_freeze(w, "witness"))
 
     @property
     def dim(self):

@@ -7,6 +7,8 @@ versions may round the last digit differently.  ``graph_growth_half``
 (about 3.7e5 engine steps, several seconds) pins the engine's per-step
 path, and ``tangent_disc_scenario`` (1e5 steps, a record every 1000) the
 per-step scenario sets and ``record_stride`` under a ``PerStep`` schedule.
+The standard output and exit code of ``altproj validate`` are pinned the
+same way for all ten shipped configs.
 """
 
 import hashlib
@@ -60,3 +62,36 @@ def test_shipped_config_outputs_byte_identical(tmp_path, command, name):
                  "--quiet"]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == GOLDEN[(command, name)]
+
+
+# (exit code, SHA-256 of stdout) of `altproj validate`, run without --quiet
+VALIDATE_GOLDEN = {
+    "escaping_lines":
+        (0, "44b3e107df37e82f557e6d54968cee92f8ebb51499dae4d0cd2f1c32a8332fac"),
+    "graph_growth_half":
+        (0, "a8fb854f736960474c73fbb2e31ad269240077660aa5dbca77f7cf2e85a91d06"),
+    "graph_growth_quarter":
+        (0, "ec8b258adf326a3654cc2883806072ce414a41314639be7274e858c6b899d09e"),
+    "oscillating_squares":
+        (0, "b2b7379178b849d9c08853803eff1017421ec6a03b0a6a02fd5a61b2b9f4db07"),
+    "probe_aw_squares":
+        (0, "a405ec0330538511fce00f395ff2f321600ef27add0ae4c8f72148e0ea8b8304"),
+    "probe_exposure_disc":
+        (0, "5cd618ecbc8ba52f2b53e7bf5063f9d064b1fab04901be3b8f8ec8ed3a049183"),
+    "probe_omega_planes":
+        (0, "d698b5ab6a495211cc3306425f435df42509734d97db8558d87a427c2ee61e47"),
+    "probe_separation":
+        (0, "4a3a79e65a448e3510b4cea45839c612bdc05b5f5b772aeeb9f583d5b59b95b2"),
+    "tangent_disc_scenario":
+        (0, "ae8e2ff69297c2fd18506782b4abc6b3fea5f8d91576cd1ede5756615e8317dc"),
+    "two_lines_classical":
+        (0, "c4170fc7d59f034110834d68cd0d45b1de2ddcd76b7306c6309cca6831591ab7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_GOLDEN))
+def test_shipped_config_validate_stdout_byte_identical(tmp_path, capsys, name):
+    """validate prints the same ledger and exits with the same code on every shipped config."""
+    code = main(["validate", "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == VALIDATE_GOLDEN[name]

@@ -640,6 +640,14 @@ _BIG = 1.5e308
      lambda: _POLY._replace(witness=[0.0, 0.0, 0.0])),
     (lambda: Polyhedron(_POLY.normals, _POLY.b, witness=[5.0, 5.0]),
      lambda: _POLY._replace(witness=[5.0, 5.0])),
+    (lambda: Polyhedron(_POLY.normals, [-np.inf, 1.0], witness=[0, 0]),
+     lambda: _POLY._replace(b=[-np.inf, 1.0])),
+    (lambda: Ball(None, 1.5), lambda: _BALL._replace(center=None)),
+    (lambda: AffineSubspace(None, _FLAT.basis), lambda: _FLAT._replace(anchor=None)),
+    (lambda: Polyhedron(_POLY.normals, None, witness=[0.0, 0.0]),
+     lambda: _POLY._replace(b=None)),
+    (lambda: Polyhedron(_POLY.normals, _POLY.b, witness=None),
+     lambda: _POLY._replace(witness=None)),
 ])
 def test_replaced_field_fails_as_the_constructor_does(public, fast):
     """A bad replaced field raises the constructor's exception type and message."""
@@ -648,6 +656,37 @@ def test_replaced_field_fails_as_the_constructor_does(public, fast):
     with np.errstate(over="ignore"), pytest.raises(ValueError) as got:
         fast()
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+_NOT_1D = (ValueError, "point must be 1-D, got shape ()")
+_NONE_RADIUS = (TypeError, "'>' not supported between instances of 'NoneType' and 'float'")
+_NONE_FLOAT = (TypeError, "float() argument must be a string or a real number, not 'NoneType'")
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Ball(None, 1.5), _NOT_1D),
+    (lambda: Ball([1.0, -2.0], None), _NONE_RADIUS),
+    (lambda: Halfspace(None, 1.0), _NOT_1D),
+    (lambda: Halfspace([3.0, 4.0], None), _NONE_FLOAT),
+    (lambda: AffineSubspace(None, _FLAT.basis), _NOT_1D),
+    (lambda: AffineSubspace(_FLAT.anchor, None), (ValueError, "basis must be finite")),
+    (lambda: Polyhedron(None, _POLY.b, witness=[0.0, 0.0]),
+     (ValueError, "normals must be finite")),
+    (lambda: Polyhedron(_POLY.normals, None, witness=[0.0, 0.0]),
+     (ValueError, "b must be finite")),
+    (lambda: Polyhedron(_POLY.normals, _POLY.b, witness=None), _NOT_1D),
+    (lambda: _BALL._replace(radius=None), _NONE_RADIUS),
+    (lambda: _HALF._replace(b=None), _NONE_FLOAT),
+], ids=["ball-center", "ball-radius", "halfspace-a", "halfspace-b", "affine-anchor",
+        "affine-basis", "polyhedron-normals", "polyhedron-b", "polyhedron-witness",
+        "replace-ball-radius", "replace-halfspace-b"])
+def test_none_field_fails_with_its_own_message(build, error):
+    """None in a field is a bad value, not a field left out: it raises the pinned
+    exception type and message.  The ValueErrors of None in a replaced field are
+    compared with the constructor's above; the TypeErrors are pinned here."""
+    with pytest.raises(error[0]) as got:
+        build()
+    assert (type(got.value), str(got.value)) == error
 
 
 def test_replace_refuses_fields_with_derived_attributes():
