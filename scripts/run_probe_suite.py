@@ -28,7 +28,8 @@ def main():
     for cfg_path in CONFIGS:
         cfg = json.loads(Path(cfg_path).read_text())
         code = cli_main(["probe", "--config", cfg_path, "--out", str(out), "--quiet"])
-        assert code == 0, f"probe failed: {cfg_path}"
+        if code != 0:
+            raise SystemExit(f"probe failed: {cfg_path}")
         report = json.loads((out / cfg["output"]["report_json"]).read_text())
         print(f"--- {cfg_path}")
         print(json.dumps(report["result"], indent=1)[:800])

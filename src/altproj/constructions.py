@@ -28,7 +28,8 @@ from .engine import (Adaptive, Blocks, PerStep, RunConfig, ScheduleExhausted, Tr
                      run_perturbed)
 from .geometry import as_point, pack, ProductPoint
 from .sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace,
-                   NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron)
+                   NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron,
+                   _normal_in_range, _row_scales)
 
 
 class InfeasibleParams(ValueError):
@@ -624,8 +625,8 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
             if np.any(offsets <= 0.0):
                 raise InfeasibleParams("offsets must be strictly positive")
             B = Polyhedron(normals, offsets, witness=np.zeros(d))
-            norms = np.linalg.norm(np.array(normals, dtype=float), axis=1)  # B divides by these
-            b_family = lambda n: B._replace(b=(offsets + delta(n)) / norms)
+            scales, norms = _row_scales(np.array(normals, dtype=float))  # B divides by these
+            b_family = lambda n: B._replace(b=(offsets + delta(n)) / scales / norms)
         elif kind == "orthant_halfspace":
             a = as_point(_param(params, "a", np.array([1.0, -1.0]), ndim=1), dim=d)
             b = float(_param(params, "b", 0.5))
@@ -633,7 +634,8 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
             if np.all(a <= 0.0):
                 raise InfeasibleParams("normal lies in the polar cone of the orthant")
             notes, start = {"witness": _strict_orthant_witness(a, b).tolist()}, 3.0
-            B, norm_a = Halfspace(a, b), float(np.linalg.norm(a))
+            a, b, norm_a = _normal_in_range(a, b)
+            B = Halfspace(a, b)
             b_family = lambda n: B._replace(b=(b + delta(n) * norm_a) / norm_a)
         else:
             a = as_point(_param(params, "a", np.array([-1.0, -2.0, -0.5]), ndim=1), dim=d)
@@ -643,7 +645,8 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
                     "normal must be componentwise strictly negative "
                     "(interior of the orthant's polar cone)")
             notes = {"polar_interior": True}
-            B, norm_a = Halfspace(a, 0.0), float(np.linalg.norm(a))
+            a, _, norm_a = _normal_in_range(a, 0.0)
+            B = Halfspace(a, 0.0)
             b_family = lambda n: B._replace(b=delta(n) * norm_a / norm_a)
         return StableScenario(
             name=kind, A=K, B=B, a_family=lambda n: K.translate(-delta(n) * shift),

@@ -40,12 +40,38 @@ class SamplerFailure(RuntimeError):
     """Rejection sampler exhausted its budget."""
 
 
-def _unit(a, name="a"):
-    a = as_point(a)
+def _normal_in_range(a, b, name="a"):
+    """(a, b, n): a normal, its offset and the plain norm n of the normal.
+
+    A plain norm that is 0, infinite or outside [1e-150, 1e150] may have
+    lost its squares to underflow or overflow; then a and b are divided by
+    the largest |a_i| and n is taken again.  A normal in range comes back
+    as given, so a / n and b / n keep the bits of the plain division.
+    """
     n = float(np.linalg.norm(a))
-    if n == 0.0:
-        raise ValueError(f"{name} must be nonzero")
-    return a / n, n
+    if n < 1e-150 or n > 1e150:
+        s = float(np.max(np.abs(a)))
+        if s == 0.0:
+            raise ValueError(f"{name} must be nonzero")
+        a, b = a / s, float(b) / s
+        n = float(np.linalg.norm(a))
+    return a, b, n
+
+
+def _row_scales(A):
+    """(s, n) for the rows of the normals A (m, d), as ``_normal_in_range``
+    treats one normal: A_i / s_i / n_i is the unit normal and b_i / s_i / n_i
+    the offset scaled to match.  A row whose plain norm is in range has
+    s_i = 1, which keeps the bits; a zero row has s_i = 0.  (Row norms sum
+    in another order than the 1-D norm, so each keeps its own.)"""
+    n = np.linalg.norm(A, axis=1)
+    s = np.ones(len(n))
+    odd = (n < 1e-150) | (n > 1e150)
+    if odd.any():
+        s[odd] = np.max(np.abs(A[odd]), axis=1, initial=0.0)
+        nonzero = odd & (s > 0.0)
+        n[nonzero] = np.linalg.norm(A[nonzero] / s[nonzero, None], axis=1)
+    return s, n
 
 
 def _freeze(arr, name: str) -> np.ndarray:
@@ -171,8 +197,8 @@ class _UnitNormal(ConvexSet):
     _replaceable = frozenset({"b"})
 
     def __post_init__(self):
-        a, n = _unit(self.a)
-        self._store(a=a, b=float(self.b) / n)
+        a, b, n = _normal_in_range(as_point(self.a), self.b)
+        self._store(a=a / n, b=float(b) / n)
 
     def _store(self, **fields):
         """Check and set fields given in stored form: a unit normal, a scaled offset."""
@@ -579,10 +605,10 @@ class Polyhedron(ConvexSet):
         A = _freeze(self.normals, "normals")
         b = _freeze(self.b, "b")
         if A.ndim == 2 and b.shape == A.shape[:1]:  # otherwise _store reports the shapes
-            norms = np.linalg.norm(A, axis=1)
-            if np.any(norms == 0.0):
+            s, norms = _row_scales(A)
+            if not s.all():
                 raise ValueError("zero constraint normal")
-            A, b = _freeze(A / norms[:, None], "normals"), b / norms
+            A, b = _freeze(A / s[:, None] / norms[:, None], "normals"), b / s / norms
         self._store(normals=A, b=b, witness=self.witness)
 
     def _store(self, **fields):
@@ -878,7 +904,10 @@ def slice_sample(S, f, alpha: float, n_samples: int, rng_seed: int) -> np.ndarra
     attains the supremum where a support point is available.  Ball and
     polygon slices are sampled directly (cap parametrization, halfplane
     clip); other kinds fall back to rejection over projected Gaussians
-    with a finite budget.
+    with a finite budget.  Every branch draws the random numbers of a
+    one-at-a-time loop, in its order, and computes the points from them as
+    whole arrays with the same rounding, so the result does not depend on
+    the batching.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -887,50 +916,12 @@ def slice_sample(S, f, alpha: float, n_samples: int, rng_seed: int) -> np.ndarra
     rng = np.random.default_rng(rng_seed)
     f = as_point(f, dim=S.dim)
     sup = support_value(S, f)
-    fhat = f / float(np.linalg.norm(f))
     level = sup - alpha  # keep x with <f, x> >= level
 
     if isinstance(S, Ball):
-        pts = [support_point(S, f)]
-        # cap of the sphere {c + r u : <f, c + r u> >= level}
-        cos_min = max(-1.0, (level - float(np.dot(f, S.center))) /
-                      (S.radius * float(np.linalg.norm(f))))
-        psi_max = float(np.arccos(np.clip(cos_min, -1.0, 1.0)))
-        d = S.dim
-        while len(pts) < n_samples:
-            psi = rng.uniform(0.0, psi_max)
-            w = rng.standard_normal(d)
-            w -= float(np.dot(w, fhat)) * fhat
-            nw = float(np.linalg.norm(w))
-            if nw < 1e-14:
-                continue
-            w /= nw
-            u = np.cos(psi) * fhat + np.sin(psi) * w
-            r = S.radius * (1.0 if rng.uniform() < 0.7 else rng.uniform() ** (1.0 / d))
-            x = S.center + r * u
-            if float(np.dot(f, x)) >= level - 1e-12:
-                pts.append(x)
-        return np.array(pts[:n_samples])
-
+        return _ball_slice(S, f, level, n_samples, rng)
     if isinstance(S, Polygon2D):
-        clipped = _clip_polygon_halfplane(S.vertices, f, level)
-        if len(clipped) == 0:
-            raise SamplerFailure("slice clipped to empty set")
-        pts = list(clipped)
-        m = len(clipped)
-        while len(pts) < n_samples:
-            if m == 1:
-                pts.append(clipped[0].copy())
-                continue
-            if rng.uniform() < 0.5 or m == 2:
-                i = rng.integers(m)
-                j = (i + 1) % m
-                t = rng.uniform()
-                pts.append((1 - t) * clipped[i] + t * clipped[j])
-            else:
-                w = rng.dirichlet(np.ones(m))
-                pts.append(w @ clipped)
-        return np.array(pts[:n_samples])
+        return _polygon_slice(S, f, level, n_samples, rng)
 
     # generic rejection over boundary-biased samples, drawn in batches of at
     # most the number still missing: the draws of a one-at-a-time loop
@@ -946,6 +937,86 @@ def slice_sample(S, f, alpha: float, n_samples: int, rng_seed: int) -> np.ndarra
         raise SamplerFailure(f"no slice samples found within budget {budget}")
     # when the budget ran out first, the points found are repeated in turn
     return np.concatenate(found)[np.arange(n_samples) % count]
+
+
+def _ball_slice(S: Ball, f, level: float, n_samples: int, rng) -> np.ndarray:
+    """The support point, then points c + r u of the cap {<f, x> >= level}.
+
+    Each attempt draws the polar angle psi, a Gaussian whose part tangent
+    to f gives the direction (redrawn, after a new psi, if that part is
+    below 1e-14), and the radius: r with probability 0.7, else r times a
+    uniform to the power 1/d.  Attempts run in rounds of at most the number
+    of points still missing, so no round draws past the point where a
+    one-at-a-time loop stops.  The draws and the rejection are scalar; the
+    points and the level test are whole-array arithmetic with the same
+    rounding.  In one dimension the slice is a segment, sampled uniformly.
+    """
+    c, radius, d = S.center, S.radius, S.dim
+    nf = float(np.linalg.norm(f))
+    fhat = f / nf
+    # cos of the polar angle at which the sphere leaves the slice
+    cos_min = max(-1.0, (level - float(np.dot(f, c))) / (radius * nf))
+    found, count = [support_point(S, f)[None]], 1
+    if d == 1:
+        # every Gaussian is parallel to f there, so the cap has no tangent part
+        t = rng.uniform(min(cos_min, 1.0) * radius, radius, n_samples - 1)
+        return np.concatenate(found + [c + t[:, None] * fhat])
+    psi_max = float(np.arccos(np.clip(cos_min, -1.0, 1.0)))
+    while count < n_samples:
+        psi, W, nw, scale = [], [], [], []
+        for _ in range(n_samples - count):
+            p = psi_max * rng.random()  # rng.uniform(0.0, psi_max), the same draw
+            w = rng.standard_normal(d)
+            w -= float(np.dot(w, fhat)) * fhat
+            n = float(np.linalg.norm(w))
+            if n < 1e-14:
+                continue
+            psi.append(p)
+            W.append(w)
+            nw.append(n)
+            scale.append(radius * (1.0 if rng.random() < 0.7 else rng.random() ** (1.0 / d)))
+        if not psi:
+            continue
+        psi, W = np.array(psi)[:, None], np.array(W) / np.array(nw)[:, None]
+        X = c + np.array(scale)[:, None] * (np.cos(psi) * fhat + np.sin(psi) * W)
+        X = X[np.vecdot(X, f) >= level - 1e-12]
+        found.append(X)
+        count += len(X)
+    return np.concatenate(found)
+
+
+def _polygon_slice(S: Polygon2D, f, level: float, n_samples: int, rng) -> np.ndarray:
+    """The vertices of the clipped slice, then points on it: with
+    probability 1/2 (always for a segment) on an edge, at a uniform t from
+    a uniform vertex to the next, else a Dirichlet(1, ..., 1) combination of
+    all vertices.  A single vertex is repeated.  The draws are scalar, the
+    points whole-array arithmetic with the same rounding."""
+    clipped = _clip_polygon_halfplane(S.vertices, f, level)
+    m = len(clipped)
+    if m == 0:
+        raise SamplerFailure("slice clipped to empty set")
+    if m == 1:
+        return np.repeat(clipped, n_samples, axis=0)
+    if n_samples <= m:
+        return clipped[:n_samples]
+    on_edge, I, T, W = [], [], [], []
+    ones = np.ones(m)
+    for _ in range(n_samples - m):
+        edge = rng.random() < 0.5 or m == 2
+        on_edge.append(edge)
+        if edge:
+            I.append(rng.integers(m))
+            T.append(rng.random())
+        else:
+            W.append(rng.dirichlet(ones))
+    out = np.empty((n_samples - m, 2))
+    on_edge = np.array(on_edge)
+    if I:
+        I, T = np.array(I), np.array(T)[:, None]
+        out[on_edge] = (1 - T) * clipped[I] + T * clipped[(I + 1) % m]
+    if W:
+        out[~on_edge] = (np.array(W)[:, None, :] @ clipped)[:, 0]
+    return np.concatenate((clipped, out))
 
 
 def _clip_polygon_halfplane(vertices: np.ndarray, f: np.ndarray, level: float) -> np.ndarray:

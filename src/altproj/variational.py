@@ -277,11 +277,28 @@ def epsilon_alpha(A, f, x0, alpha: float, n_boundary: int = 2000,
 
 
 def _diameter(pts) -> float:
-    """Largest distance between two of the points, from the pairwise
-    differences of 64 points at a time, so that memory stays at
-    64 * len(pts) * d doubles instead of len(pts)**2 * d."""
-    sq = max(float(np.max(np.sum((pts[i:i + 64, None, :] - pts) ** 2, axis=-1)))
-             for i in range(0, len(pts), 64))
+    """Largest distance between two of the points: the square root of the
+    largest ``np.sum((p_i - p_j) ** 2)`` over all pairs, bit for bit.
+
+    fl(a - b) = -fl(b - a), so the squared differences are symmetric and
+    only the pairs j >= i are formed, 64 rows i at a time against the rows
+    from i on; memory stays at 64 * len(pts) doubles per coordinate.  Below
+    8 coordinates the squares are added one coordinate at a time, which is
+    the order in which ``np.sum`` adds rows that short; from 8 on its
+    order differs, so its own reduction is kept.
+    """
+    d = pts.shape[1]
+    sq = 0.0
+    for i in range(0, len(pts), 64):
+        block, rest = pts[i:i + 64], pts[i:]
+        if d < 8:
+            acc = np.zeros((len(block), len(rest)))
+            for k in range(d):
+                diff = block[:, k, None] - rest[:, k]
+                acc += diff * diff
+        else:
+            acc = np.sum((block[:, None, :] - rest) ** 2, axis=-1)
+        sq = max(sq, float(acc.max()))
     return math.sqrt(sq)
 
 

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own computational
 paths: golden-section line search instead of the projection closed form,
 face enumeration and cyclic Dykstra instead of the active-set NNLS,
 random-restart polishing instead of the SVD, and closed-form plane
-geometry worked out by hand.
+geometry worked out by hand.  The slice-diameter and slice-sampler
+references are the plain one-pair-block and one-point-at-a-time versions
+that the library's batched kernels must reproduce bit for bit.
 """
 
 import itertools
@@ -14,7 +16,8 @@ import numpy as np
 
 from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph,
                           Halfspace, Hyperplane, NonnegOrthant, OrthoSubspace,
-                          Polygon2D, Polyhedron)
+                          Polygon2D, Polyhedron, _clip_polygon_halfplane,
+                          support_point, support_value)
 
 
 def golden_section_min(fun, lo, hi, tol=1e-12):
@@ -173,6 +176,63 @@ def disc_slice_diameter(alpha, radius=1.0):
     """Diameter of the cap of a disc cut at depth alpha below the top."""
     a = min(alpha, 2.0 * radius)
     return 2.0 * math.sqrt(a * (2.0 * radius - a))
+
+
+def diameter_reference(pts):
+    """Largest pairwise distance from every ordered pair, 64 rows at a time,
+    with the squared differences summed by ``np.sum``."""
+    sq = max(float(np.max(np.sum((pts[i:i + 64, None, :] - pts) ** 2, axis=-1)))
+             for i in range(0, len(pts), 64))
+    return math.sqrt(sq)
+
+
+def ball_slice_reference(B: Ball, f, alpha, n_samples, rng_seed):
+    """The cap sampler of ``slice_sample`` one point at a time (d >= 2)."""
+    rng = np.random.default_rng(rng_seed)
+    f = np.asarray(f, dtype=float)
+    level = support_value(B, f) - alpha
+    fhat = f / float(np.linalg.norm(f))
+    pts = [support_point(B, f)]
+    cos_min = max(-1.0, (level - float(np.dot(f, B.center))) /
+                  (B.radius * float(np.linalg.norm(f))))
+    psi_max = float(np.arccos(np.clip(cos_min, -1.0, 1.0)))
+    d = B.dim
+    while len(pts) < n_samples:
+        psi = rng.uniform(0.0, psi_max)
+        w = rng.standard_normal(d)
+        w -= float(np.dot(w, fhat)) * fhat
+        nw = float(np.linalg.norm(w))
+        if nw < 1e-14:
+            continue
+        w /= nw
+        u = np.cos(psi) * fhat + np.sin(psi) * w
+        r = B.radius * (1.0 if rng.uniform() < 0.7 else rng.uniform() ** (1.0 / d))
+        x = B.center + r * u
+        if float(np.dot(f, x)) >= level - 1e-12:
+            pts.append(x)
+    return np.array(pts[:n_samples])
+
+
+def polygon_slice_reference(P: Polygon2D, f, alpha, n_samples, rng_seed):
+    """The clipped-polygon sampler of ``slice_sample`` one point at a time."""
+    rng = np.random.default_rng(rng_seed)
+    f = np.asarray(f, dtype=float)
+    clipped = _clip_polygon_halfplane(P.vertices, f, support_value(P, f) - alpha)
+    pts = list(clipped)
+    m = len(clipped)
+    while len(pts) < n_samples:
+        if m == 1:
+            pts.append(clipped[0].copy())
+            continue
+        if rng.uniform() < 0.5 or m == 2:
+            i = rng.integers(m)
+            j = (i + 1) % m
+            t = rng.uniform()
+            pts.append((1 - t) * clipped[i] + t * clipped[j])
+        else:
+            w = rng.dirichlet(np.ones(m))
+            pts.append(w @ clipped)
+    return np.array(pts[:n_samples])
 
 
 def disc_min_shift_exact(alpha):

@@ -336,6 +336,32 @@ def test_orthant_halfspace_validation():
         stable_scenario("orthant_halfspace", d=2, a=np.array([-1.0, -1.0]), b=0.5)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_orthant_families_scale_normals_of_extreme_size(scale):
+    """Normals whose squares over- or underflow give the sets of the same
+    normals divided by their largest entry, at the limit and at every step;
+    the bounds family keeps its shift in the units of the given normals."""
+    def sets(kind, **params):
+        sc = stable_scenario(kind, **params)
+        return [exact_fields(S) for S in (sc.B, sc.b_family(1), sc.b_family(40))]
+
+    for kind, a, b in (("orthant_halfspace", [1.0, -1.0], 0.5),
+                       ("orthant_polar", [-1.0, -2.0, -0.5], None)):
+        extra = {} if b is None else {"b": b}
+        big = {} if b is None else {"b": b * scale}
+        assert sets(kind, a=np.array(a) * scale, **big) == sets(kind, a=np.array(a), **extra)
+    normals, offsets = np.array([[1.0, 1.0, 1.0], [1.5, 1.0, 1.0]]), np.array([3.0, 2.0])
+    sc = stable_scenario("orthant_bounds", normals=normals * [[scale], [1.0]],
+                         offsets=offsets * [scale, 1.0])
+    plain = stable_scenario("orthant_bounds", normals=normals, offsets=offsets)
+    assert exact_fields(sc.B) == exact_fields(plain.B)
+    for n in (1, 40):
+        got, want = sc.b_family(n).b, plain.b_family(n).b
+        assert got[1] == want[1]
+        assert got[0] == pytest.approx((3.0 * scale + sc.delta(n)) / (scale * math.sqrt(3.0)),
+                                       rel=1e-15)
+
+
 def test_orthant_bounds_requires_positive_offsets():
     with pytest.raises(InfeasibleParams):
         stable_scenario("orthant_bounds", d=2,

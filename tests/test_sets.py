@@ -18,8 +18,9 @@ from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, 
                           set_from_dict, set_to_dict, slice_sample, support_point,
                           support_value)
 
-from _oracles import (PROJECTABLE_KINDS, disc_slice_diameter, exact_fields,
-                      graph_projection_first_coords_oracle, polyhedron_project_dykstra,
+from _oracles import (PROJECTABLE_KINDS, ball_slice_reference, disc_slice_diameter,
+                      exact_fields, graph_projection_first_coords_oracle,
+                      polygon_slice_reference, polyhedron_project_dykstra,
                       polyhedron_projection_bruteforce, public_translate, random_set)
 
 
@@ -583,6 +584,114 @@ def test_slice_sample_fallback_cycles_through_a_short_draw():
     assert 2 <= len(found) < n
     pts = slice_sample(S, f, alpha, n, seed)
     assert np.array_equal(pts, np.array(found)[np.arange(n) % len(found)])
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_ball_slice_bit_equal_to_one_point_loop(d):
+    """The batched cap sampler draws and returns what the one-point-at-a-time
+    loop does, for thin caps, half balls and the whole ball (alpha >= 2r)."""
+    rng = np.random.default_rng(d)
+    for i in range(12):
+        B = Ball(rng.standard_normal(d) * 3.0, float(rng.uniform(0.2, 3.0)))
+        f = rng.standard_normal(d) * float(rng.uniform(0.5, 2.0))
+        depth = B.radius * float(np.linalg.norm(f))
+        for alpha in (1e-3 * depth, 0.3 * depth, depth, 2.0 * depth, 5.0 * depth):
+            for n in (1, 2, 37, 300):
+                got = slice_sample(B, f, alpha, n, 17 * i + n)
+                want = ball_slice_reference(B, f, alpha, n, 17 * i + n)
+                assert got.shape == (n, d)
+                assert got.tobytes() == want.tobytes(), (i, alpha, n)
+
+
+_SLICE_POLYGONS = [
+    # (polygon, f, alpha, clipped vertex count)
+    (Polygon2D([(0.5, -1.0)]), (0.3, 1.0), 0.1, 1),                      # a point
+    (Polygon2D([(0, 1), (-1, 0), (1, 0)]), (0.0, 1.0), 1e-14, 1),        # the apex
+    (Polygon2D([(-1, 0), (1, 0)]), (0.0, 1.0), 0.5, 2),                  # a segment
+    (Polygon2D([(-1, 0), (2, 1)]), (1.0, 0.0), 1.0, 2),                  # half of one
+    (Polygon2D([(1, 1), (-1, 1), (1, 0), (-1, 0)]), (0.0, 1.0), 1e-14, 2),  # top edge
+    (Polygon2D([(1, 1), (-1, 1), (1, 0), (-1, 0)]), (0.0, 1.0), 0.5, 4),
+    (Polygon2D([(1, 1), (-1, 1), (-1, -1), (1, -1)]), (1.0, 1.0), 0.7, 3),
+    (Polygon2D([(np.cos(t), np.sin(t)) for t in np.linspace(0, 6, 7)]), (0.2, -1.0), 1.5, 6),
+]
+
+
+@pytest.mark.parametrize("P, f, alpha, m", _SLICE_POLYGONS)
+def test_polygon_slice_bit_equal_to_one_point_loop(P, f, alpha, m):
+    """The batched polygon sampler returns what the one-point-at-a-time loop
+    does, for clipped slices of 1, 2 and more vertices and n_samples below,
+    at and above the vertex count."""
+    f = np.array(f, dtype=float)
+    for n in sorted({1, 2, 3, m - 1, m, m + 1, 50, 400} - {0}):
+        for seed in (0, 5):
+            got = slice_sample(P, f, alpha, n, seed)
+            want = polygon_slice_reference(P, f, alpha, n, seed)
+            assert got.shape == (n, 2)
+            assert got.tobytes() == want.tobytes(), (n, seed)
+    assert len(polygon_slice_reference(P, f, alpha, m, 0)) == m
+
+
+_ONE_DIM_BALL = """
+import sys
+import numpy as np
+from altproj.cli import main
+from altproj.sets import Ball, slice_sample
+
+pts = slice_sample(Ball([0.0], 1.0), [1.0], 0.5, 5, 0)
+assert pts.shape == (5, 1) and pts[0, 0] == 1.0, pts
+assert np.all((pts >= 0.5) & (pts <= 1.0)), pts
+pts = slice_sample(Ball([2.0], 1.0), [-3.0], 10.0, 50, 1)   # the whole segment
+assert pts[0, 0] == 1.0 and np.all((pts >= 1.0) & (pts <= 3.0)), pts
+sys.exit(main(["probe", "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"]))
+"""
+
+
+def test_one_dimensional_ball_slice_finishes(tmp_path):
+    """In one dimension the cap has no tangent direction; the slice is a
+    segment, sampled directly, and the exposure probe on it finishes (both
+    looped forever before).  A subprocess keeps a regression from hanging
+    the suite."""
+    cfg = tmp_path / "ball1d.json"
+    cfg.write_text(json.dumps({
+        "kind": "probe", "seed": 3,
+        "params": {"probe": "exposure", "set": {"kind": "ball", "center": [0.0], "radius": 1.0},
+                   "f": [1.0], "alphas": [0.2, 0.1], "n_samples": 50}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", _ONE_DIM_BALL, str(cfg), str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert len(report["result"]["slice_diams"]) == 2
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324])
+def test_normals_of_extreme_size_are_scaled_exactly(scale):
+    """A normal whose squares over- or underflow is scaled through its largest
+    entry: the stored set is the one of the normal (1, 0)."""
+    H = Halfspace([scale, 0.0], scale * 2.0)
+    assert np.array_equal(H.a, [1.0, 0.0]) and H.b == (scale * 2.0) / scale == 2.0
+    assert np.array_equal(H.project(np.array([5.0, 5.0])), [2.0, 5.0])
+    assert np.array_equal(Hyperplane([0.0, -scale], 0.0).a, [0.0, -1.0])
+    P = Polyhedron([[scale, 0.0], [1.0, 1.0]], [scale * 2.0, 4.0], witness=[0.0, 0.0])
+    plain = np.array([[1.0, 1.0]]) / np.linalg.norm(np.array([[1.0, 1.0]]), axis=1)[:, None]
+    assert np.array_equal(P.normals, np.vstack([[1.0, 0.0], plain]))
+    assert P.b[0] == 2.0
+    assert np.array_equal(P.project(np.array([5.0, 0.0])), [2.0, 0.0])
+
+
+def test_extreme_normals_keep_the_zero_checks():
+    with pytest.raises(ValueError, match="a must be nonzero"):
+        Halfspace([0.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match="zero constraint normal"):
+        Polyhedron([[1e200, 0.0], [0.0, 0.0]], [1.0, 1.0], witness=[0.0, 0.0])
+    # the offset scaled by a tiny normal leaves the float range
+    with pytest.raises(ValueError, match="b must be finite"):
+        Halfspace([1e-200, 0.0], 1e200)
+    # normals in [1e-150, 1e150] keep the bits of the plain division
+    for a in ([3e-150, 4e-150], [3e149, 4e149], [0.1, 0.7, -2.0]):
+        a = np.array(a)
+        assert np.array_equal(Halfspace(a, 1.0).a, a / float(np.linalg.norm(a)))
+        assert Halfspace(a, 1.0).b == 1.0 / float(np.linalg.norm(a))
 
 
 # ---------------------------------------------------------------------------

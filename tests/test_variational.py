@@ -6,7 +6,7 @@ import pytest
 from altproj.geometry import ConeSpec, cone_from_angle
 from altproj.sets import (Ball, DiagonalAffineGraph, Halfspace,
                           OrthoSubspace, Polygon2D, SamplerFailure)
-from altproj.variational import (AwEstimate, ExposureProbe,
+from altproj.variational import (AwEstimate, ExposureProbe, _diameter,
                                  aw_distance, check_cos_separation,
                                  check_fact_norms, epsilon_alpha,
                                  eventual_containment_probe,
@@ -14,7 +14,7 @@ from altproj.variational import (AwEstimate, ExposureProbe,
                                  sample_cone_point, separation_constants,
                                  strongly_exposes_probe, wset_contains)
 
-from _oracles import (disc_min_shift_exact, omega_bruteforce,
+from _oracles import (diameter_reference, disc_min_shift_exact, omega_bruteforce,
                       polygon_containing_ball)
 
 
@@ -230,6 +230,22 @@ def test_exposure_probe_corner_slice_linear():
                                    n_samples=400, rng_seed=6)
     for alpha, diam in zip(probe.alphas, probe.slice_diams):
         assert diam == pytest.approx(2.0 * alpha, rel=0.08)
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_diameter_bit_equal_to_all_pairs_reference(d):
+    """The upper-triangle diameter gives the all-pairs maximum bit for bit:
+    per-coordinate sums below d = 8, np.sum's reduction from 8 on."""
+    rng = np.random.default_rng(100 + d)
+    for n in (1, 2, 7, 63, 64, 65, 130, 201):
+        for scale in (1e-6, 1.0, 1e6):
+            pts = rng.standard_normal((n, d)) * scale
+            if n > 2:
+                pts[n // 2] = pts[0]     # a repeated point
+                pts[-1] = pts[1]
+            assert _diameter(pts).hex() == diameter_reference(pts).hex(), (n, scale)
+    same = np.tile(rng.standard_normal(d), (70, 1))
+    assert _diameter(same) == diameter_reference(same) == 0.0
 
 
 def test_exposure_probe_invariant_validation():
