@@ -38,7 +38,7 @@ from . import variational as var
 from .engine import (Blocks, Constant, ProjectionStepError, RunConfig, ScheduleExhausted,
                      run_perturbed, trace_to_csv, trace_to_json)
 from .geometry import as_point
-from .sets import ProjectionCertificateError, SamplerFailure, set_from_dict
+from .sets import ProjectionCertificateError, SamplerFailure, SupportUnavailable, set_from_dict
 
 
 class ConfigError(ValueError):
@@ -311,12 +311,23 @@ def _probe_execute(cfg, p):
     probe = p["probe"]
     # The two closed-form probes are computed here, so validate checks them in full.
     if probe == "omega":
+        for key in ("U", "V"):
+            for i, row in enumerate(p[key]):
+                _require(len(row) == len(p["U"][0]), f"params.{key}[{i}]",
+                         f"has dimension {len(row)}, expected {len(p['U'][0])}")
         rep = var.omega_angle(np.array(p["U"], dtype=float), np.array(p["V"], dtype=float))
         return lambda out_dir, quiet: {"probe": "omega", "seed": seed, "result": rep.as_dict()}
     if probe == "exposure":
         S = _parse_set(p["set"], "params.set")
         f = _vector(p, "f", S.dim)
+        _require(float(np.linalg.norm(f)) > 0.0, "params.f", "support direction must be nonzero")
+        try:
+            S.support_value(f)
+        except SupportUnavailable as exc:
+            _fail("params.f", str(exc))
         alphas = [float(a) for a in p["alphas"]]
+        _require(all(a > b for a, b in zip(alphas, alphas[1:])), "params.alphas",
+                 "must be strictly decreasing")
         n = p.get("n_samples", 400)
         return lambda out_dir, quiet: {
             "probe": "exposure", "seed": seed, "n_samples": n,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .engine import (Adaptive, Blocks, PerStep, RunConfig, ScheduleExhausted, Trace,
                      run_perturbed)
-from .geometry import as_point, pack, ProductPoint
+from .geometry import as_point
 from .sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace,
                    NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron,
                    _normal_in_range, _row_scales)
@@ -402,7 +402,7 @@ def ell2_schedule(c: Ell2Construction) -> Blocks:
 
 
 def ell2_start_point(c: Ell2Construction) -> np.ndarray:
-    return pack(ProductPoint(c.start_alphas, np.zeros(c.d)))
+    return np.concatenate((c.start_alphas, np.zeros(c.d)))
 
 
 def ell2_limit_graph(c: Ell2Construction) -> DiagonalAffineGraph:
@@ -484,7 +484,7 @@ def ell2_verify_engine(c: Ell2Construction, checkpoints, window: int = 64) -> fl
     for h, t in checkpoints:
         blk = c.blocks[h - 1]
         t0 = max(0, t - window)
-        state = pack(ProductPoint(c.closed_alphas(h, t0), np.zeros(d)))
+        state = np.concatenate((c.closed_alphas(h, t0), np.zeros(d)))
         graph = DiagonalAffineGraph(blk.theta, blk.b)
         for _ in range(t - t0):
             state = first_factor.project(graph.project(state))

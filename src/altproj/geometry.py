@@ -1,4 +1,4 @@
-"""Vector arithmetic, angles, and conical regions in R^d.
+"""Point validation, row norms, and conical regions in R^d.
 
 Points are plain 1-D float64 numpy arrays.  All operations treat the
 ambient dimension as fixed: mixing dimensions is an error, not a
@@ -8,8 +8,8 @@ broadcast.  The two cone families used throughout the package are
     V(f, alpha) = {x : <f, x> <= alpha * ||x||}      (its closed complement-shaped cone)
 
 for a unit functional f (represented by its Riesz vector) and
-alpha in (0, 1).  Shifted copies C - lambda*x0 and V + lambda*x0 are
-expressed through :class:`ConeSpec`.
+alpha in (0, 1).  Shifted copies C - lambda*x0 and V + lambda*x0, with
+x0 the Riesz vector itself, are expressed through :class:`ConeSpec`.
 """
 
 from __future__ import annotations
@@ -63,94 +63,26 @@ def as_points(X, dim: int) -> np.ndarray:
     return P
 
 
-def inner(u, v) -> float:
-    """Euclidean inner product with a dimension check."""
-    u = as_point(u)
-    v = as_point(v, dim=u.size)
-    return float(np.dot(u, v))
-
-
-def norm(u) -> float:
-    return float(np.linalg.norm(as_point(u)))
-
-
 def row_norms(X) -> np.ndarray:
-    """Norms of the rows of a (k, d) array, each bit-equal to ``norm`` of the
-    row: ``np.vecdot`` sums in the order of the 1-D ``np.dot`` under
+    """Norms of the rows of a (k, d) array, each bit-equal to ``np.linalg.norm``
+    of the row: ``np.vecdot`` sums in the order of the 1-D ``np.dot`` under
     ``np.linalg.norm``, where ``np.linalg.norm(X, axis=1)`` does not."""
     return np.sqrt(np.vecdot(X, X))
-
-
-def cos_angle(u, v) -> float:
-    """Cosine of the angle between two nonzero vectors, clamped to [-1, 1].
-
-    The clamp absorbs rounding so that downstream ``arccos`` never sees
-    1 + 1e-16.
-    """
-    u = as_point(u)
-    v = as_point(v, dim=u.size)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cos_angle requires nonzero vectors")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
-@dataclass(frozen=True)
-class ProductPoint:
-    """Element (first, second) of the product space X (+)_2 X.
-
-    The squared norm is ||first||^2 + ||second||^2 and the packed form is
-    the concatenation, so pack/unpack is lossless.
-    """
-
-    first: np.ndarray
-    second: np.ndarray
-
-    def __post_init__(self):
-        f = as_point(self.first)
-        s = as_point(self.second, dim=f.size)
-        object.__setattr__(self, "first", f)
-        object.__setattr__(self, "second", s)
-
-    @property
-    def dim(self) -> int:
-        return self.first.size
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.first, self.first)
-                             + np.dot(self.second, self.second)))
-
-
-def pack(p: ProductPoint) -> np.ndarray:
-    """Concatenate the two factors into a single point of length 2d."""
-    return np.concatenate([p.first, p.second])
-
-
-def unpack(q) -> ProductPoint:
-    """Split a point of even length 2d back into its two factors."""
-    q = as_point(q)
-    if q.size % 2 != 0:
-        raise ValueError(f"cannot unpack odd length {q.size}")
-    d = q.size // 2
-    return ProductPoint(q[:d].copy(), q[d:].copy())
 
 
 @dataclass(frozen=True)
 class ConeSpec:
     """A shifted cone C(f, alpha) - shift*x0 or V(f, alpha) + shift*x0.
 
-    ``riesz`` is the unit vector representing the functional f and
-    ``direction`` is the unit vector x0 with f(x0) = 1 (which forces
-    direction == riesz; both are kept so the shift convention reads off
-    the definition).  The shift sign convention is fixed: C-cones shift
-    along -direction, V-cones along +direction.
+    ``riesz`` is the unit vector representing the functional f; it is
+    also the unit vector x0 with f(x0) = 1 along which the cone shifts.
+    The shift sign convention is fixed: C-cones shift along -riesz,
+    V-cones along +riesz.
     """
 
     riesz: np.ndarray
     alpha: float
     shift: float = 0.0
-    direction: np.ndarray | None = None
     kind: str = "C"
 
     def __post_init__(self):
@@ -160,17 +92,6 @@ class ConeSpec:
             raise ValueError("riesz vector must be nonzero")
         r = r / nr
         object.__setattr__(self, "riesz", r)
-        if self.direction is None:
-            object.__setattr__(self, "direction", r.copy())
-        else:
-            d = as_point(self.direction, dim=r.size)
-            nd = np.linalg.norm(d)
-            if nd == 0.0:
-                raise ValueError("direction must be nonzero")
-            d = d / nd
-            if abs(float(np.dot(r, d)) - 1.0) > 1e-12:
-                raise ValueError("direction must satisfy f(direction) = 1")
-            object.__setattr__(self, "direction", d)
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
         if not 0.0 <= self.shift < np.inf:
@@ -192,9 +113,9 @@ def cone_contains(spec: ConeSpec, x, tol: float = 0.0) -> bool:
     """
     x = as_point(x, dim=spec.dim)
     if spec.kind == "C":
-        y = x + spec.shift * spec.direction
+        y = x + spec.shift * spec.riesz
         return float(np.dot(spec.riesz, y)) >= spec.alpha * float(np.linalg.norm(y)) - tol
-    y = x - spec.shift * spec.direction
+    y = x - spec.shift * spec.riesz
     return float(np.dot(spec.riesz, y)) <= spec.alpha * float(np.linalg.norm(y)) + tol
 
 

@@ -7,13 +7,13 @@ everywhere except ``Polyhedron``, whose projection solves the
 least-distance program by active-set NNLS (Lawson & Hanson, *Solving Least
 Squares Problems*, ch. 23) and checks a KKT certificate on every call; the
 same NNLS decides, by Farkas' lemma, in which directions a polyhedron is
-unbounded.  ``project_many`` projects a (k, d) batch of points, bit-equal
-row by row to ``project``; the sampled probes project their samples
-through it.  A kind with fields to check checks them in one ``_store``:
-the constructor turns its input into stored form (a unit normal,
-normalised rows) and passes it there, and ``ConvexSet._replace``, which
-per-step families use to build sets from validated ones, passes only the
-fields that move.  The runtime needs numpy only.
+unbounded.  ``project_many`` and ``distance_many`` take (k, d) batches,
+bit-equal row by row to ``project`` and to ``distance``, which is
+defined from it; the sampled probes use them.  A kind with fields to
+check checks them in one ``_store``: the constructor turns its input
+into stored form (a unit normal, normalised rows) and passes it there,
+and ``ConvexSet._replace``, used by the per-step families, passes only
+the fields that move.  The runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ def _normal_in_range(a, b, name="a"):
     the largest |a_i| and n is taken again.  A normal in range comes back
     as given, so a / n and b / n keep the bits of the plain division.
     """
-    n = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
+        n = float(np.linalg.norm(a))
     if n < 1e-150 or n > 1e150:
         s = float(np.max(np.abs(a)))
         if s == 0.0:
@@ -64,7 +65,8 @@ def _row_scales(A):
     the offset scaled to match.  A row whose plain norm is in range has
     s_i = 1, which keeps the bits; a zero row has s_i = 0.  (Row norms sum
     in another order than the 1-D norm, so each keeps its own.)"""
-    n = np.linalg.norm(A, axis=1)
+    with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
+        n = np.linalg.norm(A, axis=1)
     s = np.ones(len(n))
     odd = (n < 1e-150) | (n > 1e150)
     if odd.any():
@@ -134,8 +136,7 @@ class ConvexSet:
     _replaceable = frozenset()  # fields _replace may change: no attribute derives from them
 
     def distance(self, x) -> float:
-        x = as_point(x, dim=self.dim)
-        return float(np.linalg.norm(x - self.project(x)))
+        return float(self.distance_many(as_point(x, dim=self.dim)[None])[0])
 
     def project_many(self, X) -> np.ndarray:
         """Row i is ``project(X[i])``, for a (k, dim) array X.  The kinds with
@@ -237,10 +238,6 @@ class Halfspace(_UnitNormal):
         out[out_side] -= excess[out_side, None] * self.a
         return out
 
-    def distance(self, x):
-        x = as_point(x, dim=self.dim)
-        return max(0.0, float(np.dot(self.a, x)) - self.b)
-
     def distance_many(self, X):
         return _positive_part(np.vecdot(as_points(X, self.dim), self.a) - self.b)
 
@@ -263,10 +260,6 @@ class Hyperplane(_UnitNormal):
     def project_many(self, X):
         X = as_points(X, self.dim)
         return X - (np.vecdot(X, self.a) - self.b)[:, None] * self.a
-
-    def distance(self, x):
-        x = as_point(x, dim=self.dim)
-        return abs(float(np.dot(self.a, x)) - self.b)
 
     def distance_many(self, X):
         return np.abs(np.vecdot(as_points(X, self.dim), self.a) - self.b)
@@ -318,10 +311,6 @@ class Ball(ConvexSet):
         far = n > self.radius
         out[far] = self.center + (self.radius / n[far])[:, None] * D[far]
         return out
-
-    def distance(self, x):
-        x = as_point(x, dim=self.dim)
-        return max(0.0, float(np.linalg.norm(x - self.center)) - self.radius)
 
     def distance_many(self, X):
         return _positive_part(row_norms(as_points(X, self.dim) - self.center) - self.radius)
@@ -544,10 +533,6 @@ class AffineSubspace(ConvexSet):
     def translate(self, v):
         return self._replace(anchor=self.anchor + as_point(v, dim=self.dim))
 
-    def min_norm_anchor(self):
-        """The point of the flat closest to the origin."""
-        return self.anchor - self.basis.T @ (self.basis @ self.anchor)
-
 
 @dataclass(frozen=True, eq=False)
 class NonnegOrthant(ConvexSet):
@@ -568,10 +553,6 @@ class NonnegOrthant(ConvexSet):
 
     def project_many(self, X):
         return np.maximum(as_points(X, self.d), 0.0)
-
-    def distance(self, x):
-        x = as_point(x, dim=self.d)
-        return float(np.linalg.norm(np.minimum(x, 0.0)))
 
     def distance_many(self, X):
         return row_norms(np.minimum(as_points(X, self.d), 0.0))
@@ -874,29 +855,6 @@ def _polyhedron_unbounded_in(S: Polyhedron, f: np.ndarray, tol: float = 1e-9) ->
     return float(np.linalg.norm(S.normals.T @ lam - fhat)) > tol
 
 
-def support_value(S, f) -> float:
-    """sup over S of <f, .>; exact per kind, error if unbounded/unsupported."""
-    f = as_point(f)
-    if float(np.linalg.norm(f)) == 0.0:
-        raise ValueError("support direction must be nonzero")
-    return S.support_value(f)
-
-
-def support_point(S, f) -> np.ndarray:
-    """A point of S attaining sup <f, .>, for the bounded kinds."""
-    return S.support_point(as_point(f))
-
-
-def sample_points(S, n: int, rng, scale: float = 1.0) -> np.ndarray:
-    """n points of S, boundary-biased: ambient Gaussians projected onto S.
-
-    Scale controls the Gaussian spread; projections of far-away ambient
-    points land on the boundary, which is where excesses and cone shifts
-    are attained, so the bias is deliberate.
-    """
-    return S.project_many(rng.standard_normal((n, S.dim)) * scale)
-
-
 def slice_sample(S, f, alpha: float, n_samples: int, rng_seed: int) -> np.ndarray:
     """Sample points of S lying within alpha of sup <f, .> over S.
 
@@ -915,7 +873,9 @@ def slice_sample(S, f, alpha: float, n_samples: int, rng_seed: int) -> np.ndarra
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(rng_seed)
     f = as_point(f, dim=S.dim)
-    sup = support_value(S, f)
+    if float(np.linalg.norm(f)) == 0.0:
+        raise ValueError("support direction must be nonzero")
+    sup = S.support_value(f)
     level = sup - alpha  # keep x with <f, x> >= level
 
     if isinstance(S, Ball):
@@ -956,7 +916,7 @@ def _ball_slice(S: Ball, f, level: float, n_samples: int, rng) -> np.ndarray:
     fhat = f / nf
     # cos of the polar angle at which the sphere leaves the slice
     cos_min = max(-1.0, (level - float(np.dot(f, c))) / (radius * nf))
-    found, count = [support_point(S, f)[None]], 1
+    found, count = [S.support_point(f)[None]], 1
     if d == 1:
         # every Gaussian is parallel to f there, so the cap has no tangent part
         t = rng.uniform(min(cos_min, 1.0) * radius, radius, n_samples - 1)

@@ -17,8 +17,7 @@ import numpy as np
 
 from .geometry import ConeSpec, as_point, cone_contains, row_norms
 from .sets import (AffineSubspace, DiagonalAffineGraph, Halfspace,
-                   OrthoSubspace, SamplerFailure, _check_orthonormal, sample_points,
-                   slice_sample, support_point, support_value)
+                   OrthoSubspace, SamplerFailure, _check_orthonormal, slice_sample)
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,8 @@ def _is_line(S):
 
 
 def _line_anchor_dir(S):
-    if isinstance(S, OrthoSubspace):
-        return np.zeros(S.dim), S.basis[0]
-    return S.min_norm_anchor(), S.basis[0]
+    """The line's point closest to the origin, and its direction."""
+    return S.project(np.zeros(S.dim)), S.basis[0]
 
 
 def _excess_halfspace(H1: Halfspace, H2: Halfspace, N: int) -> float:
@@ -312,9 +310,11 @@ def strongly_exposes_probe(A, f, alphas, n_samples: int = 400,
     ratios bounded away from 0.
     """
     f = as_point(f, dim=A.dim)
+    if float(np.linalg.norm(f)) == 0.0:
+        raise ValueError("support direction must be nonzero")
     alphas = tuple(float(a) for a in alphas)
-    support_value(A, f)  # raises if unbounded in direction f
-    star = support_point(A, f)
+    A.support_value(f)  # raises if unbounded in direction f
+    star = A.support_point(f)
     translated = A.translate(-star)
     fprime = -f / float(np.linalg.norm(f))
     diams = []
@@ -334,7 +334,7 @@ def eventual_containment_probe(sets, cone: ConeSpec, n_samples: int = 400,
     rng = np.random.default_rng(rng_seed)
     flags = []
     for S in sets:
-        pts = sample_points(S, n_samples, rng, scale=3.0)
+        pts = S.project_many(rng.standard_normal((n_samples, S.dim)) * 3.0)
         flags.append(bool(all(cone_contains(cone, p, tol=1e-9) for p in pts)))
     return flags
 

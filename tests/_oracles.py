@@ -6,7 +6,9 @@ face enumeration and cyclic Dykstra instead of the active-set NNLS,
 random-restart polishing instead of the SVD, and closed-form plane
 geometry worked out by hand.  The slice-diameter and slice-sampler
 references are the plain one-pair-block and one-point-at-a-time versions
-that the library's batched kernels must reproduce bit for bit.
+that the library's batched kernels must reproduce bit for bit, and the
+scalar distance closed forms are those that ``distance``, now row 0 of
+``distance_many``, must reproduce bit for bit.
 """
 
 import itertools
@@ -16,8 +18,7 @@ import numpy as np
 
 from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph,
                           Halfspace, Hyperplane, NonnegOrthant, OrthoSubspace,
-                          Polygon2D, Polyhedron, _clip_polygon_halfplane,
-                          support_point, support_value)
+                          Polygon2D, Polyhedron, _clip_polygon_halfplane)
 
 
 def golden_section_min(fun, lo, hi, tol=1e-12):
@@ -172,6 +173,14 @@ def omega_bruteforce(U, V, n_samples=200_000, rng=None, polish=True):
     return max(best, -float(res.fun))
 
 
+DISTANCE_CLOSED_FORMS = {
+    Halfspace: lambda S, x: max(0.0, float(np.dot(S.a, x)) - S.b),
+    Hyperplane: lambda S, x: abs(float(np.dot(S.a, x)) - S.b),
+    Ball: lambda S, x: max(0.0, float(np.linalg.norm(x - S.center)) - S.radius),
+    NonnegOrthant: lambda S, x: float(np.linalg.norm(np.minimum(x, 0.0))),
+}
+
+
 def disc_slice_diameter(alpha, radius=1.0):
     """Diameter of the cap of a disc cut at depth alpha below the top."""
     a = min(alpha, 2.0 * radius)
@@ -190,9 +199,9 @@ def ball_slice_reference(B: Ball, f, alpha, n_samples, rng_seed):
     """The cap sampler of ``slice_sample`` one point at a time (d >= 2)."""
     rng = np.random.default_rng(rng_seed)
     f = np.asarray(f, dtype=float)
-    level = support_value(B, f) - alpha
+    level = B.support_value(f) - alpha
     fhat = f / float(np.linalg.norm(f))
-    pts = [support_point(B, f)]
+    pts = [B.support_point(f)]
     cos_min = max(-1.0, (level - float(np.dot(f, B.center))) /
                   (B.radius * float(np.linalg.norm(f))))
     psi_max = float(np.arccos(np.clip(cos_min, -1.0, 1.0)))
@@ -217,7 +226,7 @@ def polygon_slice_reference(P: Polygon2D, f, alpha, n_samples, rng_seed):
     """The clipped-polygon sampler of ``slice_sample`` one point at a time."""
     rng = np.random.default_rng(rng_seed)
     f = np.asarray(f, dtype=float)
-    clipped = _clip_polygon_halfplane(P.vertices, f, support_value(P, f) - alpha)
+    clipped = _clip_polygon_halfplane(P.vertices, f, P.support_value(f) - alpha)
     pts = list(clipped)
     m = len(clipped)
     while len(pts) < n_samples:

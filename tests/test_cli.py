@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +278,10 @@ def _classical(A, B=BALL, start=(1.0, 1.0)):
     return {"kind": "classical", "params": {"A": A, "B": B, "start": list(start)}}
 
 
+def _exposure(f, alphas, S=BALL):
+    return {"kind": "probe", "params": {"probe": "exposure", "set": S, "f": f, "alphas": alphas}}
+
+
 @pytest.mark.parametrize("command, doc, field", [
     ("probe", {"kind": "probe", "params": {"probe": "aw", "family": "bogus"}},
      "params.family"),
@@ -300,6 +308,15 @@ def _classical(A, B=BALL, start=(1.0, 1.0)):
     ("run", {"kind": "stable-scenario",
              "params": {"scenario": "orthant_bounds", "delta_scale": -10}},
      "params.delta_scale"),
+    ("probe", _exposure([0.0, 0.0], [0.1]), "params.f"),
+    ("probe", _exposure([0.0, 1.0], [0.1, 0.2]), "params.alphas"),
+    ("probe", _exposure([0.0, 1.0], [1.5, 0.1]), "params.alphas[0]"),
+    ("probe", _exposure([1.0, 1.0], [0.1], {"kind": "halfspace", "a": [0.0, 1.0], "b": 0.0}),
+     "params.f"),
+    ("probe", {"kind": "probe", "params": {"probe": "omega", "U": [[1.0, 0.0, 0.0]],
+                                           "V": [[0.0, 1.0, 0.0, 0.0]]}}, "params.V[0]"),
+    ("probe", {"kind": "probe", "params": {"probe": "omega", "U": [[1.0, 0.0], [0.0]],
+                                           "V": [[0.0, 1.0]]}}, "params.U[1]"),
 ])
 def test_run_and_validate_reject_the_same_configs(tmp_path, capsys, command, doc, field):
     cfg = write_config(tmp_path, doc)
@@ -307,6 +324,17 @@ def test_run_and_validate_reject_the_same_configs(tmp_path, capsys, command, doc
         assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert field in capsys.readouterr().err
     assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_huge_normal_run_leaves_stderr_empty(tmp_path):
+    """A normal whose plain norm overflows is valid, and the run prints no
+    numpy warning."""
+    cfg = write_config(tmp_path, _classical({"kind": "halfspace", "a": [1e200, 0.0], "b": 0.0}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "altproj", "run", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"), "--quiet"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("scenario, cause", [("overlapping_balls", "radius must be positive"),

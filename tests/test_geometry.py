@@ -3,35 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from altproj.geometry import (ConeSpec, DimensionMismatch, ProductPoint,
-                              as_point, cone_contains, cone_from_angle,
-                              cos_angle, inner, pack, unpack)
-
-finite_coords = st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False, allow_infinity=False)
-
-
-def vectors(dim):
-    return arrays(np.float64, dim, elements=finite_coords)
-
-
-def test_inner_examples():
-    assert inner([1, 0], [0, 1]) == 0.0
-    assert inner([1, 2], [3, 4]) == 11.0
-
-
-@given(vectors(4))
-def test_inner_norm_consistency(u):
-    assert inner(u, u) == pytest.approx(np.linalg.norm(u) ** 2, abs=1e-6, rel=1e-12)
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        inner([1.0, 2.0], [1.0, 2.0, 3.0])
+from altproj.geometry import (ConeSpec, DimensionMismatch, as_point, cone_contains,
+                              cone_from_angle)
 
 
 def test_as_point_rejects_nonfinite():
@@ -106,71 +80,15 @@ def test_as_point_large_finite_coordinates_warn_nothing():
         assert as_point(x) is x
 
 
-@given(vectors(5), vectors(5))
-def test_cauchy_schwarz(u, v):
-    # absolute slack 1e-12 at unit scale; relative term absorbs rounding of
-    # the norm product for large coordinates
-    bound = np.linalg.norm(u) * np.linalg.norm(v)
-    assert abs(inner(u, v)) <= bound * (1 + 1e-12) + 1e-12
-
-
-def test_cos_angle_examples():
-    assert cos_angle([1, 0], [1, 1]) == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
-    assert cos_angle([2, 3], [2, 3]) == pytest.approx(1.0, abs=1e-15)
-    assert cos_angle([1, 0], [-1, 0]) == pytest.approx(-1.0, abs=1e-15)
-
-
-def test_cos_angle_zero_vector_rejected():
-    with pytest.raises(ValueError):
-        cos_angle([0.0, 0.0], [1.0, 0.0])
-
-
-@given(vectors(3), vectors(3))
-def test_cos_angle_clamped(u, v):
-    if np.linalg.norm(u) == 0 or np.linalg.norm(v) == 0:
-        return
-    assert -1.0 <= cos_angle(u, v) <= 1.0
-
-
-def test_pack_unpack_examples():
-    p = ProductPoint(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert pack(p).tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert np.linalg.norm(pack(ProductPoint(np.array([3.0, 0.0]),
-                                            np.array([4.0, 0.0])))) == 5.0
-
-
-@given(vectors(3), vectors(3))
-def test_pack_unpack_round_trip(a, b):
-    p = ProductPoint(a, b)
-    q = unpack(pack(p))
-    np.testing.assert_array_equal(q.first, p.first)
-    np.testing.assert_array_equal(q.second, p.second)
-    assert p.norm() == pytest.approx(np.linalg.norm(pack(p)), rel=1e-12, abs=1e-12)
-
-
-def test_unpack_odd_length():
-    with pytest.raises(ValueError):
-        unpack(np.array([1.0, 2.0, 3.0]))
-
-
-def test_product_point_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        ProductPoint(np.array([1.0]), np.array([1.0, 2.0]))
-
-
 def test_cone_spec_normalizes_and_validates():
     spec = ConeSpec(np.array([0.0, 2.0]), alpha=0.5)
     assert np.linalg.norm(spec.riesz) == pytest.approx(1.0, abs=1e-15)
-    np.testing.assert_allclose(spec.direction, spec.riesz)
     with pytest.raises(ValueError):
         ConeSpec(np.array([0.0, 0.0]), alpha=0.5)
     with pytest.raises(ValueError):
         ConeSpec(np.array([1.0, 0.0]), alpha=1.0)
     with pytest.raises(ValueError):
         ConeSpec(np.array([1.0, 0.0]), alpha=0.5, shift=-0.1)
-    with pytest.raises(ValueError):
-        # direction not the Riesz vector fails f(direction) = 1
-        ConeSpec(np.array([1.0, 0.0]), alpha=0.5, direction=np.array([0.0, 1.0]))
 
 
 def test_cone_contains_axis_examples():
@@ -233,5 +151,5 @@ def test_cos_separation_property_on_cone_samples(rng):
         y = math.cos(psi_y) * x0 + math.sin(psi_y) * wy
         assert cone_contains(c2, x, tol=1e-12)
         assert cone_contains(v1, y, tol=1e-12)
-        worst = max(worst, cos_angle(x, y))
+        worst = max(worst, float(np.dot(x, y)) / float(np.linalg.norm(x) * np.linalg.norm(y)))
     assert worst <= bound + 1e-9

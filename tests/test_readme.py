@@ -1,0 +1,18 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_library_tour_runs():
+    """The README's python block runs as written against the package root,
+    and prints no warning."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,11 @@ from altproj.geometry import ConeSpec
 from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, Hyperplane,
                           NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron,
                           ProjectionCertificateError, SupportUnavailable,
-                          _polyhedron_unbounded_in, sample_points,
-                          set_from_dict, set_to_dict, slice_sample, support_point,
-                          support_value)
+                          _polyhedron_unbounded_in, set_from_dict, set_to_dict,
+                          slice_sample)
 
-from _oracles import (PROJECTABLE_KINDS, ball_slice_reference, disc_slice_diameter,
+from _oracles import (DISTANCE_CLOSED_FORMS, PROJECTABLE_KINDS, ball_slice_reference,
+                      disc_slice_diameter,
                       exact_fields, graph_projection_first_coords_oracle,
                       polygon_slice_reference, polyhedron_project_dykstra,
                       polyhedron_projection_bruteforce, public_translate, random_set)
@@ -272,9 +273,9 @@ def test_polyhedron_unbounded_direction_exact_cases():
     assert not _polyhedron_unbounded_in(P, a)
     assert _polyhedron_unbounded_in(P, -a)
     ray = Polyhedron(np.array([[2.0]]), np.array([3.0]), witness=np.zeros(1))
-    assert support_value(ray, np.array([2.0])) == 3.0
+    assert ray.support_value(np.array([2.0])) == 3.0
     with pytest.raises(SupportUnavailable, match="unbounded"):
-        support_value(ray, np.array([-2.0]))
+        ray.support_value(np.array([-2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +296,24 @@ def test_membership_examples():
 
 
 def test_support_value_examples():
-    assert support_value(Ball(np.array([0.0, 1.0]), 1.0),
-                         np.array([0.0, -1.0])) == pytest.approx(0.0, abs=1e-15)
+    assert Ball(np.array([0.0, 1.0]), 1.0).support_value(
+        np.array([0.0, -1.0])) == pytest.approx(0.0, abs=1e-15)
     A = Polygon2D([(1, 1), (-1, 1), (1, 0), (-1, 0)])
-    assert support_value(A, np.array([0.0, 1.0])) == 1.0
-    assert support_value(A, np.array([0.0, -1.0])) == 0.0
+    assert A.support_value(np.array([0.0, 1.0])) == 1.0
+    assert A.support_value(np.array([0.0, -1.0])) == 0.0
 
 
 def test_support_value_unbounded_direction_errors():
     with pytest.raises(SupportUnavailable):
-        support_value(Halfspace(np.array([1.0, 0.0]), 0.0), np.array([0.0, 1.0]))
+        Halfspace(np.array([1.0, 0.0]), 0.0).support_value(np.array([0.0, 1.0]))
     with pytest.raises(SupportUnavailable):
-        support_value(NonnegOrthant(2), np.array([1.0, -1.0]))
+        NonnegOrthant(2).support_value(np.array([1.0, -1.0]))
     with pytest.raises(SupportUnavailable):
-        support_value(OrthoSubspace(np.array([[1.0, 0.0]])), np.array([1.0, 0.0]))
+        OrthoSubspace(np.array([[1.0, 0.0]])).support_value(np.array([1.0, 0.0]))
     # unbounded polyhedron direction detected
     P = Polyhedron(np.array([[1.0, 0.0]]), np.array([1.0]), witness=np.zeros(2))
     with pytest.raises(SupportUnavailable):
-        support_value(P, np.array([-1.0, 0.0]))
+        P.support_value(np.array([-1.0, 0.0]))
 
 
 def test_support_value_polyhedron_matches_vertices(rng):
@@ -320,10 +321,10 @@ def test_support_value_polyhedron_matches_vertices(rng):
         P = random_set("polyhedron", rng, dim=2)
         f = rng.standard_normal(2)
         try:
-            val = support_value(P, f)
+            val = P.support_value(f)
         except SupportUnavailable:
             continue
-        pt = support_point(P, f)
+        pt = P.support_point(f)
         assert float(f @ pt) == pytest.approx(val, rel=1e-9, abs=1e-9)
         assert P.membership(pt, 1e-7)
 
@@ -357,7 +358,7 @@ def test_slice_sample_contains_support_face_point():
     B = Ball(np.array([2.0, 0.0]), 1.0)
     f = np.array([1.0, 0.0])
     pts = slice_sample(B, f, alpha=0.05, n_samples=50, rng_seed=3)
-    assert np.max(pts @ f) >= support_value(B, f) - 1e-9
+    assert np.max(pts @ f) >= B.support_value(f) - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +527,7 @@ def test_translate_consistency(rng):
 def test_sample_points_land_in_set(rng):
     for kind in PROJECTABLE_KINDS:
         S = random_set(kind, rng)
-        for p in sample_points(S, 16, rng):
+        for p in S.project_many(rng.standard_normal((16, S.dim))):
             assert S.membership(p, 1e-8)
 
 
@@ -575,7 +576,7 @@ def test_slice_sample_fallback_cycles_through_a_short_draw():
     S = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
                    np.array([6.0, -5.0, 1.0, 1.0]), witness=np.array([5.5, 0.0]))
     f, alpha, n, seed = np.array([0.01, 0.0]), 0.005, 8, 0
-    rng, sup = np.random.default_rng(seed), support_value(S, f)
+    rng, sup = np.random.default_rng(seed), S.support_value(f)
     found = []
     for _ in range(200 * n):   # the one-at-a-time rejection loop
         x = S.project(rng.standard_normal(2) * (2.0 + abs(sup)))
@@ -692,6 +693,54 @@ def test_extreme_normals_keep_the_zero_checks():
         a = np.array(a)
         assert np.array_equal(Halfspace(a, 1.0).a, a / float(np.linalg.norm(a)))
         assert Halfspace(a, 1.0).b == 1.0 / float(np.linalg.norm(a))
+
+
+def test_huge_normals_build_without_a_warning():
+    """The plain norm of a normal above about 1e154 overflows before the
+    rescale; numpy's overflow warning for it is not shown."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = Halfspace([1e200, 1e200], 1e200)
+        L = Hyperplane([1e200, -1e200], 0.0)
+        P = Polyhedron([[1e200, 1e200], [-1.0, 0.0]], [1e200, 0.0], witness=[0.0, 0.0])
+    assert np.array_equal(L.a, [H.a[0], -H.a[1]]) and H.a[0] == H.a[1] == P.normals[0, 0]
+    assert H.b == P.b[0] == H.a[0]
+
+
+def _distance_cases(kind, d, scale, rng):
+    """A set of ``kind`` in R^d at ``scale`` and points inside, outside and
+    on its boundary."""
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    t = scale * rng.uniform(0.1, 2.0, 4)
+    if kind is NonnegOrthant:
+        y = scale * rng.uniform(0.1, 2.0, d)
+        on = y.copy()
+        on[rng.integers(d)] = 0.0
+        out = y.copy()
+        out[: (d + 1) // 2] *= -1.0
+        return NonnegOrthant(d), [y, on, out, -y]
+    if kind is Ball:
+        B = Ball(scale * rng.standard_normal(d), scale * rng.uniform(0.5, 2.0))
+        return B, [B.center, B.center + 0.5 * B.radius * u, B.center + B.radius * u,
+                   B.center + (B.radius + t[0]) * u, B.center - (B.radius + t[1]) * u]
+    S = kind(rng.standard_normal(d), scale * rng.standard_normal())
+    base = scale * rng.standard_normal(d)
+    on = base - (float(np.dot(S.a, base)) - S.b) * S.a
+    return S, [on, on + t[0] * S.a, on - t[1] * S.a, on + t[2] * S.a + t[3] * u]
+
+
+@pytest.mark.parametrize("kind", list(DISTANCE_CLOSED_FORMS), ids=lambda k: k.kind)
+def test_distance_matches_the_scalar_closed_forms(kind):
+    """``distance`` comes from ``distance_many``; for the kinds that had a
+    scalar closed form it gives that form's bits."""
+    rng = np.random.default_rng(2)
+    for d in range(1, 7):
+        for scale in (1e-8, 1.0, 1e8):
+            for _ in range(20):
+                S, points = _distance_cases(kind, d, scale, rng)
+                for x in points:
+                    assert S.distance(x).hex() == DISTANCE_CLOSED_FORMS[kind](S, x).hex(), (S, x)
 
 
 # ---------------------------------------------------------------------------

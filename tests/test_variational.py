@@ -5,7 +5,7 @@ import pytest
 
 from altproj.geometry import ConeSpec, cone_from_angle
 from altproj.sets import (Ball, DiagonalAffineGraph, Halfspace,
-                          OrthoSubspace, Polygon2D, SamplerFailure)
+                          OrthoSubspace, Polygon2D, SamplerFailure, slice_sample)
 from altproj.variational import (AwEstimate, ExposureProbe, _diameter,
                                  aw_distance, check_cos_separation,
                                  check_fact_norms, epsilon_alpha,
@@ -98,7 +98,7 @@ def test_aw_affine_line_exact_agrees_with_dense_sampling(rng):
     N = 2
     est = aw_distance(L, axis, N)
     # dense parameter sweep of the line inside the N-ball
-    anchor, direction = L.min_norm_anchor(), L.basis[0]
+    anchor, direction = L.project(np.zeros(2)), L.basis[0]
     R = math.sqrt(N ** 2 - float(np.linalg.norm(anchor)) ** 2)
     ts = np.linspace(-R, R, 20001)
     pts = anchor[None, :] + ts[:, None] * direction[None, :]
@@ -520,3 +520,11 @@ def test_batched_samplers_equal_one_at_a_time_loops(rng):
             alpha = float(rng.uniform(0.05, 0.9))
             assert (epsilon_alpha(S, f, f, alpha, n_boundary=n, rng_seed=seed)
                     == _epsilon_one_at_a_time(S, f, alpha, n, seed))
+
+
+def test_zero_support_direction_is_rejected():
+    B = Ball(np.array([0.0, 1.0]), 1.0)
+    with pytest.raises(ValueError, match="support direction must be nonzero"):
+        slice_sample(B, np.zeros(2), 0.1, 10, 0)
+    with pytest.raises(ValueError, match="support direction must be nonzero"):
+        strongly_exposes_probe(B, np.zeros(2), [0.2, 0.1])
