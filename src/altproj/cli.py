@@ -36,9 +36,10 @@ import numpy as np
 from . import constructions as cons
 from . import variational as var
 from .engine import (Blocks, Constant, ProjectionStepError, RunConfig, ScheduleExhausted,
-                     run_perturbed, trace_to_csv, trace_to_json)
+                     _output, run_perturbed, trace_to_csv, trace_to_json)
 from .geometry import as_point
-from .sets import ProjectionCertificateError, SamplerFailure, SupportUnavailable, set_from_dict
+from .sets import (ProjectionCertificateError, SamplerFailure, _support_direction,
+                   set_from_dict)
 
 
 class ConfigError(ValueError):
@@ -267,8 +268,8 @@ def _build_ell2(cfg, p):
     stride = cfg.get("record_stride", 0)  # 0: ell2_run picks about 1000 records
 
     def execute(out_dir, quiet):
-        (out_dir / out.get("construction_json", "construction.json")).write_text(
-            json.dumps(c.as_dict(), indent=1))
+        with _output(out_dir / out.get("construction_json", "construction.json")) as fh:
+            fh.write(json.dumps(c.as_dict(), indent=1))
         total = sum(blk.N for blk in c.blocks)
         certificate = cons.ell2_aw_certificate(c, windows)
         if total > budget:
@@ -289,8 +290,8 @@ def _build_ell2(cfg, p):
                   "aw_certificate": [{"h": h, "N": N, "bound": b}
                                      for h, N, b in certificate],
                   "engine_run": trace is not None}
-        (out_dir / out.get("report_json", "report.json")).write_text(
-            json.dumps(report, indent=1))
+        with _output(out_dir / out.get("report_json", "report.json")) as fh:
+            fh.write(json.dumps(report, indent=1))
         return trace
 
     return Job(execute, lambda: [*c.verify_conditions(),
@@ -320,10 +321,9 @@ def _probe_execute(cfg, p):
     if probe == "exposure":
         S = _parse_set(p["set"], "params.set")
         f = _vector(p, "f", S.dim)
-        _require(float(np.linalg.norm(f)) > 0.0, "params.f", "support direction must be nonzero")
         try:
-            S.support_value(f)
-        except SupportUnavailable as exc:
+            S.support_value(_support_direction(f, S.dim))
+        except ValueError as exc:  # SupportUnavailable is one
             _fail("params.f", str(exc))
         alphas = [float(a) for a in p["alphas"]]
         _require(all(a > b for a, b in zip(alphas, alphas[1:])), "params.alphas",

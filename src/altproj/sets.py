@@ -855,6 +855,19 @@ def _polyhedron_unbounded_in(S: Polyhedron, f: np.ndarray, tol: float = 1e-9) ->
     return float(np.linalg.norm(S.normals.T @ lam - fhat)) > tol
 
 
+def _support_direction(f, dim: int) -> np.ndarray:
+    """f as a point of R^dim to take a support point, slice or exposure in.
+    Those divide by ||f||, so f must be nonzero and its norm must not
+    underflow to 0, as it does when all its entries are below about 1e-162."""
+    f = as_point(f, dim=dim)
+    if not f.any():
+        raise ValueError("support direction must be nonzero")
+    if float(np.linalg.norm(f)) == 0.0:
+        raise ValueError(f"support direction is nonzero but its norm underflows to 0 "
+                         f"(largest entry {float(np.max(np.abs(f))):.3g}); scale it up")
+    return f
+
+
 def slice_sample(S, f, alpha: float, n_samples: int, rng_seed: int) -> np.ndarray:
     """Sample points of S lying within alpha of sup <f, .> over S.
 
@@ -872,9 +885,7 @@ def slice_sample(S, f, alpha: float, n_samples: int, rng_seed: int) -> np.ndarra
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    f = as_point(f, dim=S.dim)
-    if float(np.linalg.norm(f)) == 0.0:
-        raise ValueError("support direction must be nonzero")
+    f = _support_direction(f, S.dim)
     sup = S.support_value(f)
     level = sup - alpha  # keep x with <f, x> >= level
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .geometry import ConeSpec, as_point, cone_contains, row_norms
 from .sets import (AffineSubspace, DiagonalAffineGraph, Halfspace,
-                   OrthoSubspace, SamplerFailure, _check_orthonormal, slice_sample)
+                   OrthoSubspace, SamplerFailure, _check_orthonormal, _support_direction,
+                   slice_sample)
 
 
 @dataclass(frozen=True)
@@ -309,9 +310,7 @@ def strongly_exposes_probe(A, f, alphas, n_samples: int = 400,
     flat supporting face keeps the diameter bounded away from 0 and the
     ratios bounded away from 0.
     """
-    f = as_point(f, dim=A.dim)
-    if float(np.linalg.norm(f)) == 0.0:
-        raise ValueError("support direction must be nonzero")
+    f = _support_direction(f, A.dim)
     alphas = tuple(float(a) for a in alphas)
     A.support_value(f)  # raises if unbounded in direction f
     star = A.support_point(f)

@@ -176,6 +176,39 @@ def test_determinism_byte_identical(tmp_path):
     assert b1 == b2
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED_RUNS = sorted(p.stem for p in CONFIGS.glob("*.json")
+                      if json.loads(p.read_text())["kind"] != "probe")
+
+
+@pytest.mark.parametrize("name", SHIPPED_RUNS)
+def test_rerun_into_a_used_out_is_byte_identical(tmp_path, name):
+    """Each shipped run config, rerun into its used --out whose files have
+    grown a stale tail, leaves the bytes of its fresh run."""
+    config = CONFIGS / f"{name}.json"
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    fresh = {p.name: p.read_bytes() for p in out.iterdir()}
+    for p in out.iterdir():
+        with open(p, "a") as fh:
+            fh.write("\nstale tail\n" * 4)
+    assert main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == fresh
+
+
+def test_ell2_outputs_rewritten_shorter_equal_a_fresh_run(tmp_path):
+    """construction.json and report.json of a smaller ell2 run, written over
+    a larger one's, equal those of a fresh directory."""
+    big = write_config(tmp_path, {"kind": "ell2", "params": {"d": 5, "H": 3}}, "big.json")
+    small = write_config(tmp_path, {"kind": "ell2", "params": {"d": 5, "H": 2}}, "small.json")
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    for cfg, out in ((big, used), (small, used), (small, fresh)):
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    files = {p.name: p.read_bytes() for p in fresh.iterdir()}
+    assert {"construction.json", "report.json"} <= files.keys()
+    assert {p.name: p.read_bytes() for p in used.iterdir()} == files
+
+
 def test_probe_omega(tmp_path):
     cfg = write_config(tmp_path, {
         "kind": "probe", "seed": 1,
@@ -324,6 +357,26 @@ def test_run_and_validate_reject_the_same_configs(tmp_path, capsys, command, doc
         assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert field in capsys.readouterr().err
     assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("f, message", [
+    ([0.0, 0.0], "support direction must be nonzero"),
+    ([1e-200, 0.0], "support direction is nonzero but its norm underflows to 0"),
+    ([1e-150, 0.0], None),
+])
+def test_exposure_direction_checked_for_underflow(tmp_path, capsys, f, message):
+    """A zero f and a nonzero f whose norm underflows are rejected, each with
+    its own message naming params.f; f = [1e-150, 0] probes."""
+    doc = _exposure(f, [0.1])
+    doc["params"]["n_samples"] = 20
+    cfg = write_config(tmp_path, doc)
+    for cmd in ("probe", "validate"):
+        code = main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+        err = capsys.readouterr().err
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 1 and f"config field 'params.f': {message}" in err
 
 
 def test_huge_normal_run_leaves_stderr_empty(tmp_path):

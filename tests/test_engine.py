@@ -1,10 +1,12 @@
 import io
 import math
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import altproj.engine as engine
 from altproj.constructions import stable_scenario
 from altproj.engine import (Adaptive, BlockLog, Blocks, Constant, PerStep,
                             ProjectionStepError, RunConfig, Trace, TraceRecord, run_classical,
@@ -271,6 +273,71 @@ def test_trace_json_blocks_byte_identical_to_json_dumps():
             buf = io.StringIO()
             trace_to_json(trace, buf, meta={"seed": 1})
             assert buf.getvalue() == _reference_json(trace, {"seed": 1})
+
+
+def _reference_csv(trace, meta):
+    """The text as a whole document of joined lines, one per record."""
+    lines = [f"# {key}={val}" for key, val in (meta or {}).items()]
+    lines.append("n,block,res_a,norm_a,norm_b,gap_ab,dist_target")
+    for r in trace.records:
+        dist = "" if r.dist_target is None else repr(float(r.dist_target))
+        lines.append(",".join([str(r.n), str(r.block_id),
+                               *(repr(float(x)) for x in (r.res_a, r.norm_a, r.norm_b, r.gap_ab)),
+                               dist]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("meta", [None, {"config_sha256": "ab" * 32, "seed": 7}])
+def test_trace_csv_streamed_equals_joined_lines(meta):
+    for trace in _hand_built_traces():
+        buf = io.StringIO()
+        trace_to_csv(trace, buf, meta=meta)
+        assert buf.getvalue() == _reference_csv(trace, meta)
+
+
+@pytest.mark.parametrize("write", [trace_to_csv, trace_to_json])
+def test_rewrite_in_place_equals_a_fresh_write(tmp_path, write):
+    """Writing over a longer, shorter or empty trace leaves the bytes of a
+    fresh write, which are the text written to a file object."""
+    long, short, empty = _hand_built_traces()
+    for first, second in ((long, short), (long, empty), (empty, long), (short, short)):
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        write(first, used, meta={"seed": 1})
+        write(second, used, meta={"seed": 2})
+        fresh.unlink(missing_ok=True)
+        write(second, fresh, meta={"seed": 2})
+        buf = io.StringIO()
+        write(second, buf, meta={"seed": 2})
+        assert used.read_bytes() == fresh.read_bytes() == buf.getvalue().encode()
+
+
+def test_failed_write_leaves_no_old_bytes_after_new_ones(tmp_path, monkeypatch):
+    long = _hand_built_traces()[0]
+    path = tmp_path / "t.json"
+    trace_to_json(long, path, meta={"seed": 1})
+    old = path.read_bytes()
+    real, done = engine._json_record, []
+
+    def fails_at_the_fourth(r):
+        if len(done) == 3:
+            raise RuntimeError("record failed")
+        done.append(r)
+        return real(r)
+
+    monkeypatch.setattr(engine, "_json_record", fails_at_the_fourth)
+    with pytest.raises(RuntimeError, match="record failed"):
+        trace_to_json(long, path, meta={"seed": 2})
+    partial = path.read_bytes()
+    assert len(partial) < len(old)
+    assert _reference_json(long, {"seed": 2}).encode().startswith(partial)
+    assert partial.endswith(real(done[-1]).encode())
+
+
+def test_trace_to_a_device_is_not_cut():
+    """As with O_TRUNC, only a regular file is cut to length."""
+    trace = _hand_built_traces()[0]
+    trace_to_csv(trace, os.devnull)
+    trace_to_json(trace, os.devnull)
 
 
 def test_block_ends_force_records_except_under_per_step():

@@ -528,3 +528,23 @@ def test_zero_support_direction_is_rejected():
         slice_sample(B, np.zeros(2), 0.1, 10, 0)
     with pytest.raises(ValueError, match="support direction must be nonzero"):
         strongly_exposes_probe(B, np.zeros(2), [0.2, 0.1])
+
+
+@pytest.mark.parametrize("f, message", [
+    ([0.0, 0.0], "support direction must be nonzero"),
+    ([1e-200, 0.0], "support direction is nonzero but its norm underflows to 0"),
+    ([1e-150, 0.0], None),
+])
+def test_support_direction_underflow_has_its_own_message(f, message):
+    """||[1e-200, 0]|| squares to 0, so that f is rejected as too small, not as
+    zero; [1e-150, 0] is sampled, its support point the right end of the disc."""
+    B = Ball(np.array([0.0, 1.0]), 1.0)
+    if message is None:
+        pts = slice_sample(B, f, 0.1, 5, 0)
+        assert pts.shape == (5, 2) and np.allclose(pts[0], [1.0, 1.0])
+        assert len(strongly_exposes_probe(B, f, [0.2, 0.1], n_samples=20).slice_diams) == 2
+        return
+    with pytest.raises(ValueError, match=message):
+        slice_sample(B, f, 0.1, 5, 0)
+    with pytest.raises(ValueError, match=message):
+        strongly_exposes_probe(B, f, [0.2, 0.1])
