@@ -425,7 +425,8 @@ def cmd_validate(cfg, out_dir: Path, quiet: bool) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache  # built once per process: parse_args keeps no state in the parser
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altproj",
         description="Alternating-projection experiments, perturbation schedules, "
@@ -440,7 +441,11 @@ def main(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--max-iter", type=int, default=None, help="override max_iter")
         sp.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config, seed=args.seed, max_iter=args.max_iter)

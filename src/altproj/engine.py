@@ -228,7 +228,7 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
 
     max_iter, stride, indices = cfg.max_iter, cfg.record_stride, cfg.record_indices
     stop_residual = cfg.stop_residual
-    log_block_ends = getattr(schedule, "log_block_ends", True)
+    log_block_ends, advance = getattr(schedule, "log_block_ends", True), schedule.advance
 
     def log(n, bid, bstep, a, b, prev_a):
         dist = _norm(a - cfg.target) if cfg.target is not None else None
@@ -248,6 +248,7 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
         if block_step == 0:
             try:
                 A_n, B_n = schedule.pair(block_id)
+                project_a, project_b = A_n.project, B_n.project  # bound once per block
             except ScheduleExhausted:
                 status = "schedule_exhausted"
                 schedule_complete = all(bl.advance in ("predicate", "length")
@@ -255,13 +256,13 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
                 break
 
         try:
-            b_n = B_n.project(prev)
-            a_n = A_n.project(b_n)
+            b_n = project_b(prev)
+            a_n = project_a(b_n)
         except (ValueError, RuntimeError) as exc:
             raise ProjectionStepError(n, exc) from exc
         block_step += 1
 
-        cause = schedule.advance(block_id, block_step, a_n)
+        cause = advance(block_id, block_step, a_n)
         halt = cause == "budget"
         residual_stop = stop_residual is not None and _norm(a_n - prev) < stop_residual
         if (cause is not None and log_block_ends or n == max_iter or residual_stop

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# np.count_nonzero's C function: its wrapper's dispatch costs more than a short count
+from numpy._core._multiarray_umath import count_nonzero as _count_nonzero
 
 
 class DimensionMismatch(ValueError):
@@ -42,12 +44,13 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     p = x if type(x) is np.ndarray and x.dtype == _FLOAT64 else np.asarray(x, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"point must be 1-D, got shape {p.shape}")
-    if p.size == 0:
+    n = p.size
+    if n == 0:
         raise ValueError("point must have at least one coordinate")
-    if np.count_nonzero(np.isfinite(p)) != p.size:  # cheaper than .all() on short rows
+    if _count_nonzero(np.isfinite(p)) != n:  # cheaper than .all() on short rows
         raise ValueError("point has non-finite coordinates")
-    if dim is not None and p.size != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
+    if dim is not None and n != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {n}")
     return p
 
 

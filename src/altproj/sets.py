@@ -178,12 +178,13 @@ class ConvexSet:
         return cls(*_take(doc, [fld.name for fld in fields(cls)], cls.kind))
 
     def _replace(self, cls=None, **changes):
-        """This validated set as a ``cls`` (default: its type) with new, as-stored values of
-        ``_replaceable`` fields, checked by the kind's ``_store``; the rest is shared."""
+        """This validated set, or a ``cls`` built from its fields alone, with new, as-stored
+        values of ``_replaceable`` fields, checked by the kind's ``_store``; the rest is shared."""
         new = object.__new__(cls or type(self))
         if not new._replaceable.issuperset(changes):
             raise TypeError(f"{type(new).__name__} can replace only {sorted(new._replaceable)}")
-        new.__dict__.update(self.__dict__)
+        new.__dict__.update({fld.name: getattr(self, fld.name) for fld in fields(self)} if cls
+                            else self.__dict__)
         new._store(**changes)
         return new
 
@@ -196,6 +197,7 @@ class _UnitNormal(ConvexSet):
     a: np.ndarray
     b: float
     _replaceable = frozenset({"b"})
+    _one_sided = True  # a support value along +a only, as for a halfspace
 
     def __post_init__(self):
         a, b, n = _normal_in_range(as_point(self.a), self.b)
@@ -212,6 +214,13 @@ class _UnitNormal(ConvexSet):
     @property
     def dim(self):
         return self.a.size
+
+    def support_value(self, f):
+        fa = float(np.dot(f, self.a))
+        if np.linalg.norm(f - fa * self.a) <= 1e-12 * np.linalg.norm(f) and (
+                fa > 0 or not self._one_sided):
+            return fa * self.b
+        raise SupportUnavailable(f"{self.kind} is unbounded in this direction")
 
     def translate(self, v):
         v = as_point(v, dim=self.dim)
@@ -241,17 +250,12 @@ class Halfspace(_UnitNormal):
     def distance_many(self, X):
         return _positive_part(np.vecdot(as_points(X, self.dim), self.a) - self.b)
 
-    def support_value(self, f):
-        fa = float(np.dot(f, self.a))
-        if np.linalg.norm(f - fa * self.a) <= 1e-12 * np.linalg.norm(f) and fa > 0:
-            return fa * self.b
-        raise SupportUnavailable("halfspace is unbounded in this direction")
-
 
 class Hyperplane(_UnitNormal):
     """{x : <a, x> = b}."""
 
     kind = "hyperplane"
+    _one_sided = False
 
     def project(self, x):
         x = as_point(x, dim=self.dim)
@@ -263,12 +267,6 @@ class Hyperplane(_UnitNormal):
 
     def distance_many(self, X):
         return np.abs(np.vecdot(as_points(X, self.dim), self.a) - self.b)
-
-    def support_value(self, f):
-        fa = float(np.dot(f, self.a))
-        if np.linalg.norm(f - fa * self.a) <= 1e-12 * np.linalg.norm(f):
-            return fa * self.b
-        raise SupportUnavailable("hyperplane is unbounded in this direction")
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,6 +464,10 @@ class OrthoSubspace(ConvexSet):
             raise ValueError("basis must be a nonempty (k, d) array")
         _check_orthonormal(b)
         object.__setattr__(self, "basis", b)
+        # not a field: the i of rows that all are unit vectors e_i, contiguous, else None
+        rows, cols = np.nonzero(b)
+        unit = rows.size == b.shape[0] and (b[rows, cols] == 1.0).all()
+        object.__setattr__(self, "_coords", cols.copy() if unit else None)
 
     @property
     def dim(self):
@@ -473,7 +475,11 @@ class OrthoSubspace(ConvexSet):
 
     def project(self, x):
         x = as_point(x, dim=self.dim)
-        return self.basis.T @ (self.basis @ x)
+        if self._coords is None:
+            return self.basis.T @ (self.basis @ x)
+        out = np.zeros(x.size)
+        out[self._coords] = x[self._coords] + 0.0  # + 0.0: the matmul's +0.0 for a -0.0
+        return out
 
     def project_many(self, X):
         # stacked matrix-vector products: the same BLAS call per row as project

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from altproj import cli
 from altproj.cli import ConfigError, load_config, main
 import altproj.sets
 
@@ -162,6 +163,31 @@ def test_seed_override_changes_header(tmp_path):
     a = (tmp_path / "a" / "trace.csv").read_text()
     b = (tmp_path / "b" / "trace.csv").read_text()
     assert "# seed=5" in a and "# seed=9" in b
+
+
+def test_parser_built_once_and_overrides_do_not_carry_over(tmp_path, capsys):
+    """One parser serves every call in a process; one call's overrides never
+    reach the next, and a missing --config still exits 2 with the usage."""
+    cfg = write_config(tmp_path, {
+        "kind": "classical", "seed": 4, "max_iter": 7,
+        "params": {"A": {"kind": "ortho_subspace", "basis": [[1.0, 0.0]]},
+                   "B": {"kind": "ortho_subspace", "basis": [[0.6, 0.8]]},
+                   "start": [1.0, 0.5]},
+    })
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                 "--seed", "9", "--max-iter", "3"]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert "steps=3 " in first and "steps=7 " in second
+    assert "# seed=9" in (tmp_path / "a" / "trace.csv").read_text()
+    assert "# seed=4" in (tmp_path / "b" / "trace.csv").read_text()
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: altproj run ")
+    assert "error: the following arguments are required: --config" in err
 
 
 def test_determinism_byte_identical(tmp_path):

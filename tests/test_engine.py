@@ -426,6 +426,26 @@ def test_blocks_pair_fetched_once_per_block():
     assert sched.calls == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
+@pytest.mark.parametrize("schedule", [
+    Blocks(((line(0.0), line(0.5), 4), (line(0.1), line(1.0), 3))),
+    PerStep(lambda k: (line(0.0), line(0.3 + 1.0 / k))),
+], ids=["Blocks", "PerStep"])
+def test_each_record_built_through_engine_trace_record(schedule, monkeypatch):
+    """run_perturbed builds each logged record through ``engine.TraceRecord`` as
+    the module holds it when the run starts, never a copy bound at import: a
+    benchmark that swaps in a wrapper times the run by its records."""
+    built = []
+
+    def counting(**fields):
+        built.append(fields["n"])
+        return TraceRecord(**fields)
+
+    monkeypatch.setattr(engine, "TraceRecord", counting)
+    trace = run_perturbed(schedule, RunConfig(start=np.array([1.0, 0.5]), max_iter=7,
+                                              record_stride=3))
+    assert built == [r.n for r in trace.records] and len(built) >= 3
+
+
 def test_adaptive_callable_family_built_once_per_block():
     """A callable Adaptive family is called once per block, not once per step."""
     built = Counter()

@@ -744,21 +744,91 @@ def test_distance_matches_the_scalar_closed_forms(kind):
 
 
 # ---------------------------------------------------------------------------
+# OrthoSubspace on a coordinate basis: a coordinate copy with the matmul's bits
+
+
+_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                         1e300, -1e300, 1.5, -2.75])
+
+
+def _coordinate_bases(rng):
+    """(d, basis) pairs of distinct unit rows e_i: contiguous, gapped and permuted
+    selectors, with zeros stored as 0.0 or as -0.0."""
+    for d in range(1, 17):
+        for k in sorted({1, (d + 1) // 2, d}):
+            starts = range(d - k + 1)
+            gapped = [np.arange(0, 2 * k, 2)] if 2 * k - 1 <= d else []
+            for cols in ([np.arange(s, s + k) for s in starts] + gapped
+                         + [np.sort(rng.choice(d, k, replace=False)),
+                            rng.choice(d, k, replace=False)]):
+                for zero in (0.0, -0.0):
+                    basis = np.full((k, d), zero)
+                    basis[np.arange(k), cols] = 1.0
+                    yield d, basis
+
+
+def _points(d, rng):
+    """Rows of edge values (signed zeros, subnormals, +-1e300), all-negative rows
+    among them, and plain normal draws."""
+    return np.vstack([rng.choice(_EDGE_VALUES, (12, d)), rng.standard_normal((4, d)),
+                      -np.abs(rng.choice(_EDGE_VALUES, (4, d)))])
+
+
+def test_coordinate_basis_projection_bit_equal_to_matmul():
+    """A basis of distinct unit rows projects by copying coordinates, with the
+    bits of basis.T @ (basis @ x) and of project_many's rows, zeros' signs too."""
+    rng = np.random.default_rng(2014)
+    cases = 0
+    for d, basis in _coordinate_bases(rng):
+        S = OrthoSubspace(basis)
+        assert S._coords is not None
+        X = _points(d, rng)
+        many = S.project_many(X)
+        for x, row in zip(X, many):
+            got = S.project(x)
+            assert got.tobytes() == (S.basis.T @ (S.basis @ x)).tobytes(), (basis, x)
+            assert got.tobytes() == row.tobytes(), (basis, x)
+            cases += 1
+    assert cases > 10000
+
+
+@pytest.mark.parametrize("basis", [
+    -np.eye(3)[[1]],
+    np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]),
+    np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
+    np.array([[0.0, 1.0, 0.0], [0.8, 0.0, -0.6]]),
+    np.linalg.qr(np.random.default_rng(3).standard_normal((3, 2)))[0].T,
+], ids=["minus_e", "e_and_minus_e", "rotated_and_e", "e_and_rotated", "random"])
+def test_signed_or_rotated_rows_take_the_matmul_path(basis):
+    """Only rows e_i are copied: -e_i rows and rotated bases keep the two matmuls."""
+    S = OrthoSubspace(basis)
+    assert S._coords is None
+    for x in _points(3, np.random.default_rng(4)):
+        assert S.project(x).tobytes() == (S.basis.T @ (S.basis @ x)).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # sets built from a validated set: translates and ConvexSet._replace
 
 
 @pytest.mark.parametrize("kind", PROJECTABLE_KINDS)
 def test_translate_bit_equal_to_public_constructor(kind):
-    """translate gives the type and exact fields of the public constructor's set."""
+    """translate gives the type, exact fields, attributes and projections of the
+    public constructor's set: nothing one kind derives leaks into another."""
     rng = np.random.default_rng(sum(map(ord, kind)))
     for i in range(40):
         S = random_set(kind, rng)
         v = rng.standard_normal(S.dim) * 10.0 ** float(rng.integers(-3, 4))
         if i % 4 == 0:
             v[0] = (0.0, -0.0)[i % 8 // 4]
-        assert exact_fields(S.translate(v)) == exact_fields(public_translate(S, v))
+        T, public = S.translate(v), public_translate(S, v)
+        assert exact_fields(T) == exact_fields(public)
+        assert vars(T).keys() == vars(public).keys()
+        x = 0.5 * v + 1.0
+        assert T.project(x).tobytes() == public.project(x).tobytes()
 
 
+_BALL = Ball(np.array([1.0, -2.0]), 1.5)
 _BALL = Ball(np.array([1.0, -2.0]), 1.5)
 _FLAT = AffineSubspace(np.array([0.5, 0.5, 0.0]), np.array([[1.0, 0.0, 0.0]]))
 _HALF = Halfspace(np.array([3.0, 4.0]), 1.0)
