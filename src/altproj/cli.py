@@ -22,6 +22,7 @@ predicates fired, 1 any other error (IO, schema, infeasible parameters).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -38,8 +39,8 @@ from . import variational as var
 from .engine import (Blocks, Constant, ProjectionStepError, RunConfig, ScheduleExhausted,
                      _output, run_perturbed, trace_to_csv, trace_to_json)
 from .geometry import as_point
-from .sets import (ProjectionCertificateError, SamplerFailure, _support_direction,
-                   set_from_dict)
+from .sets import (ProjectionCertificateError, SamplerFailure, _check_orthonormal,
+                   _support_direction, set_from_dict)
 
 
 class ConfigError(ValueError):
@@ -53,6 +54,16 @@ def _fail(field, msg):
 def _require(cond, field, msg):
     if not cond:
         _fail(field, msg)
+
+
+@contextlib.contextmanager
+def _naming(field):
+    """Turn a ValueError raised by a library check in the block into a
+    ConfigError naming ``field``."""
+    try:
+        yield
+    except ValueError as exc:
+        _fail(field, str(exc))
 
 
 # The draft-07 subset the config validator implements.  An integer is an int,
@@ -225,9 +236,10 @@ def _build_perturbed(cfg, p):
 
 
 def _build_scenario(cfg, p):
-    scen = cons.stable_scenario(p["scenario"], delta_law=p.get("delta_law", "inv_n"),
-                                delta_scale=p.get("delta_scale", 1.0),
-                                **p.get("scenario_params", {}))
+    with _naming("params.scenario_params"):
+        scen = cons.stable_scenario(p["scenario"], delta_law=p.get("delta_law", "inv_n"),
+                                    delta_scale=p.get("delta_scale", 1.0),
+                                    **p.get("scenario_params", {}))
     try:  # both delta laws shrink |delta_n|, so the step-1 pair is the worst case
         scen.a_family(1), scen.b_family(1)
     except ValueError as exc:
@@ -259,9 +271,12 @@ def _build_example(cfg, p, run, row):
 
 
 def _build_ell2(cfg, p):
+    _require(p["H"] < p["d"], "params.H", f"must be less than params.d = {p['d']}")
+    with _naming("params.start"):
+        start = cons.ell2_start_alphas(p["d"], p.get("start"))
     c = cons.build_ell2_construction(
         p["d"], p["H"], ratio=p.get("ratio", 0.5), slack=p.get("slack", 0.5),
-        start=_vector(p, "start", p["d"]), max_block_n=p.get("max_block_n", 10 ** 8))
+        start=start, max_block_n=p.get("max_block_n", 10 ** 8))
     budget = p.get("engine_step_budget", 5_000_000)
     windows = p.get("aw_windows", [1, 2, 4])
     out = cfg["output"]
@@ -316,15 +331,15 @@ def _probe_execute(cfg, p):
             for i, row in enumerate(p[key]):
                 _require(len(row) == len(p["U"][0]), f"params.{key}[{i}]",
                          f"has dimension {len(row)}, expected {len(p['U'][0])}")
+            with _naming(f"params.{key}"):
+                _check_orthonormal(np.array(p[key], dtype=float))
         rep = var.omega_angle(np.array(p["U"], dtype=float), np.array(p["V"], dtype=float))
         return lambda out_dir, quiet: {"probe": "omega", "seed": seed, "result": asdict(rep)}
     if probe == "exposure":
         S = _parse_set(p["set"], "params.set")
         f = _vector(p, "f", S.dim)
-        try:
+        with _naming("params.f"):  # SupportUnavailable is a ValueError
             S.support_value(_support_direction(f, S.dim))
-        except ValueError as exc:  # SupportUnavailable is one
-            _fail("params.f", str(exc))
         alphas = [float(a) for a in p["alphas"]]
         _require(all(a > b for a, b in zip(alphas, alphas[1:])), "params.alphas",
                  "must be strictly decreasing")

@@ -291,6 +291,17 @@ def default_start_alphas(d: int, target_norm: float = 0.9) -> np.ndarray:
     return v * (target_norm / float(np.linalg.norm(v)))
 
 
+def ell2_start_alphas(d: int, start=None) -> np.ndarray:
+    """The construction's start in R^d: strictly positive, of norm < 1, and
+    ``default_start_alphas(d)`` when None."""
+    start = as_point(default_start_alphas(d) if start is None else start, dim=d)
+    if np.any(start <= 0.0):
+        raise ValueError("start coordinates must be strictly positive")
+    if float(np.linalg.norm(start)) >= 1.0:
+        raise ValueError("start must have norm < 1")
+    return start
+
+
 def build_ell2_construction(d: int, H: int, ratio: float = 0.5, start=None,
                             slack: float = 0.5,
                             max_block_n: int = 10 ** 8) -> Ell2Construction:
@@ -309,13 +320,7 @@ def build_ell2_construction(d: int, H: int, ratio: float = 0.5, start=None,
         raise ValueError("ratio must lie in (0, 1)")
     if not (0.0 < slack < 1.0):
         raise ValueError("slack must lie in (0, 1)")
-    if start is None:
-        start = default_start_alphas(d)
-    start = as_point(start, dim=d)
-    if np.any(start <= 0.0):
-        raise ValueError("start coordinates must be strictly positive")
-    if float(np.linalg.norm(start)) >= 1.0:
-        raise ValueError("start must have norm < 1")
+    start = ell2_start_alphas(d, start)
 
     a = ratio ** np.arange(1, d + 1)
     n_idx = np.arange(1, d + 1)
@@ -393,11 +398,6 @@ def ell2_start_point(c: Ell2Construction) -> np.ndarray:
     return np.concatenate((c.start_alphas, np.zeros(c.d)))
 
 
-def ell2_limit_graph(c: Ell2Construction) -> DiagonalAffineGraph:
-    """The unperturbed graph {(x, Dx)} the block graphs converge to."""
-    return DiagonalAffineGraph(c.weights, np.zeros(c.d))
-
-
 def ell2_aw_certificate(c: Ell2Construction, Ns) -> list:
     """Certified localized-Hausdorff bounds for each block graph.
 
@@ -430,54 +430,6 @@ def ell2_run(c: Ell2Construction, record_stride: int = 0,
                     record_stride=record_stride,
                     record_indices=frozenset(int(i) for i in record_indices))
     return run_perturbed(ell2_schedule(c), cfg)
-
-
-def ell2_checkpoints(c: Ell2Construction, n_checkpoints: int, rng_seed: int = 0) -> list:
-    """Random (h, t) checkpoints, t in 1..N_h, skewed toward small t."""
-    rng = np.random.default_rng(rng_seed)
-    pts = []
-    for _ in range(n_checkpoints):
-        h = int(rng.integers(1, c.H + 1))
-        N = c.blocks[h - 1].N
-        t = int(rng.integers(1, N + 1)) if rng.uniform() < 0.5 else \
-            int(min(N, max(1, round(N ** rng.uniform()))))
-        pts.append((h, t))
-    return pts
-
-
-def ell2_relative_gap(got: np.ndarray, expected: np.ndarray,
-                      floor: float = 1e-100) -> float:
-    """Per-coordinate relative gap with an underflow floor.
-
-    Settled coordinates decay below float64's subnormal range where
-    relative comparison is meaningless; values under ``floor`` (already
-    ~1e100 times below the iterate scale) are compared absolutely against
-    the floor instead.
-    """
-    return float(np.max(np.abs(got - expected) / np.maximum(np.abs(expected), floor)))
-
-
-def ell2_verify_engine(c: Ell2Construction, checkpoints, window: int = 64) -> float:
-    """Max relative gap between engine iterates and the closed forms.
-
-    Each checkpoint (h, t) warm-starts the engine from the closed-form
-    state ``window`` steps earlier inside the same block and compares the
-    engine's first-factor coordinates at t against the closed form.  This
-    spot-checks the engine recursion against the tables without paying
-    for a full run (the full-run comparison is a separate helper).
-    """
-    d = c.d
-    first_factor = _first_factor(d)
-    worst = 0.0
-    for h, t in checkpoints:
-        blk = c.blocks[h - 1]
-        t0 = max(0, t - window)
-        state = np.concatenate((c.closed_alphas(h, t0), np.zeros(d)))
-        graph = DiagonalAffineGraph(blk.theta, blk.b)
-        for _ in range(t - t0):
-            state = first_factor.project(graph.project(state))
-        worst = max(worst, ell2_relative_gap(state[:d], c.closed_alphas(h, t)))
-    return worst
 
 
 # ---------------------------------------------------------------------------

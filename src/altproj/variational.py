@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConeSpec, as_point, cone_contains, row_norms
+from .geometry import as_point, row_norms
 from .sets import (AffineSubspace, DiagonalAffineGraph, Halfspace,
                    OrthoSubspace, SamplerFailure, _check_orthonormal, _support_direction,
                    slice_sample)
@@ -301,8 +301,7 @@ def strongly_exposes_probe(A, f, alphas, n_samples: int = 400,
     """
     f = _support_direction(f, A.dim)
     alphas = tuple(float(a) for a in alphas)
-    A.support_value(f)  # raises if unbounded in direction f
-    star = A.support_point(f)
+    star = A.support_point(f)  # raises SupportUnavailable where there is none
     translated = A.translate(-star)
     fprime = -f / float(np.linalg.norm(f))
     diams = []
@@ -316,53 +315,8 @@ def strongly_exposes_probe(A, f, alphas, n_samples: int = 400,
                          slice_diams=tuple(diams), ratios=ratios)
 
 
-def eventual_containment_probe(sets, cone: ConeSpec, n_samples: int = 400,
-                               rng_seed: int = 0) -> list[bool]:
-    """Per-set verdicts: all boundary-biased samples lie in the shifted cone."""
-    rng = np.random.default_rng(rng_seed)
-    flags = []
-    for S in sets:
-        pts = S.project_many(rng.standard_normal((n_samples, S.dim)) * 3.0)
-        flags.append(bool(all(cone_contains(cone, p, tol=1e-9) for p in pts)))
-    return flags
-
-
-def first_containment_index(flags) -> int | None:
-    """First index from which containment holds for the whole tested suffix."""
-    idx = None
-    for i, ok in enumerate(flags):
-        if ok and idx is None:
-            idx = i
-        elif not ok:
-            idx = None
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # Subspace-angle machinery
-
-
-def wset_contains(w, U_basis, eps: float) -> bool:
-    """Membership in the cone-with-core neighborhood of a subspace.
-
-    True iff ||w|| <= eps, or the norm-matched closest subspace point
-    u* = ||w|| * P_U(w)/||P_U(w)|| satisfies ||u* - w||^2 <= 2*eps*||w||^2
-    (equivalently cos(w, P_U w) >= 1 - eps).  P_U(w) = 0 leaves only the
-    core-ball branch.
-    """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    w = as_point(w)
-    U = OrthoSubspace(U_basis) if not isinstance(U_basis, OrthoSubspace) else U_basis
-    nw = float(np.linalg.norm(w))
-    if nw <= eps:
-        return True
-    pw = U.project(w)
-    npw = float(np.linalg.norm(pw))
-    if npw == 0.0:
-        return False
-    ustar = nw * pw / npw
-    return float(np.dot(ustar - w, ustar - w)) <= 2.0 * eps * nw ** 2
 
 
 def omega_angle(U_basis, V_basis) -> AngleReport:
@@ -402,7 +356,7 @@ def separation_constants(M: float, omega: float) -> tuple[float, float]:
         return (M / (M - eps)) ** 2 * (omega + 15.0 * math.sqrt(eps) / M ** 2)
 
     lo = 1e-12
-    if lhs(lo) > eta:
+    if M <= lo or lhs(lo) > eta:  # eps < M; and M**2 could underflow to 0
         raise ValueError("no feasible eps above 1e-12 for this (M, omega)")
     hi = M * (1.0 - 1e-9)
     if lhs(hi) <= eta:
@@ -416,89 +370,3 @@ def separation_constants(M: float, omega: float) -> tuple[float, float]:
                 hi = mid
     assert lhs(lo) <= eta and 0.0 < lo < M
     return lo, eta
-
-
-# ---------------------------------------------------------------------------
-# Standalone geometric fact checks
-
-
-def check_fact_norms(C, eps: float, K: float, n_trials: int = 10_000,
-                     rng_seed: int = 0) -> float:
-    """Max violation of ||x - Px|| <= (K/eps)*(||x|| - ||Px||) over K-ball trials.
-
-    Requires eps*B inside C (verified by membership sampling); a
-    nonpositive return (up to rounding) confirms the bound.
-    """
-    if eps <= 0 or K <= 0:
-        raise ValueError("eps and K must be positive")
-    rng = np.random.default_rng(rng_seed)
-    d = C.dim
-    for _ in range(256):
-        u = rng.standard_normal(d)
-        u /= float(np.linalg.norm(u))
-        if not C.membership(eps * u, 1e-9):
-            raise ValueError("eps-ball is not contained in the set")
-    mu = K / eps
-    worst = -math.inf
-    for _ in range(n_trials):
-        u = rng.standard_normal(d)
-        u /= float(np.linalg.norm(u))
-        r = K * rng.uniform() ** (1.0 / d) if rng.uniform() < 0.5 else K * rng.uniform()
-        x = r * u
-        px = C.project(x)
-        lhs = float(np.linalg.norm(x - px))
-        rhs = mu * (float(np.linalg.norm(x)) - float(np.linalg.norm(px)))
-        worst = max(worst, lhs - rhs)
-    return worst
-
-
-def sample_cone_point(x0, theta: float, kind: str, rng, dim: int | None = None,
-                      radius_range=(0.1, 10.0)) -> np.ndarray:
-    """Random nonzero point of C(theta) or V(theta) with axis x0."""
-    x0 = as_point(x0) if dim is None else as_point(x0, dim=dim)
-    d = x0.size
-    if kind == "C":
-        psi = rng.uniform(0.0, np.pi / 2 - theta)
-    elif kind == "V":
-        psi = rng.uniform(np.pi / 2 - theta, np.pi)
-    else:
-        raise ValueError("kind must be 'C' or 'V'")
-    w = rng.standard_normal(d)
-    w -= float(np.dot(w, x0)) * x0
-    nw = float(np.linalg.norm(w))
-    while nw < 1e-12:
-        w = rng.standard_normal(d)
-        w -= float(np.dot(w, x0)) * x0
-        nw = float(np.linalg.norm(w))
-    w /= nw
-    r = rng.uniform(*radius_range)
-    return r * (math.cos(psi) * x0 + math.sin(psi) * w)
-
-
-def check_cos_separation(theta1: float, theta2: float, n_trials: int = 100_000,
-                         rng_seed: int = 0, dim: int = 5) -> float:
-    """Max violation of cos(x, y) <= cos(theta2 - theta1) over cone samples.
-
-    x ranges over the convex cone with half-angle complement theta2, y
-    over the complementary cone at theta1 < theta2; the bound is tight on
-    the common-plane boundary configuration.
-    """
-    if not (0.0 < theta1 < theta2 < np.pi / 2):
-        raise ValueError("need 0 < theta1 < theta2 < pi/2")
-    rng = np.random.default_rng(rng_seed)
-    x0 = np.zeros(dim)
-    x0[0] = 1.0
-    bound = math.cos(theta2 - theta1)
-    # vectorized: x = cos(psi_x)*x0 + sin(psi_x)*w_x, psi_x in [0, pi/2-theta2]
-    psi_x = rng.uniform(0.0, np.pi / 2 - theta2, size=n_trials)
-    psi_y = rng.uniform(np.pi / 2 - theta1, np.pi, size=n_trials)
-    wx = rng.standard_normal((n_trials, dim))
-    wy = rng.standard_normal((n_trials, dim))
-    wx[:, 0] = 0.0
-    wy[:, 0] = 0.0
-    wx /= np.linalg.norm(wx, axis=1, keepdims=True)
-    wy /= np.linalg.norm(wy, axis=1, keepdims=True)
-    x = np.cos(psi_x)[:, None] * x0 + np.sin(psi_x)[:, None] * wx
-    y = np.cos(psi_y)[:, None] * x0 + np.sin(psi_y)[:, None] * wy
-    cosxy = np.sum(x * y, axis=1) / (np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1))
-    return float(np.max(cosxy) - bound)

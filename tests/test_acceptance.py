@@ -13,19 +13,18 @@ import pytest
 from altproj.cli import main as cli_main
 from altproj.constructions import (BlockBudgetExceeded,
                                    build_ell2_construction, ell2_aw_certificate,
-                                   ell2_checkpoints, ell2_limit_graph,
-                                   ell2_relative_gap, ell2_run,
-                                   ell2_verify_engine,
-                                   run_example_unbounded_lines,
+                                   ell2_run, run_example_unbounded_lines,
                                    run_example_unstable, stable_scenario)
 from altproj.engine import RunConfig, run_classical
 from altproj.sets import Ball, DiagonalAffineGraph, OrthoSubspace, Polygon2D
-from altproj.variational import (aw_distance, check_cos_separation,
-                                 check_fact_norms, epsilon_alpha, omega_angle,
-                                 strongly_exposes_probe, wset_contains)
+from altproj.variational import (aw_distance, epsilon_alpha, omega_angle,
+                                 strongly_exposes_probe)
 
 from _oracles import (omega_bruteforce, polygon_containing_ball,
                       polyhedron_projection_bruteforce, random_set)
+from _paper_checks import (check_cos_separation, check_fact_norms, ell2_checkpoints,
+                           ell2_limit_graph, ell2_relative_gap, ell2_verify_engine,
+                           wset_contains)
 
 
 def report(num, ok, detail):

@@ -376,6 +376,29 @@ def _exposure(f, alphas, S=BALL):
                                            "V": [[0.0, 1.0, 0.0, 0.0]]}}, "params.V[0]"),
     ("probe", {"kind": "probe", "params": {"probe": "omega", "U": [[1.0, 0.0], [0.0]],
                                            "V": [[0.0, 1.0]]}}, "params.U[1]"),
+    ("probe", {"kind": "probe", "params": {"probe": "omega", "U": [[1.0, 1.0]],
+                                           "V": [[0.0, 1.0]]}}, "'params.U'"),
+    ("probe", {"kind": "probe", "params": {"probe": "omega", "U": [[1.0, 0.0]],
+                                           "V": [[0.6, 0.6]]}}, "'params.V'"),
+    ("probe", {"kind": "probe", "params": {"probe": "separation", "M": 2, "omega": 0.3}},
+     "'params.M'"),
+    ("probe", {"kind": "probe", "params": {"probe": "separation", "M": 0, "omega": 0.3}},
+     "'params.M'"),
+    ("probe", {"kind": "probe", "params": {"probe": "separation", "M": 0.5, "omega": 1.0}},
+     "'params.omega'"),
+    ("probe", {"kind": "probe", "params": {"probe": "separation", "M": 0.5, "omega": -0.1}},
+     "'params.omega'"),
+    ("run", {"kind": "stable-scenario",
+             "params": {"scenario": "orthant_bounds", "scenario_params": {"d": "x"}}},
+     "'params.scenario_params'"),
+    ("run", {"kind": "stable-scenario",
+             "params": {"scenario": "orthant_polar", "scenario_params": {"foo": 1}}},
+     "'params.scenario_params'"),
+    ("run", {"kind": "ell2", "params": {"d": 4, "H": 4}}, "'params.H'"),
+    ("run", {"kind": "ell2", "params": {"d": 4, "H": 2, "start": [1.0, 0.5, 0.5, 0.5]}},
+     "'params.start'"),
+    ("run", {"kind": "ell2", "params": {"d": 4, "H": 2, "start": [0.5, 0.5, 0.0, 0.5]}},
+     "'params.start'"),
 ])
 def test_run_and_validate_reject_the_same_configs(tmp_path, capsys, command, doc, field):
     cfg = write_config(tmp_path, doc)

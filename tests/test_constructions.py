@@ -7,9 +7,7 @@ import pytest
 from altproj.constructions import (BlockBudgetExceeded, Ell2Construction,
                                    InfeasibleParams, build_ell2_construction,
                                    default_start_alphas, ell2_aw_certificate,
-                                   ell2_checkpoints, ell2_limit_graph,
-                                   ell2_relative_gap, ell2_run, ell2_schedule,
-                                   ell2_start_point, ell2_verify_engine,
+                                   ell2_run, ell2_schedule, ell2_start_point,
                                    example_unstable_bodies,
                                    run_example_unbounded_lines,
                                    run_example_unstable, stable_scenario,
@@ -19,6 +17,8 @@ from altproj.sets import AffineSubspace, Ball, Halfspace, Polyhedron
 from altproj.variational import aw_distance, strongly_exposes_probe
 
 from _oracles import exact_fields
+from _paper_checks import (ell2_checkpoints, ell2_limit_graph, ell2_relative_gap,
+                           ell2_verify_engine)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from altproj.geometry import (ConeSpec, DimensionMismatch, as_point, cone_contains,
-                              cone_from_angle)
+from altproj.geometry import DimensionMismatch, as_point
+
+from _paper_checks import ConeSpec, cone_contains, cone_from_angle
 
 
 def test_as_point_rejects_nonfinite():

@@ -1,14 +1,15 @@
-"""Byte-for-byte outputs of the fast shipped configs.
+"""Byte-for-byte outputs of every shipped config.
 
-Every file these configs write is pinned by its SHA-256, so a refactor
-that changes any trace, report or construction digit fails here.  The
-hashes were recorded with numpy 2.4 and scipy 1.17 on x86-64; other
-versions may round the last digit differently.  ``graph_growth_half``
+Every file each config in ``configs/`` writes is pinned by its SHA-256, so
+a refactor that changes any trace, report or construction digit fails
+here.  The hashes were recorded with numpy 2.4 and scipy 1.17 on x86-64;
+other versions may round the last digit differently.  ``graph_growth_half``
 (about 3.7e5 engine steps, several seconds) pins the engine's per-step
-path, and ``tangent_disc_scenario`` (1e5 steps, a record every 1000) the
-per-step scenario sets and ``record_stride`` under a ``PerStep`` schedule.
-The standard output and exit code of ``altproj validate`` are pinned the
-same way for all ten shipped configs.
+path, and the six ``*_scenario`` configs the per-step scenario sets and
+``record_stride`` under a ``PerStep`` schedule.  The standard output and
+exit code of ``altproj validate`` are pinned the same way for all fifteen
+shipped configs, and a config added to ``configs/`` without both pins
+fails ``test_every_shipped_config_is_pinned``.
 """
 
 import hashlib
@@ -42,8 +43,21 @@ GOLDEN = {
             "b8770ac8c91cda4ba5f9db68316f4a0297dbc6ad5b85cac5369c2759a35b3c5e",
         "graph_growth_quarter_report.json":
             "91ca87e00a38fd8ee86eeecb10ec70bef777b8bda8f0f9be5b3bc52a2986edf4"},
+    ("run", "orthant_bounds_scenario"): {
+        "orthant_bounds.csv": "ed8104067ae03c451aa29bb59b849f3ae033dfd604dea9979bde78853e5f1308"},
+    ("run", "orthant_halfspace_scenario"): {
+        "orthant_halfspace.csv":
+            "750e292f0f0192c22dbd28b3ee108b5c70b4a3cc37ab806295f4f53d4e70346f"},
+    ("run", "orthant_polar_scenario"): {
+        "orthant_polar.csv": "58383e5184a8fa86cec226a8e98a3485569a3b8db203ef27687da8ffc5c4bcb2"},
+    ("run", "overlapping_balls_scenario"): {
+        "overlapping_balls.csv":
+            "bcf63d25e1706d744b177f190e7a80fb8587845655640156e90034cf0be2b970"},
     ("run", "tangent_disc_scenario"): {
         "tangent_disc.csv": "aada120ecb3ad7b9eed284c0a621c38e25758096553a3d4c6c9832777d60c2a0"},
+    ("run", "transversal_planes_scenario"): {
+        "transversal_planes.csv":
+            "f1a769023bc13741002a791c090b6581fedbcb013ed110c3a2e36028453e595a"},
     ("probe", "probe_aw_squares"): {
         "aw_squares.json": "c1a8a4995d74f2a434bfd46d1c8f08b9e5a3b88c364e12f4b3fd644148e0bf9b"},
     ("probe", "probe_exposure_disc"): {
@@ -72,8 +86,16 @@ VALIDATE_GOLDEN = {
         (0, "a8fb854f736960474c73fbb2e31ad269240077660aa5dbca77f7cf2e85a91d06"),
     "graph_growth_quarter":
         (0, "ec8b258adf326a3654cc2883806072ce414a41314639be7274e858c6b899d09e"),
+    "orthant_bounds_scenario":
+        (0, "ae8e2ff69297c2fd18506782b4abc6b3fea5f8d91576cd1ede5756615e8317dc"),
+    "orthant_halfspace_scenario":
+        (0, "ae8e2ff69297c2fd18506782b4abc6b3fea5f8d91576cd1ede5756615e8317dc"),
+    "orthant_polar_scenario":
+        (0, "ae8e2ff69297c2fd18506782b4abc6b3fea5f8d91576cd1ede5756615e8317dc"),
     "oscillating_squares":
         (0, "b2b7379178b849d9c08853803eff1017421ec6a03b0a6a02fd5a61b2b9f4db07"),
+    "overlapping_balls_scenario":
+        (0, "7e3d354ee579e7578aa3628e2e9a3e308a3ce64eccbf1767c9fc2c336abfd647"),
     "probe_aw_squares":
         (0, "a405ec0330538511fce00f395ff2f321600ef27add0ae4c8f72148e0ea8b8304"),
     "probe_exposure_disc":
@@ -84,6 +106,8 @@ VALIDATE_GOLDEN = {
         (0, "4a3a79e65a448e3510b4cea45839c612bdc05b5f5b772aeeb9f583d5b59b95b2"),
     "tangent_disc_scenario":
         (0, "ae8e2ff69297c2fd18506782b4abc6b3fea5f8d91576cd1ede5756615e8317dc"),
+    "transversal_planes_scenario":
+        (0, "66c44f3bf293bb0486fb77b93e3626178510e5477b1f261a12e6a00c451f4aec"),
     "two_lines_classical":
         (0, "c4170fc7d59f034110834d68cd0d45b1de2ddcd76b7306c6309cca6831591ab7"),
 }
@@ -95,3 +119,10 @@ def test_shipped_config_validate_stdout_byte_identical(tmp_path, capsys, name):
     code = main(["validate", "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == VALIDATE_GOLDEN[name]
+
+
+def test_every_shipped_config_is_pinned():
+    """The configs in configs/ are exactly those whose outputs and validate
+    stdout are pinned above."""
+    shipped = {p.stem for p in CONFIGS.glob("*.json")}
+    assert shipped == {name for _, name in GOLDEN} == VALIDATE_GOLDEN.keys()

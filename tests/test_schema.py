@@ -90,7 +90,7 @@ def test_integral_float_is_not_an_integer(oracle, value):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])
 def test_non_finite_number_is_not_a_number(oracle, value):
-    doc = {"kind": "probe", "params": {"probe": "separation", "M": 0.5, "omega": value}}
+    doc = {"kind": "stable-scenario", "params": {"scenario": "tangent_disc", "delta_scale": value}}
     assert oracle.is_valid(doc) and not _accepts(doc)
 
 

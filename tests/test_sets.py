@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from altproj.geometry import ConeSpec
 from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, Hyperplane,
                           NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron,
                           ProjectionCertificateError, SupportUnavailable,
@@ -24,6 +23,7 @@ from _oracles import (DISTANCE_CLOSED_FORMS, PROJECTABLE_KINDS, ball_slice_refer
                       polygon_contains_loop, polygon_project_loop,
                       polygon_slice_reference, polyhedron_project_dykstra,
                       polyhedron_projection_bruteforce, public_translate, random_set)
+from _paper_checks import ConeSpec
 
 
 # ---------------------------------------------------------------------------

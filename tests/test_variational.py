@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from altproj.geometry import ConeSpec, cone_from_angle
-from altproj.sets import (Ball, DiagonalAffineGraph, Halfspace,
-                          OrthoSubspace, Polygon2D, SamplerFailure, slice_sample)
+from altproj.sets import (Ball, DiagonalAffineGraph, Halfspace, OrthoSubspace, Polygon2D,
+                          Polyhedron, SamplerFailure, polyhedron_vertices, slice_sample)
 from altproj.variational import (AwEstimate, ExposureProbe, _diameter,
-                                 aw_distance, check_cos_separation,
-                                 check_fact_norms, epsilon_alpha,
-                                 eventual_containment_probe,
-                                 first_containment_index, omega_angle,
-                                 sample_cone_point, separation_constants,
-                                 strongly_exposes_probe, wset_contains)
+                                 aw_distance, epsilon_alpha, omega_angle,
+                                 separation_constants, strongly_exposes_probe)
 
 from _oracles import (diameter_reference, disc_min_shift_exact, omega_bruteforce,
                       polygon_containing_ball)
+from _paper_checks import (ConeSpec, check_cos_separation, check_fact_norms, cone_contains,
+                           cone_from_angle, eventual_containment_probe,
+                           first_containment_index, sample_cone_point, wset_contains)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +402,13 @@ def test_separation_constants_error_near_one():
         separation_constants(0.5, 0.99999)
 
 
+@pytest.mark.parametrize("M", [1e-12, 1e-200, 1e-300])
+def test_separation_constants_tiny_M_has_no_feasible_eps(M):
+    """No eps in [1e-12, M) exists; M**2 underflowing to 0 is not a ZeroDivisionError."""
+    with pytest.raises(ValueError, match="no feasible eps above 1e-12"):
+        separation_constants(M, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # standalone fact checks
 
@@ -452,7 +457,6 @@ def test_cos_separation_rejects_bad_angles():
 def test_sample_cone_point_respects_cones(rng):
     x0 = np.zeros(3)
     x0[0] = 1.0
-    from altproj.geometry import cone_contains
     c = cone_from_angle(x0, 0.8, kind="C")
     v = cone_from_angle(x0, 0.3, kind="V")
     for _ in range(200):
@@ -528,6 +532,17 @@ def test_zero_support_direction_is_rejected():
         slice_sample(B, np.zeros(2), 0.1, 10, 0)
     with pytest.raises(ValueError, match="support direction must be nonzero"):
         strongly_exposes_probe(B, np.zeros(2), [0.2, 0.1])
+
+
+def test_exposure_probe_enumerates_box_vertices_once_per_support_call(monkeypatch):
+    """A two-alpha probe on a box takes its support point once and its support
+    value once per alpha (in slice_sample): three vertex enumerations."""
+    calls = []
+    monkeypatch.setattr("altproj.sets.polyhedron_vertices",
+                        lambda S: calls.append(S) or polyhedron_vertices(S))
+    box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4), witness=np.zeros(2))
+    probe = strongly_exposes_probe(box, np.array([1.0, 0.5]), [0.2, 0.1], n_samples=50)
+    assert len(probe.slice_diams) == 2 and len(calls) == 3
 
 
 @pytest.mark.parametrize("f, message", [
