@@ -252,7 +252,7 @@ def _example44_row(h):
     A, B, C, D = cons.example_unstable_bodies(h)
     anchor = np.array([1.0, 0.0]) if h % 2 == 1 else np.array([-1.0, 0.0])
     return (f"pair {h}: bodies touch at {anchor.tolist()}",
-            C.contains(anchor, 1e-12) and D.contains(anchor, 1e-12),
+            C.membership(anchor, 1e-12) and D.membership(anchor, 1e-12),
             f"C has {len(C.vertices)} vertices, D has {len(D.vertices)}")
 
 
@@ -349,7 +349,8 @@ def _probe_execute(cfg, p):
             "result": asdict(var.strongly_exposes_probe(S, f, alphas, n_samples=n,
                                                         rng_seed=seed))}
     if probe == "separation":
-        eps, eta = var.separation_constants(float(p["M"]), float(p["omega"]))
+        with _naming("params.omega"):
+            eps, eta = var.separation_constants(float(p["M"]), float(p["omega"]))
         return lambda out_dir, quiet: {"probe": "separation", "seed": seed,
                                        "result": {"eps": eps, "eta": eta}}
     N = p.get("N", 2)

@@ -8,8 +8,11 @@ least-distance program by active-set NNLS (Lawson & Hanson, *Solving Least
 Squares Problems*, ch. 23) and checks a KKT certificate on every call; the
 same NNLS decides, by Farkas' lemma, in which directions a polyhedron is
 unbounded.  ``project_many`` and ``distance_many`` take (k, d) batches,
-bit-equal row by row to ``project`` and to ``distance``, which is
-defined from it; the sampled probes use them.  A kind with fields to
+bit-equal row by row to ``project`` and to ``distance``, which is row 0
+of ``distance_many``.  Only the sampled probes batch, so only ``Ball``
+and ``Polygon2D`` keep a batch projection kernel (see
+``ConvexSet.project_many``); membership is ``distance <= tol`` for
+every kind.  A kind with fields to
 check checks them in one ``_store``: the constructor turns its input
 into stored form (a unit normal, normalised rows) and passes it there,
 and ``ConvexSet._replace``, used by the per-step families, passes only
@@ -139,10 +142,14 @@ class ConvexSet:
         return float(self.distance_many(as_point(x, dim=self.dim)[None])[0])
 
     def project_many(self, X) -> np.ndarray:
-        """Row i is ``project(X[i])``, for a (k, dim) array X.  The kinds with
-        a closed form override this loop with whole-array arithmetic that
-        gives the same bits: row dot products by ``np.vecdot``, which sums
-        in the order of the 1-D ``np.dot``, and row norms by ``row_norms``."""
+        """Row i is ``project(X[i])``, for a (k, dim) array X.  The engine
+        projects one point a step; only the sampled probes batch.  Of the
+        benchmark workloads only the probe sweep does, on ``Polygon2D`` (about
+        41k rows a pass) and ``Ball`` (2.4k), so those two override this loop
+        with whole-array arithmetic that gives the same bits: row dot products
+        by ``np.vecdot``, which sums in the order of the 1-D ``np.dot``, and
+        row norms by ``row_norms``.  The config checks' few thousand subspace
+        and orthant rows take a few ms here."""
         X = as_points(X, self.dim)
         out = np.empty_like(X)
         for i, x in enumerate(X):
@@ -239,14 +246,6 @@ class Halfspace(_UnitNormal):
             return x.copy()
         return x - excess * self.a
 
-    def project_many(self, X):
-        X = as_points(X, self.dim)
-        excess = np.vecdot(X, self.a) - self.b
-        out = X.copy()
-        out_side = excess > 0.0
-        out[out_side] -= excess[out_side, None] * self.a
-        return out
-
     def distance_many(self, X):
         return _positive_part(np.vecdot(as_points(X, self.dim), self.a) - self.b)
 
@@ -260,10 +259,6 @@ class Hyperplane(_UnitNormal):
     def project(self, x):
         x = as_point(x, dim=self.dim)
         return x - (float(np.dot(self.a, x)) - self.b) * self.a
-
-    def project_many(self, X):
-        X = as_points(X, self.dim)
-        return X - (np.vecdot(X, self.a) - self.b)[:, None] * self.a
 
     def distance_many(self, X):
         return np.abs(np.vecdot(as_points(X, self.dim), self.a) - self.b)
@@ -377,17 +372,11 @@ class Polygon2D(ConvexSet):
     def dim(self):
         return 2
 
-    def _outward(self, D, tol=0.0):
-        """Whether a point X lies more than tol outside some edge line, from its
-        offsets D = X[..., None, :] - starts; X may be a point or a (k, 2) array.
-        The outward normal of a CCW edge e is (e_y, -e_x)."""
-        E = self._edges
-        return (D[..., 0] * E[:, 1] - D[..., 1] * E[:, 0] > tol * row_norms(E)).any(axis=-1)
-
     def _nearest(self, X):
         """``project`` of a point or of each row of a (k, 2) array: the first
         nearest clamped edge foot, or the point itself when no edge test puts
-        it outside the polygon."""
+        it outside the polygon.  The outward normal of a CCW edge e is
+        (e_y, -e_x)."""
         P, E = self._starts, self._edges
         if not len(P):
             return np.broadcast_to(self.vertices[0], X.shape).copy()
@@ -396,22 +385,14 @@ class Polygon2D(ConvexSet):
         cand = P + np.where(t < 1.0, t, 1.0)[..., None] * E
         near = row_norms(X[..., None, :] - cand).argmin(axis=-1)
         out = np.take_along_axis(cand, near[..., None, None], axis=-2)[..., 0, :]
-        return np.where(self._outward(D)[..., None], out, X) if len(P) >= 3 else out
-
-    def contains(self, x, tol=0.0):
-        x = as_point(x, dim=2)
-        if len(self.vertices) < 3:
-            return self.distance(x) <= tol
-        return not self._outward(x - self._starts, tol)
+        outside = (D[..., 0] * E[:, 1] - D[..., 1] * E[:, 0] > 0.0).any(axis=-1)
+        return np.where(outside[..., None], out, X) if len(P) >= 3 else out
 
     def project(self, x):
         return self._nearest(as_point(x, dim=2))
 
     def project_many(self, X):
         return self._nearest(as_points(X, 2))
-
-    def membership(self, x, tol=0.0):
-        return self.contains(x, tol) or self.distance(x) <= tol
 
     def support_value(self, f):
         return float(np.max(self.vertices @ as_point(f, dim=2)))
@@ -460,11 +441,6 @@ class OrthoSubspace(ConvexSet):
         out[self._coords] = x[self._coords] + 0.0  # + 0.0: the matmul's +0.0 for a -0.0
         return out
 
-    def project_many(self, X):
-        # stacked matrix-vector products: the same BLAS call per row as project
-        X = as_points(X, self.dim)
-        return (self.basis.T @ (self.basis @ X[:, :, None]))[:, :, 0]
-
     def support_value(self, f):
         if float(np.linalg.norm(self.basis @ f)) <= 1e-12 * np.linalg.norm(f):
             return 0.0
@@ -506,10 +482,6 @@ class AffineSubspace(ConvexSet):
         y = x - self.anchor
         return self.anchor + self.basis.T @ (self.basis @ y)
 
-    def project_many(self, X):
-        Y = as_points(X, self.dim) - self.anchor
-        return self.anchor + (self.basis.T @ (self.basis @ Y[:, :, None]))[:, :, 0]
-
     def support_value(self, f):
         if float(np.linalg.norm(self.basis @ f)) <= 1e-12 * np.linalg.norm(f):
             return float(np.dot(f, self.anchor))
@@ -535,9 +507,6 @@ class NonnegOrthant(ConvexSet):
 
     def project(self, x):
         return np.maximum(as_point(x, dim=self.d), 0.0)
-
-    def project_many(self, X):
-        return np.maximum(as_points(X, self.d), 0.0)
 
     def distance_many(self, X):
         return row_norms(np.minimum(as_points(X, self.d), 0.0))
@@ -594,10 +563,6 @@ class Polyhedron(ConvexSet):
     def dim(self):
         return self.normals.shape[1]
 
-    def contains(self, x, tol=0.0):
-        x = as_point(x, dim=self.dim)
-        return bool(np.all(self.normals @ x <= self.b + tol))
-
     def project(self, x):
         """The nearest point, from the least-distance program in z = y - x:
         min ||z|| subject to A z <= r, r = b - A x (Lawson & Hanson, ch. 23).
@@ -627,9 +592,6 @@ class Polyhedron(ConvexSet):
         y = x - A.T @ lam
         _certify(x, y, lam, A, b)
         return y
-
-    def membership(self, x, tol=0.0):
-        return self.contains(x, tol) or self.distance(x) <= tol
 
     def _vertices_toward(self, f):
         """The vertices, one of which attains sup <f, .>; raises if there is none."""
@@ -688,14 +650,6 @@ class DiagonalAffineGraph(ConvexSet):
         out = np.empty(2 * d)
         out[:d] = x = (z[:d] + self.theta * (z[d:] - self.offset)) / self._denom
         out[d:] = self.offset + self.theta * x
-        return out
-
-    def project_many(self, Z):
-        Z = as_points(Z, self.dim)
-        d = self.half_dim
-        out = np.empty(Z.shape)
-        out[:, :d] = x = (Z[:, :d] + self.theta * (Z[:, d:] - self.offset)) / self._denom
-        out[:, d:] = self.offset + self.theta * x
         return out
 
     def support_value(self, f):

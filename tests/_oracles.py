@@ -253,8 +253,11 @@ def polygon_project_loop(P: Polygon2D, x):
     m = len(v)
     if m == 1:
         return v[0].copy()
-    if m >= 3 and polygon_contains_loop(P, x):
-        return x.copy()
+    if m >= 3:
+        # the outward normal of a CCW edge e is (e_y, -e_x)
+        edges = [(v[i], v[(i + 1) % m] - v[i]) for i in range(m)]
+        if not any((x[0] - p[0]) * e[1] - (x[1] - p[1]) * e[0] > 0.0 for p, e in edges):
+            return x.copy()
     best, best_d = None, np.inf
     seg_count = m if m >= 3 else 1
     for i in range(seg_count):
@@ -267,23 +270,6 @@ def polygon_project_loop(P: Polygon2D, x):
         if d < best_d:
             best, best_d = cand, d
     return best
-
-
-def polygon_contains_loop(P: Polygon2D, x, tol=0.0):
-    """``Polygon2D.contains`` edge by edge: no edge puts x more than tol
-    outside (a point or a segment: the distance is at most tol)."""
-    x = np.asarray(x, dtype=float)
-    v = P.vertices
-    m = len(v)
-    if m < 3:
-        return float(np.linalg.norm(x - polygon_project_loop(P, x))) <= tol
-    for i in range(m):
-        p, q = v[i], v[(i + 1) % m]
-        edge = q - p
-        # Outward normal is (edge_y, -edge_x) for CCW orientation.
-        if (x[0] - p[0]) * edge[1] - (x[1] - p[1]) * edge[0] > tol * np.linalg.norm(edge):
-            return False
-    return True
 
 
 def disc_min_shift_exact(alpha):

@@ -399,6 +399,8 @@ def _exposure(f, alphas, S=BALL):
      "'params.start'"),
     ("run", {"kind": "ell2", "params": {"d": 4, "H": 2, "start": [0.5, 0.5, 0.0, 0.5]}},
      "'params.start'"),
+    ("probe", {"kind": "probe", "params": {"probe": "separation", "M": 0.5, "omega": 0.99999}},
+     "config field 'params.omega'"),
 ])
 def test_run_and_validate_reject_the_same_configs(tmp_path, capsys, command, doc, field):
     cfg = write_config(tmp_path, doc)

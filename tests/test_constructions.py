@@ -389,7 +389,7 @@ def test_scenario_params_are_checked_not_coerced(kind, params, name):
 def test_orthant_bounds_uses_offsets_given_alone():
     scen = stable_scenario("orthant_bounds", d=2, offsets=[3.0, 4.0])
     # default normals (1, 1) and (1.5, 0.5); the default offsets (2, 2) exclude this point
-    assert scen.B.contains(np.array([1.4, 1.4]))
+    assert scen.B.membership(np.array([1.4, 1.4]))
 
 
 def test_unknown_scenario_kind_rejected():

@@ -20,7 +20,7 @@ from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, 
 from _oracles import (DISTANCE_CLOSED_FORMS, PROJECTABLE_KINDS, ball_slice_reference,
                       disc_slice_diameter,
                       exact_fields, graph_projection_first_coords_oracle,
-                      polygon_contains_loop, polygon_project_loop,
+                      polygon_project_loop,
                       polygon_slice_reference, polyhedron_project_dykstra,
                       polyhedron_projection_bruteforce, public_translate, random_set)
 from _paper_checks import ConeSpec
@@ -290,6 +290,32 @@ def test_membership_examples():
                    witness=np.zeros(2))
     assert not P.membership(np.array([2.0, 0.0]), 0.5)
     assert P.membership(np.array([2.0, 0.0]), 1.0 + 1e-9)
+
+
+_UNIT_SQUARE = Polygon2D([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+_UNIT_BOX = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 1.0, 0.0, 0.0]),
+                       witness=np.full(2, 0.5))
+
+
+@pytest.mark.parametrize("make", [lambda rng: _UNIT_SQUARE, lambda rng: _UNIT_BOX] + [
+    lambda rng, kind=kind: random_set(kind, rng) for kind in PROJECTABLE_KINDS],
+    ids=["unit-square", "unit-box"] + list(PROJECTABLE_KINDS))
+def test_membership_is_distance_within_tol(make, rng):
+    """membership(x, tol) == (distance(x) <= tol) for every kind, on points
+    inside, near the boundary and in the corner regions of the square and
+    the box, where a point can be within tol of every edge line but farther
+    than tol from the set: (1.09, 1.09) is within 0.1 of both lines x = 1 and
+    y = 1 and 0.127 from the square."""
+    corners = np.array([(1.09, 1.09), (-0.09, 1.09), (1.09, -0.09), (-0.09, -0.09)])
+    for _ in range(4):
+        S = make(rng)
+        X = [S.project(rng.standard_normal(S.dim) * 3.0) + rng.standard_normal(S.dim) * s
+             for s in (0.0, 1e-3, 0.05, 0.1, 1.0) for _ in range(10)]
+        if S.dim == 2:
+            X += list(corners) + list(corners + rng.uniform(-0.05, 0.05, corners.shape))
+        for x in X:
+            for tol in (0.0, 1e-9, 0.05, 0.1, 0.2):
+                assert S.membership(x, tol) == (S.distance(x) <= tol), (S.to_dict(), x, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +627,9 @@ def _oracle_polygons(rng):
 
 
 def test_polygon_kernel_bit_equal_to_edge_loops(rng):
-    """project, project_many and contains give what the per-edge loops of
-    tests/_oracles.py give, bit for bit, on points from 1e-2 to 1e6 and on each
-    polygon's vertices and edge midpoints."""
+    """project and project_many give what the per-edge loop of tests/_oracles.py
+    gives, bit for bit, on points from 1e-2 to 1e6 and on each polygon's
+    vertices and edge midpoints."""
     counts = set()
     for P in _oracle_polygons(rng):
         v = P.vertices
@@ -614,9 +640,6 @@ def test_polygon_kernel_bit_equal_to_edge_loops(rng):
         want = np.array([polygon_project_loop(P, x) for x in X])
         assert np.array([P.project(x) for x in X]).tobytes() == want.tobytes()
         assert P.project_many(X).tobytes() == want.tobytes()
-        for tol in (0.0, 1e-12, 0.1):
-            assert [P.contains(x, tol) for x in X] == [polygon_contains_loop(P, x, tol)
-                                                        for x in X]
     assert {1, 2, 3} <= counts and max(counts) >= 7
 
 
