@@ -349,6 +349,8 @@ def _probe_execute(cfg, p):
             "result": asdict(var.strongly_exposes_probe(S, f, alphas, n_samples=n,
                                                         rng_seed=seed))}
     if probe == "separation":
+        with _naming("params.M"):  # no eps at omega = 0, the easiest omega, leaves none at all
+            var.separation_constants(float(p["M"]), 0.0)
         with _naming("params.omega"):
             eps, eta = var.separation_constants(float(p["M"]), float(p["omega"]))
         return lambda out_dir, quiet: {"probe": "separation", "seed": seed,

@@ -10,8 +10,10 @@ each step whether, and why, the block ends.  ``pair`` is called once per
 block, at its first step, so a callable ``Adaptive`` family builds each
 block's sets lazily and once.  Every step is computed; ``record_stride``
 only thins the log, where a block end forces a record (a ``PerStep``
-one does not).  Runs are strictly sequential and deterministic: the
-same schedule and run config give the same trace, bit for bit.
+one does not).  A block pairing X (+) {0} with a ``DiagonalAffineGraph``
+takes the graph's ``pair_step``, one update per step, bit-equal to both
+projections.  Runs are strictly sequential and deterministic: the same
+schedule and run config give the same trace, bit for bit.
 """
 
 from __future__ import annotations
@@ -253,12 +255,17 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
                 schedule_complete = all(bl.advance in ("predicate", "length")
                                         for bl in block_logs) and len(block_logs) > 0
                 break
+            # the growth pair's one update; the kind tag first keeps other blocks cheap
+            step, point_b = (getattr(B_n, "kind", None) == "diagonal_affine_graph"
+                             and B_n.pair_step(A_n, prev)) or (None, None)
 
-        try:
-            b_n = project_b(prev)
-            a_n = project_a(b_n)
-        except (ValueError, RuntimeError) as exc:
-            raise ProjectionStepError(n, exc) from exc
+        b_n, a_n = None, step(prev) if step else None
+        if a_n is None:
+            try:
+                b_n = project_b(prev)
+                a_n = project_a(b_n)
+            except (ValueError, RuntimeError) as exc:
+                raise ProjectionStepError(n, exc) from exc
         block_step += 1
 
         cause = advance(block_id, block_step, a_n)
@@ -266,7 +273,7 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
         residual_stop = stop_residual is not None and _norm(a_n - prev) < stop_residual
         if (cause is not None and log_block_ends or n == max_iter or residual_stop
                 or n % stride == 0 or n == 1 or n in indices):
-            log(n, block_id, block_step, a_n, b_n, prev)
+            log(n, block_id, block_step, a_n, point_b(prev) if b_n is None else b_n, prev)
 
         if cause is not None:
             block_logs.append(BlockLog(block_id, block_start_n, n, cause))

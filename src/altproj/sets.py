@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import as_point, as_points, row_norms
+from .geometry import _count_nonzero, as_point, as_points, row_norms
 
 
 class ProjectionCertificateError(RuntimeError):
@@ -82,10 +82,17 @@ def _row_scales(A):
 def _freeze(arr, name: str) -> np.ndarray:
     """Read-only float copy of an array field; non-finite entries raise."""
     arr = np.array(arr, dtype=float)
-    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
+    if _count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def _frozen_point(x, dim=None) -> np.ndarray:
+    """``as_point(x, dim)`` as a read-only copy, checked and copied once."""
+    p = as_point(np.array(x, dtype=float), dim)
+    p.setflags(write=False)
+    return p
 
 
 def _finite(x, name: str) -> float:
@@ -277,7 +284,7 @@ class Ball(ConvexSet):
     def _store(self, **fields):
         """Check and set the given fields, as the constructor takes them."""
         if "center" in fields:
-            fields["center"] = _freeze(as_point(fields["center"]), "center")
+            fields["center"] = _frozen_point(fields["center"])
         if "radius" in fields:
             if not fields["radius"] > 0.0:
                 raise ValueError("radius must be positive")
@@ -447,7 +454,9 @@ class OrthoSubspace(ConvexSet):
         raise SupportUnavailable("subspace is unbounded in this direction")
 
     def translate(self, v):
-        return self._replace(AffineSubspace, anchor=as_point(v, dim=self.dim))
+        T = object.__new__(AffineSubspace)  # the basis is checked, so only v needs checking
+        T.__dict__.update(anchor=_frozen_point(v, self.dim), basis=self.basis)
+        return T
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,13 +474,13 @@ class AffineSubspace(ConvexSet):
     def _store(self, **fields):
         """Check and set the given fields, as the constructor takes them, against
         the stored basis when none is given."""
-        a = as_point(fields["anchor"]) if "anchor" in fields else self.anchor
+        a = _frozen_point(fields["anchor"]) if "anchor" in fields else self.anchor
         b = _freeze(fields["basis"], "basis") if "basis" in fields else self.basis
         if b.ndim != 2 or b.shape[1] != a.size:
             raise ValueError("basis shape incompatible with anchor")
         if "basis" in fields:
             _check_orthonormal(b)
-        self.__dict__.update(anchor=_freeze(a, "anchor"), basis=b)
+        self.__dict__.update(anchor=a, basis=b)
 
     @property
     def dim(self):
@@ -554,10 +563,10 @@ class Polyhedron(ConvexSet):
         b = _freeze(fields.get("b", self.b), "b")
         if A.ndim != 2 or b.shape != A.shape[:1] or not b.size:
             raise ValueError("normals must be (m, d), b must be (m,)")
-        w = as_point(fields.get("witness", self.witness), dim=A.shape[1])
+        w = _frozen_point(fields.get("witness", self.witness), A.shape[1])
         if (A @ w > b + 1e-9).any():
             raise ValueError("witness point is not feasible")
-        self.__dict__.update(normals=A, b=b, witness=_freeze(w, "witness"))
+        self.__dict__.update(normals=A, b=b, witness=w)
 
     @property
     def dim(self):
@@ -629,10 +638,8 @@ class DiagonalAffineGraph(ConvexSet):
     offset: np.ndarray
 
     def __post_init__(self):
-        t = as_point(self.theta)
-        o = as_point(self.offset, dim=t.size)
-        object.__setattr__(self, "theta", _freeze(t, "theta"))
-        object.__setattr__(self, "offset", _freeze(o, "offset"))
+        object.__setattr__(self, "theta", _frozen_point(self.theta))
+        object.__setattr__(self, "offset", _frozen_point(self.offset, self.theta.size))
         # not a field: the denominator 1 + theta^2 of both kernels
         object.__setattr__(self, "_denom", 1.0 + self.theta ** 2)
 
@@ -651,6 +658,30 @@ class DiagonalAffineGraph(ConvexSet):
         out[:d] = x = (z[:d] + self.theta * (z[d:] - self.offset)) / self._denom
         out[d:] = self.offset + self.theta * x
         return out
+
+    def pair_step(self, A, prev):
+        """``(step, point_b)`` for the pair (A, self) when A is the first factor X (+) {0}
+        and prev's second factor is +0.0 bit for bit, else None.  ``project`` is then
+        x = (p[:d] + c) / _denom, c = theta * (0.0 - offset), and ``A.project`` (x + 0.0, 0):
+        ``step(p)`` is that a_n, or None unless x.x <= 1e300, which keeps b_n finite (see
+        README), for the caller to project twice and fail as before; ``point_b(p)`` is b_n."""
+        d, coords = self.half_dim, getattr(A, "_coords", None)
+        if (getattr(A, "kind", None) != "ortho_subspace" or A.dim != 2 * d or coords is None
+                or not np.array_equal(np.sort(coords), np.arange(d)) or prev.shape != (2 * d,)
+                or prev.dtype != np.float64 or prev[d:].view(np.uint64).any()):
+            return None
+        c, den, add, zeros = self.theta * (0.0 - self.offset), self._denom, np.add, np.zeros
+
+        def step(p):
+            x = (p[:d] + c) / den
+            a = zeros(2 * d)
+            add(x, 0.0, out=a[:d])  # A.project's +0.0 for a -0.0
+            return a if x.dot(x) <= 1e300 else None
+
+        def point_b(p):
+            x = (p[:d] + c) / den
+            return np.concatenate((x, self.offset + self.theta * x))
+        return step, point_b
 
     def support_value(self, f):
         d = self.half_dim

@@ -290,6 +290,19 @@ def test_probe_separation(tmp_path):
     assert doc["result"]["eta"] == pytest.approx(0.65, abs=1e-12)
 
 
+@pytest.mark.parametrize("M, omega, field", [(1e-300, 0.3, "params.M"), (1e-3, 0.3, "params.M"),
+                                             (0.5, 0.99999, "params.omega")])
+def test_separation_names_the_parameter_that_leaves_no_eps(tmp_path, capsys, M, omega, field):
+    """validate and probe name M when no omega would leave an eps (omega = 0 is the
+    easiest), and omega when M alone would."""
+    cfg = write_config(tmp_path, {"kind": "probe",
+                                  "params": {"probe": "separation", "M": M, "omega": omega}})
+    for cmd in ("validate", "probe"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (f"error: config field '{field}': no feasible eps "
+                                           "above 1e-12 for this (M, omega)\n")
+
+
 def test_validate_example44(tmp_path, capsys):
     cfg = write_config(tmp_path, {"kind": "example44",
                                   "params": {"n_blocks": 4}})

@@ -11,7 +11,7 @@ from altproj.constructions import stable_scenario
 from altproj.engine import (Adaptive, BlockLog, Blocks, Constant, PerStep,
                             ProjectionStepError, RunConfig, Trace, TraceRecord, run_classical,
                             run_perturbed, _norm, trace_to_csv, trace_to_json)
-from altproj.sets import Ball, OrthoSubspace
+from altproj.sets import Ball, DiagonalAffineGraph, OrthoSubspace
 
 
 def line(angle):
@@ -505,3 +505,133 @@ def test_stop_residual_matches_per_step_reference(stop_residual, stride):
     trace = run_perturbed(Blocks(blocks), cfg)
     assert (trace.final.n, trace.status) == _residual_stop_reference(
         blocks, start, 300, stop_residual)
+
+
+# ---------------------------------------------------------------------------
+# the growth pair (first factor X (+) {0}, DiagonalAffineGraph) as one update
+
+
+def _entries(rng, k):
+    """k floats mixing O(1) values over six decades, +-0.0 and magnitudes near 1e308."""
+    out = rng.standard_normal(k) * 10.0 ** rng.uniform(-3.0, 3.0, k)
+    pick = rng.random(k)
+    out[pick < 0.2] = 0.0
+    out[(0.2 <= pick) & (pick < 0.3)] = -0.0
+    huge = pick > 0.9
+    out[huge] = rng.choice([-1.0, 1.0], huge.sum()) * rng.uniform(0.1, 1.7, huge.sum()) * 1e308
+    return out
+
+
+def _graph(rng, d):
+    theta = np.zeros(d) if rng.random() < 0.1 else _entries(rng, d)
+    offset = np.zeros(d) if rng.random() < 0.1 else _entries(rng, d)
+    with np.errstate(over="ignore"):  # 1 + theta^2 may overflow
+        return DiagonalAffineGraph(theta, offset)
+
+
+def _growth_case(rng):
+    """A seeded (schedule, run config) over pairs of X (+) {0} and graphs in R^(2d),
+    d = 1..4, under Constant, Blocks or Adaptive.  Some blocks use X's basis rows
+    permuted (fused too), the whole space (whose iterates leave a nonzero second
+    factor to the next block), d other unit vectors or R^(2d+1) (neither fused);
+    some starts have a second factor that is nonzero or -0.0."""
+    d = int(rng.integers(1, 5))
+    first, unit = OrthoSubspace(np.eye(d, 2 * d)), np.eye(2 * d)
+    others = (OrthoSubspace(unit[rng.permutation(d)]), OrthoSubspace(unit),
+              OrthoSubspace(unit[rng.choice(2 * d, d, replace=False)]),
+              OrthoSubspace(np.eye(d, 2 * d + 1)))
+    tail = rng.random()
+    second = (np.zeros(d) if tail < 0.6 else np.full(d, -0.0) if tail < 0.75
+              else _entries(rng, d))
+    cfg = RunConfig(start=np.concatenate((_entries(rng, d), second)),
+                    max_iter=int(rng.integers(1, 13)))
+    graphs = [_graph(rng, d) for _ in range(int(rng.integers(1, 4)))]
+    kind = rng.integers(3)
+    if kind == 0:
+        return Constant(first, graphs[0]), cfg
+    if kind == 1:
+        return Blocks(tuple((others[int(rng.integers(4))] if rng.random() < 0.3 else first,
+                             G, int(rng.integers(1, 6))) for G in graphs)), cfg
+    limit = float(rng.uniform(-2.0, 2.0))
+
+    def pairs(k):
+        return first, graphs[k - 1]
+    return Adaptive(pairs, lambda k, a: a[0] > limit, int(rng.integers(1, 6))), cfg
+
+
+def _outcome(schedule, cfg):
+    """Every record bit for bit, the block logs and the status, or the error's
+    cause type, step and message."""
+    try:
+        with np.errstate(all="ignore"):
+            trace = run_perturbed(schedule, cfg)
+    except ProjectionStepError as exc:
+        return type(exc.__cause__), exc.step, str(exc)
+    return ([(r.n, r.block_id, r.block_step, r.a.tobytes(), r.b.tobytes(), r.norm_a, r.norm_b,
+              r.res_a, r.gap_ab, r.dist_target) for r in trace.records],
+            trace.blocks, trace.status, trace.schedule_complete)
+
+
+def test_fused_growth_step_matches_the_two_projections(monkeypatch):
+    """At record_stride 1 the fused step gives the records, block logs and status of
+    the two generic projections bit for bit, and fails at the same step with the
+    same error; seeded cases cover theta = 0, offset 0, -0.0 coordinates, starts
+    whose second factor is nonzero or -0.0, and magnitudes near 1e308."""
+    rng = np.random.default_rng(2718)
+    real, taken = DiagonalAffineGraph.pair_step, []
+
+    def spy(self, A, prev):
+        out = real(self, A, prev)
+        taken.append(out is not None)
+        return out
+
+    errors = 0
+    for case in range(400):
+        schedule, cfg = _growth_case(rng)
+        with monkeypatch.context() as m:
+            m.setattr(DiagonalAffineGraph, "pair_step", spy)
+            fused = _outcome(schedule, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(DiagonalAffineGraph, "pair_step", lambda self, A, prev: None)
+            generic = _outcome(schedule, cfg)
+        assert fused == generic, case
+        errors += isinstance(fused[1], int)
+    assert 50 < errors < 350 and 100 < sum(taken) < len(taken)
+
+
+def test_fused_steps_build_each_record_through_trace_record_in_order(monkeypatch):
+    """Fused blocks still build each logged record through ``engine.TraceRecord``,
+    once and at its own step."""
+    built = []
+
+    def counting(**fields):
+        built.append(fields["n"])
+        return TraceRecord(**fields)
+
+    monkeypatch.setattr(engine, "TraceRecord", counting)
+    X = OrthoSubspace(np.eye(3, 6))
+    graphs = [DiagonalAffineGraph(np.array([0.5, -2.0, 0.0]), np.array([1.0, 0.0, -3.0]) * k)
+              for k in (1, 2, 3)]
+    cfg = RunConfig(start=np.array([1.0, -2.0, 3.0, 0.0, 0.0, 0.0]), max_iter=40,
+                    record_stride=7, record_indices={3, 11})
+    trace = run_perturbed(Blocks(tuple(zip([X] * 3, graphs, (10, 15, 20)))), cfg)
+    assert built == [r.n for r in trace.records] == [1, 3, 7, 10, 11, 14, 21, 25, 28, 35, 40]
+
+
+@pytest.mark.parametrize("second, generic_steps", [(0.0, 0), (-0.0, 4), (1.0, 4)])
+def test_fused_blocks_take_no_projection(monkeypatch, second, generic_steps):
+    """A block of the growth pair entered with a +0.0 second factor calls neither
+    ``project``; one entered otherwise takes both at each of its steps, and
+    leaves +0.0 to the next block."""
+    calls = []
+    for cls in (OrthoSubspace, DiagonalAffineGraph):
+        def counted(self, x, real=cls.project, name=cls.__name__):
+            calls.append(name)
+            return real(self, x)
+        monkeypatch.setattr(cls, "project", counted)
+    X = OrthoSubspace(np.eye(2, 4))
+    G = DiagonalAffineGraph(np.array([0.5, -2.0]), np.array([1.0, 0.0]))
+    start = np.array([1.0, -2.0, second, 0.0])
+    trace = run_perturbed(Blocks(((X, G, 4), (X, G, 6))), RunConfig(start=start, max_iter=10))
+    assert trace.final.n == 10
+    assert calls.count("OrthoSubspace") == calls.count("DiagonalAffineGraph") == generic_steps
