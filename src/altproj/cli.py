@@ -36,8 +36,8 @@ import numpy as np
 
 from . import constructions as cons
 from . import variational as var
-from .engine import (Blocks, Constant, ProjectionStepError, RunConfig, ScheduleExhausted,
-                     _output, run_perturbed, trace_to_csv, trace_to_json)
+from .engine import (Blocks, Constant, ProjectionStepError, RunConfig, _output, run_perturbed,
+                     trace_to_csv, trace_to_json)
 from .geometry import as_point
 from .sets import (ProjectionCertificateError, SamplerFailure, _check_orthonormal,
                    _support_direction, set_from_dict)
@@ -339,7 +339,7 @@ def _probe_execute(cfg, p):
         S = _parse_set(p["set"], "params.set")
         f = _vector(p, "f", S.dim)
         with _naming("params.f"):  # SupportUnavailable is a ValueError
-            S.support_value(_support_direction(f, S.dim))
+            S.support_point(_support_direction(f, S.dim))  # as the probe takes it
         alphas = [float(a) for a in p["alphas"]]
         _require(all(a > b for a, b in zip(alphas, alphas[1:])), "params.alphas",
                  "must be strictly decreasing")
@@ -370,6 +370,10 @@ def _probe_execute(cfg, p):
         return execute
     A = _parse_set(p["A"], "params.A")
     C = _parse_set(p["C"], "params.C", A.dim)
+    try:  # the run's own N-ball test, which fails before anything is drawn
+        var.aw_distance(A, C, N, n_samples=1, rng_seed=seed)
+    except SamplerFailure as exc:
+        _fail("params.N", str(exc))
     return lambda out_dir, quiet: {
         "probe": "aw", "seed": seed,
         "result": asdict(var.aw_distance(A, C, N, n_samples=n, rng_seed=seed))}
@@ -469,9 +473,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed=args.seed, max_iter=args.max_iter)
         command = {"run": cmd_run, "probe": cmd_probe, "validate": cmd_validate}[args.command]
         return command(cfg, Path(args.out), args.quiet)
-    except ScheduleExhausted as exc:
-        print(f"schedule exhausted: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ProjectionStepError, ProjectionCertificateError, SamplerFailure,
             cons.BlockBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

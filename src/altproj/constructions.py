@@ -24,12 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Adaptive, Blocks, PerStep, RunConfig, ScheduleExhausted, Trace,
-                     run_perturbed)
+from .engine import Adaptive, Blocks, PerStep, RunConfig, Trace, run_perturbed
 from .geometry import as_point
 from .sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace,
-                   NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron,
-                   _normal_in_range, _row_scales)
+                   NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron, _row_scales)
 
 
 class InfeasibleParams(ValueError):
@@ -78,36 +76,35 @@ def run_example_unstable(n_blocks: int, max_block_len: int = 10_000,
 
     Block k runs on (C_k, D_k) until the iterate is within 1/2 of (1, 0)
     for odd k, of (-1, 0) for even k, so the trace contains iterate pairs
-    at distance >= 1.  Raises :class:`ScheduleExhausted` if some block's
-    predicate fails to fire within max_block_len steps.
+    at distance >= 1.  A block whose predicate does not fire within
+    max_block_len steps ends the run: the trace's status is then
+    ``schedule_exhausted``, ``schedule_complete`` is false and its last
+    block ends with ``"budget"``.
     """
     if n_blocks < 2:
         raise ValueError("n_blocks must be >= 2")
-
-    def pair(k):
-        if k > n_blocks:
-            raise IndexError(k)
-        return example_unstable_bodies(k)[2:]
 
     def fired(k, a):
         anchor = np.array([1.0, 0.0]) if k % 2 == 1 else np.array([-1.0, 0.0])
         return float(np.linalg.norm(a - anchor)) < 0.5
 
-    schedule = Adaptive(pairs=pair, switch_predicate=fired, max_block_len=max_block_len)
-    return _run_all_blocks("oscillation", schedule, n_blocks, max_block_len, start, record_stride)
+    return _run_all_blocks(lambda k: example_unstable_bodies(k)[2:], fired, n_blocks,
+                           max_block_len, start, record_stride)
 
 
-def _run_all_blocks(name, schedule, n_blocks, max_block_len, start, record_stride) -> Trace:
-    """Run a planar adaptive schedule; raise unless every block's predicate fired."""
+def _run_all_blocks(pair, fired, n_blocks, max_block_len, start, record_stride) -> Trace:
+    """Run the planar Adaptive(pair, fired) over blocks 1 to n_blocks to its end: max_iter
+    leaves room for every block's budget."""
+
+    def pairs(k):
+        if k > n_blocks:
+            raise IndexError(k)  # the schedule's end
+        return pair(k)
+    schedule = Adaptive(pairs=pairs, switch_predicate=fired, max_block_len=max_block_len)
     cfg = RunConfig(start=as_point(np.asarray(start, dtype=float), dim=2),
                     max_iter=n_blocks * max_block_len + 1,
                     record_stride=record_stride)
-    trace = run_perturbed(schedule, cfg)
-    if not (trace.status == "schedule_exhausted" and trace.schedule_complete):
-        raise ScheduleExhausted(
-            f"{name} run completed only {len(trace.completed_blocks())} "
-            f"of {n_blocks} blocks (status {trace.status})")
-    return trace
+    return run_perturbed(schedule, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +127,19 @@ def run_example_unbounded_lines(n_blocks: int, max_block_len: int = 10_000,
 
     Block k alternates between the horizontal axis and the line through
     (0, 1/k) and (k, 0) until the iterate norm exceeds k/2, so the
-    block-end norms grow without bound as blocks accumulate.
+    block-end norms grow without bound as blocks accumulate.  A block that
+    does not reach its norm within max_block_len steps ends the run, as in
+    :func:`run_example_unstable`.
     """
     if n_blocks < 1:
         raise ValueError("n_blocks must be >= 1")
     axis = OrthoSubspace(np.array([[1.0, 0.0]]))
 
-    def pair(k):
-        if k > n_blocks:
-            raise IndexError(k)
-        return axis, tilted_line(k)
-
     def fired(k, a):
         return float(np.linalg.norm(a)) > k / 2.0
 
-    schedule = Adaptive(pairs=pair, switch_predicate=fired, max_block_len=max_block_len)
-    return _run_all_blocks("line", schedule, n_blocks, max_block_len, start, record_stride)
+    return _run_all_blocks(lambda k: (axis, tilted_line(k)), fired, n_blocks,
+                           max_block_len, start, record_stride)
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +568,9 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
             if np.all(a <= 0.0):
                 raise InfeasibleParams("normal lies in the polar cone of the orthant")
             notes, start = {"witness": _strict_orthant_witness(a, b).tolist()}, 3.0
-            a, b, norm_a = _normal_in_range(a, b)
             B = Halfspace(a, b)
-            b_family = lambda n: B._replace(b=(b + delta(n) * norm_a) / norm_a)
+            scale, norm_a = (float(v[0]) for v in _row_scales(a[None]))  # B divides by these
+            b_family = lambda n: B._replace(b=(b / scale + delta(n) * norm_a) / norm_a)
         else:
             a = as_point(_param(params, "a", np.array([-1.0, -2.0, -0.5]), ndim=1), dim=d)
             _no_more(params)
@@ -585,8 +579,8 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
                     "normal must be componentwise strictly negative "
                     "(interior of the orthant's polar cone)")
             notes = {"polar_interior": True}
-            a, _, norm_a = _normal_in_range(a, 0.0)
             B = Halfspace(a, 0.0)
+            _, norm_a = (float(v[0]) for v in _row_scales(a[None]))  # B divides by it
             b_family = lambda n: B._replace(b=delta(n) * norm_a / norm_a)
         return StableScenario(
             name=kind, A=K, B=B, a_family=lambda n: K.translate(-delta(n) * shift),

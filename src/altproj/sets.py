@@ -43,39 +43,20 @@ class SamplerFailure(RuntimeError):
     """Rejection sampler exhausted its budget."""
 
 
-def _normal_in_range(a, b, name="a"):
-    """(a, b, n): a normal, its offset and the plain norm n of the normal.
-
-    A plain norm that is 0, infinite or outside [1e-150, 1e150] may have
-    lost its squares to underflow or overflow; then a and b are divided by
-    the largest |a_i| and n is taken again.  A normal in range comes back
-    as given, so a / n and b / n keep the bits of the plain division.
-    """
-    with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
-        n = float(np.linalg.norm(a))
-    if n < 1e-150 or n > 1e150:
-        s = float(np.max(np.abs(a)))
-        if s == 0.0:
-            raise ValueError(f"{name} must be nonzero")
-        a, b = a / s, float(b) / s
-        n = float(np.linalg.norm(a))
-    return a, b, n
-
-
 def _row_scales(A):
-    """(s, n) for the rows of the normals A (m, d), as ``_normal_in_range``
-    treats one normal: A_i / s_i / n_i is the unit normal and b_i / s_i / n_i
-    the offset scaled to match.  A row whose plain norm is in range has
-    s_i = 1, which keeps the bits; a zero row has s_i = 0.  (Row norms sum
-    in another order than the 1-D norm, so each keeps its own.)"""
+    """(s, n) for the rows of the normals A (m, d): A_i / s_i / n_i is the unit normal and
+    b_i / s_i / n_i the offset scaled to match.  A ``row_norms`` norm (bit-equal to the 1-D
+    norm) that is 0, infinite or outside [1e-150, 1e150] may have lost its squares to under-
+    or overflow; then s_i is the largest |A_ij| and n_i the norm of A_i / s_i.  A row in range
+    has s_i = 1, which keeps the bits of the plain division; a zero row has s_i = 0."""
     with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
-        n = np.linalg.norm(A, axis=1)
+        n = row_norms(A)
     s = np.ones(len(n))
     odd = (n < 1e-150) | (n > 1e150)
     if odd.any():
         s[odd] = np.max(np.abs(A[odd]), axis=1, initial=0.0)
         nonzero = odd & (s > 0.0)
-        n[nonzero] = np.linalg.norm(A[nonzero] / s[nonzero, None], axis=1)
+        n[nonzero] = row_norms(A[nonzero] / s[nonzero, None])
     return s, n
 
 
@@ -191,14 +172,13 @@ class ConvexSet:
     def from_dict(cls, doc: dict):
         return cls(*_take(doc, [fld.name for fld in fields(cls)], cls.kind))
 
-    def _replace(self, cls=None, **changes):
-        """This validated set, or a ``cls`` built from its fields alone, with new, as-stored
-        values of ``_replaceable`` fields, checked by the kind's ``_store``; the rest is shared."""
-        new = object.__new__(cls or type(self))
-        if not new._replaceable.issuperset(changes):
-            raise TypeError(f"{type(new).__name__} can replace only {sorted(new._replaceable)}")
-        new.__dict__.update({fld.name: getattr(self, fld.name) for fld in fields(self)} if cls
-                            else self.__dict__)
+    def _replace(self, **changes):
+        """This validated set with new, as-stored values of ``_replaceable`` fields,
+        checked by the kind's ``_store``; the rest is shared."""
+        if not self._replaceable.issuperset(changes):
+            raise TypeError(f"{type(self).__name__} can replace only {sorted(self._replaceable)}")
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
         new._store(**changes)
         return new
 
@@ -214,8 +194,12 @@ class _UnitNormal(ConvexSet):
     _one_sided = True  # a support value along +a only, as for a halfspace
 
     def __post_init__(self):
-        a, b, n = _normal_in_range(as_point(self.a), self.b)
-        self._store(a=a / n, b=float(b) / n)
+        a = as_point(self.a)
+        # Python floats: an offset divided out of range is inf without a numpy warning
+        s, n = (float(v[0]) for v in _row_scales(a[None]))
+        if not s:
+            raise ValueError("a must be nonzero")
+        self._store(a=a / s / n, b=float(self.b) / s / n)
 
     def _store(self, **fields):
         """Check and set fields given in stored form: a unit normal, a scaled offset."""
@@ -431,7 +415,7 @@ class OrthoSubspace(ConvexSet):
             raise ValueError("basis must be a nonempty (k, d) array")
         _check_orthonormal(b)
         object.__setattr__(self, "basis", b)
-        # not a field: the i of rows that all are unit vectors e_i, contiguous, else None
+        # not a field: the i of rows that all are unit vectors e_i, else None (see pair_step)
         rows, cols = np.nonzero(b)
         unit = rows.size == b.shape[0] and (b[rows, cols] == 1.0).all()
         object.__setattr__(self, "_coords", cols.copy() if unit else None)
@@ -442,11 +426,7 @@ class OrthoSubspace(ConvexSet):
 
     def project(self, x):
         x = as_point(x, dim=self.dim)
-        if self._coords is None:
-            return self.basis.T @ (self.basis @ x)
-        out = np.zeros(x.size)
-        out[self._coords] = x[self._coords] + 0.0  # + 0.0: the matmul's +0.0 for a -0.0
-        return out
+        return self.basis.T @ (self.basis @ x)
 
     def support_value(self, f):
         if float(np.linalg.norm(self.basis @ f)) <= 1e-12 * np.linalg.norm(f):
@@ -552,7 +532,8 @@ class Polyhedron(ConvexSet):
             s, norms = _row_scales(A)
             if not s.all():
                 raise ValueError("zero constraint normal")
-            A, b = _freeze(A / s[:, None] / norms[:, None], "normals"), b / s / norms
+            with np.errstate(over="ignore"):  # _store rejects an offset scaled out of range
+                A, b = _freeze(A / s[:, None] / norms[:, None], "normals"), b / s / norms
         self._store(normals=A, b=b, witness=self.witness)
 
     def _store(self, **fields):
@@ -640,8 +621,9 @@ class DiagonalAffineGraph(ConvexSet):
     def __post_init__(self):
         object.__setattr__(self, "theta", _frozen_point(self.theta))
         object.__setattr__(self, "offset", _frozen_point(self.offset, self.theta.size))
-        # not a field: the denominator 1 + theta^2 of both kernels
-        object.__setattr__(self, "_denom", 1.0 + self.theta ** 2)
+        with np.errstate(over="ignore"):  # _denom is not a field; None where it overflows
+            den = 1.0 + self.theta ** 2
+        object.__setattr__(self, "_denom", den if np.isfinite(den).all() else None)
 
     @property
     def half_dim(self):
@@ -652,6 +634,8 @@ class DiagonalAffineGraph(ConvexSet):
         return 2 * self.theta.size
 
     def project(self, z):
+        if self._denom is None:
+            raise ValueError("1 + theta^2 overflows: an entry of theta exceeds about 1.34e154")
         z = as_point(z, dim=self.dim)
         d = self.half_dim
         out = np.empty(2 * d)
@@ -667,6 +651,7 @@ class DiagonalAffineGraph(ConvexSet):
         README), for the caller to project twice and fail as before; ``point_b(p)`` is b_n."""
         d, coords = self.half_dim, getattr(A, "_coords", None)
         if (getattr(A, "kind", None) != "ortho_subspace" or A.dim != 2 * d or coords is None
+                or self._denom is None
                 or not np.array_equal(np.sort(coords), np.arange(d)) or prev.shape != (2 * d,)
                 or prev.dtype != np.float64 or prev[d:].view(np.uint64).any()):
             return None

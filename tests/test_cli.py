@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from altproj import cli
@@ -150,6 +151,20 @@ def test_budget_exhaustion_exits_two(tmp_path):
         "params": {"n_blocks": 4, "max_block_len": 1},
     })
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("kind", ["example44", "example51"])
+def test_exhausted_example_run_writes_its_trace(tmp_path, capsys, kind):
+    """An example whose first block exhausts its budget exits 2 like any run whose
+    schedule ends incomplete: its trace is written and its summary printed."""
+    cfg = write_config(tmp_path, {"kind": kind, "seed": 0, "record_stride": 1,
+                                  "params": {"n_blocks": 4, "max_block_len": 1}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert "status=schedule_exhausted schedule_complete=False steps=1 blocks_completed=0" in out
+    assert err == ""
+    header, rows = read_csv_rows(tmp_path / "out" / "trace.csv")
+    assert [r["n"] for r in rows] == ["1"]
 
 
 def test_seed_override_changes_header(tmp_path):
@@ -441,6 +456,43 @@ def test_exposure_direction_checked_for_underflow(tmp_path, capsys, f, message):
             assert (code, err) == (0, "")
         else:
             assert code == 1 and f"config field 'params.f': {message}" in err
+
+
+@pytest.mark.parametrize("S, f", [
+    ({"kind": "halfspace", "a": [0.0, 1.0], "b": 0.0}, [0.0, 1.0]),
+    ({"kind": "hyperplane", "a": [0.0, 1.0], "b": 0.0}, [0.0, -1.0]),
+    ({"kind": "ortho_subspace", "basis": [[1.0, 0.0]]}, [0.0, 1.0]),
+    ({"kind": "affine_subspace", "anchor": [0.0, 1.0], "basis": [[1.0, 0.0]]}, [0.0, 1.0]),
+    ({"kind": "nonneg_orthant", "d": 2}, [-1.0, -1.0]),
+    ({"kind": "diagonal_affine_graph", "theta": [2.0], "offset": [1.0]}, [-2.0, 1.0]),
+], ids=lambda v: v["kind"] if isinstance(v, dict) else None)
+def test_exposure_on_a_kind_without_support_point_names_f(tmp_path, capsys, S, f):
+    """The exposure probe takes a support point, which only the ball, the polygon and
+    the polyhedron have: the six other kinds fail on validate as on probe, naming
+    params.f, even where f has a support value."""
+    assert altproj.sets.set_from_dict(S).support_value(np.array(f)) is not None
+    cfg = write_config(tmp_path, _exposure(f, [0.5], S))
+    for cmd in ("validate", "probe"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "config field 'params.f': no support point for " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_aw_set_outside_the_n_ball_names_n(tmp_path, capsys):
+    """An aw probe whose set does not meet the N-ball fails on validate as on probe,
+    naming params.N; a closed-form pair as far apart still probes."""
+    far = {"kind": "ball", "center": [10.0, 0.0], "radius": 1.0}
+    cfg = write_config(tmp_path, {"kind": "probe", "params": {
+        "probe": "aw", "A": far, "C": BALL, "N": 2, "n_samples": 50}})
+    for cmd in ("validate", "probe"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "config field 'params.N': set does not meet the N-ball" in capsys.readouterr().err
+    halfspaces = write_config(tmp_path, {"kind": "probe", "params": {
+        "probe": "aw", "A": {"kind": "halfspace", "a": [1.0, 0.0], "b": -10.0},
+        "C": {"kind": "halfspace", "a": [1.0, 0.0], "b": 0.0}, "N": 2}}, name="h.json")
+    assert main(["probe", "--config", str(halfspaces), "--out", str(tmp_path / "h")]) == 0
+    report = json.loads((tmp_path / "h" / "report.json").read_text())
+    assert (report["result"]["mode"], report["result"]["h_N"]) == ("exact", 10.0)
 
 
 def test_huge_normal_run_leaves_stderr_empty(tmp_path):

@@ -12,7 +12,7 @@ from altproj.constructions import (BlockBudgetExceeded, Ell2Construction,
                                    run_example_unbounded_lines,
                                    run_example_unstable, stable_scenario,
                                    tilted_line)
-from altproj.engine import RunConfig, ScheduleExhausted, run_classical
+from altproj.engine import RunConfig, run_classical
 from altproj.sets import AffineSubspace, Ball, Halfspace, Polyhedron
 from altproj.variational import aw_distance, strongly_exposes_probe
 
@@ -84,8 +84,9 @@ def test_run_example_unstable_block_lengths_finite_and_logged():
 
 
 def test_run_example_unstable_budget_error():
-    with pytest.raises(ScheduleExhausted):
-        run_example_unstable(4, max_block_len=1)
+    trace = run_example_unstable(4, max_block_len=1)
+    assert trace.status == "schedule_exhausted" and not trace.schedule_complete
+    assert trace.blocks[-1].advance == "budget"
 
 
 def test_constant_pair_converges_into_intersection():

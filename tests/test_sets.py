@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from altproj.engine import Constant, ProjectionStepError, RunConfig, run_perturbed
 from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, Hyperplane,
                           NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron,
                           ProjectionCertificateError, SupportUnavailable,
@@ -785,6 +786,62 @@ def test_huge_normals_build_without_a_warning():
         P = Polyhedron([[1e200, 1e200], [-1.0, 0.0]], [1e200, 0.0], witness=[0.0, 0.0])
     assert np.array_equal(L.a, [H.a[0], -H.a[1]]) and H.a[0] == H.a[1] == P.normals[0, 0]
     assert H.b == P.b[0] == H.a[0]
+
+
+def test_polyhedron_rows_are_scaled_as_halfspaces_are(rng):
+    """One rescaling rule: each stored row of a polyhedron, and its offset, are
+    bit-equal to the unit normal and offset of the halfspace of that row, at
+    scales from 1e-300 to 1e300."""
+    for _ in range(300):
+        d = int(rng.integers(1, 7))
+        scale = 10.0 ** rng.integers(-300, 301, 5)
+        A = rng.standard_normal((5, d)) * scale[:, None]
+        b = np.abs(rng.standard_normal(5)) * scale * 10.0 ** rng.integers(-3, 4, 5)
+        P = Polyhedron(A, b, witness=np.zeros(d))
+        for a_i, b_i, row, offset in zip(A, b, P.normals, P.b):
+            H = Halfspace(a_i, b_i)
+            assert H.a.tobytes() == row.tobytes() and H.b == offset, (a_i, b_i)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Halfspace([1e-200, 0.0], 1e300), "b must be finite"),
+    (lambda: Hyperplane([0.0, -1e-200], 1e300), "b must be finite"),
+    (lambda: Polyhedron([[1e-200, 0.0], [0.0, 1.0]], [1e300, 1.0], witness=[0.0, 0.0]),
+     "b must be finite"),
+    (lambda: Halfspace([0.0, 0.0], 1.0), "a must be nonzero"),
+    (lambda: Hyperplane([0.0], 0.0), "a must be nonzero"),
+    (lambda: Polyhedron([[1e200, 0.0], [0.0, 0.0]], [1.0, 1.0], witness=[0.0, 0.0]),
+     "zero constraint normal"),
+], ids=["halfspace_offset", "hyperplane_offset", "polyhedron_offset", "halfspace_zero",
+        "hyperplane_zero", "polyhedron_zero"])
+def test_extreme_normals_fail_with_their_message_and_no_warning(build, message):
+    """An offset that rescaling carries out of the float range, and a zero normal,
+    raise the kind's usual message; numpy warns of no overflow first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_graph_whose_one_plus_theta_squared_overflows_refuses_to_project():
+    """Above |theta_i| of about 1.34e154, 1 + theta_i^2 is inf and the closed form
+    would return x = 0: such a graph builds without a warning, but its projection
+    raises, naming theta, and a run on it fails at step 1 whichever path it takes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        G = DiagonalAffineGraph([1e200], [0.0])
+    with pytest.raises(ValueError, match="theta"):
+        G.project([0.0, 5.0])
+    with pytest.raises(ValueError, match="theta"):
+        G.distance([0.0, 5.0])
+    X = OrthoSubspace(np.eye(1, 2))
+    assert G.pair_step(X, np.zeros(2)) is None
+    with pytest.raises(ProjectionStepError, match="step 1: .*theta") as err:
+        run_perturbed(Constant(X, G), RunConfig(start=np.zeros(2), max_iter=3))
+    assert err.value.step == 1
+    # just below the bound the closed form is exact
+    g = DiagonalAffineGraph([1e154], [0.0])
+    np.testing.assert_allclose(g.project([0.0, 5.0]), [5e-154, 5.0], rtol=1e-15)
 
 
 def _distance_cases(kind, d, scale, rng):
