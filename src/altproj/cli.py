@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import operator
@@ -39,8 +38,18 @@ from . import variational as var
 from .engine import (Blocks, Constant, ProjectionStepError, RunConfig, _output, run_perturbed,
                      trace_to_csv, trace_to_json)
 from .geometry import as_point
-from .sets import (ProjectionCertificateError, SamplerFailure, _check_orthonormal,
-                   _support_direction, set_from_dict)
+from .sets import (_THETA_OVERFLOW, ProjectionCertificateError, SamplerFailure,
+                   _check_orthonormal, _support_direction, set_from_dict)
+
+# CPython's built-in SHA-256 gives hashlib's digest without loading OpenSSL's
+# libcrypto, 3.6 MB of a run's resident memory; hashlib only where neither exists.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class ConfigError(ValueError):
@@ -165,7 +174,7 @@ def load_config(path, **overrides) -> dict:
     _check(cfg, config_schema())
     cfg.setdefault("seed", 0)
     cfg.setdefault("output", {})
-    cfg["_sha256"] = hashlib.sha256(raw).hexdigest()
+    cfg["_sha256"] = sha256(raw).hexdigest()
     return cfg
 
 
@@ -176,6 +185,8 @@ def _parse_set(obj, field, dim=None):
     except Exception as exc:
         raise ConfigError(f"config field {field!r}: bad set descriptor ({exc})")
     _require(dim is None or S.dim == dim, field, f"has dimension {S.dim}, expected {dim}")
+    # a graph whose 1 + theta^2 overflows builds but fails its first projection
+    _require(S.kind != "diagonal_affine_graph" or S._denom is not None, field, _THETA_OVERFLOW)
     return S
 
 

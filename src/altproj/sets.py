@@ -282,7 +282,7 @@ class Ball(ConvexSet):
     def project(self, x):
         x = as_point(x, dim=self.dim)
         d = x - self.center
-        n = float(np.linalg.norm(d))
+        n = math.sqrt(d.dot(d))  # float(np.linalg.norm(d)) bit for bit, as engine._norm
         if n <= self.radius:
             return x.copy()
         return self.center + (self.radius / n) * d
@@ -604,6 +604,9 @@ class Polyhedron(ConvexSet):
         return Polyhedron(self.normals, self.b + self.normals @ v, witness=self.witness + v)
 
 
+_THETA_OVERFLOW = "1 + theta^2 overflows: an entry of theta exceeds about 1.34e154"
+
+
 @dataclass(frozen=True, eq=False)
 class DiagonalAffineGraph(ConvexSet):
     """The set {(x, offset + D x)} in R^{2d} with D = diag(theta).
@@ -635,7 +638,7 @@ class DiagonalAffineGraph(ConvexSet):
 
     def project(self, z):
         if self._denom is None:
-            raise ValueError("1 + theta^2 overflows: an entry of theta exceeds about 1.34e154")
+            raise ValueError(_THETA_OVERFLOW)
         z = as_point(z, dim=self.dim)
         d = self.half_dim
         out = np.empty(2 * d)

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -237,6 +239,45 @@ def test_rerun_into_a_used_out_is_byte_identical(tmp_path, name):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == fresh
 
 
+BUILTIN_SHA256 = next((m for m in ("_sha2", "_sha256") if importlib.util.find_spec(m)), None)
+
+
+def test_config_digest_equals_hashlib():
+    """The config digest, CPython's built-in SHA-256 where the interpreter has it,
+    is hashlib's hex digest: of every shipped config through load_config, and of
+    seeded random byte strings from 0 B to 64 KiB, the padding edges among them."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        assert load_config(path)["_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    rng = np.random.default_rng(2020)
+    for size in (0, 1, 55, 56, 63, 64, 65, 119, 120, *rng.integers(2, 65536, 24), 65536):
+        data = rng.bytes(int(size))
+        assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest(), size
+    if BUILTIN_SHA256 is not None:
+        assert cli.sha256 is importlib.import_module(BUILTIN_SHA256).sha256
+
+
+_RUN_ALL = """
+import sys
+from altproj import cli
+for i, path in enumerate(sys.argv[2:]):
+    assert cli.main(["run", "--config", path, "--out", f"{sys.argv[1]}/{i}", "--quiet"]) == 0
+sys.exit("_hashlib" in sys.modules and "OpenSSL's _hashlib is loaded")
+"""
+
+
+@pytest.mark.skipif(BUILTIN_SHA256 is None, reason="the interpreter has neither _sha2 nor "
+                    "_sha256, so the config digest comes from hashlib, which loads OpenSSL")
+def test_run_loads_no_openssl(tmp_path):
+    """`altproj run` loads no OpenSSL: a process that imports the CLI and runs every
+    shipped run config leaves _hashlib unimported."""
+    done = subprocess.run([sys.executable, "-c", _RUN_ALL, str(tmp_path),
+                           *(str(CONFIGS / f"{name}.json") for name in SHIPPED_RUNS)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(list(tmp_path.iterdir())) == len(SHIPPED_RUNS)
+
+
 def test_ell2_outputs_rewritten_shorter_equal_a_fresh_run(tmp_path):
     """construction.json and report.json of a smaller ell2 run, written over
     a larger one's, equal those of a fresh directory."""
@@ -429,6 +470,10 @@ def _exposure(f, alphas, S=BALL):
      "'params.start'"),
     ("probe", {"kind": "probe", "params": {"probe": "separation", "M": 0.5, "omega": 0.99999}},
      "config field 'params.omega'"),
+    ("run", {"kind": "perturbed", "params": {"start": [1.0, 1.0], "blocks": [
+        {"A": {"kind": "ortho_subspace", "basis": [[1.0, 0.0]]},
+         "B": {"kind": "diagonal_affine_graph", "theta": [1e200], "offset": [0.0]}, "len": 3}]}},
+     "config field 'params.blocks[0].B': 1 + theta^2 overflows"),
 ])
 def test_run_and_validate_reject_the_same_configs(tmp_path, capsys, command, doc, field):
     cfg = write_config(tmp_path, doc)

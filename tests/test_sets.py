@@ -474,6 +474,28 @@ def test_ball_projection_properties(x, c, r):
         assert np.linalg.norm(px - c) == pytest.approx(r, rel=1e-12)
 
 
+def test_ball_projection_norm_bit_equal_to_linalg_norm():
+    """Ball.project takes ||x - c|| as sqrt(d.d): it gives the bits of the form with
+    np.linalg.norm inside, on and outside the sphere, at signed zeros, and at scales
+    1e-150 and 1e150, whose squares come near under- and overflow."""
+    rng = np.random.default_rng(2020)
+
+    def with_linalg_norm(B, x):
+        d = x - B.center
+        n = float(np.linalg.norm(d))
+        return x.copy() if n <= B.radius else B.center + (B.radius / n) * d
+
+    for dim in range(1, 7):
+        for scale in (1e-150, 1.0, 1e150):
+            for _ in range(10):
+                B, points = _distance_cases(Ball, dim, scale, rng)
+                zeros = rng.choice([0.0, -0.0], (2, dim))
+                origin = Ball(zeros[0], B.radius)
+                for S, x in [*((B, x) for x in (*points, *zeros)),
+                             *((origin, x) for x in (zeros[1], *points))]:
+                    assert S.project(x).tobytes() == with_linalg_norm(S, x).tobytes(), (S, x)
+
+
 def test_subspace_residual_orthogonality(rng):
     for _ in range(20):
         S = random_set("ortho_subspace", rng)
@@ -912,8 +934,9 @@ def _points(d, rng):
 
 
 def test_coordinate_basis_projection_bit_equal_to_matmul():
-    """A basis of distinct unit rows projects by copying coordinates, with the
-    bits of basis.T @ (basis @ x) and of project_many's rows, zeros' signs too."""
+    """A basis of distinct unit rows e_i (the first factor pair_step looks for) keeps
+    their columns in _coords, and projects with the bits of basis.T @ (basis @ x) and
+    of project_many's rows, zeros' signs too."""
     rng = np.random.default_rng(2014)
     cases = 0
     for d, basis in _coordinate_bases(rng):
@@ -937,7 +960,8 @@ def test_coordinate_basis_projection_bit_equal_to_matmul():
     np.linalg.qr(np.random.default_rng(3).standard_normal((3, 2)))[0].T,
 ], ids=["minus_e", "e_and_minus_e", "rotated_and_e", "e_and_rotated", "random"])
 def test_signed_or_rotated_rows_take_the_matmul_path(basis):
-    """Only rows e_i are copied: -e_i rows and rotated bases keep the two matmuls."""
+    """-e_i rows and rotated bases have no _coords, so pair_step declines them, and
+    project with the bits of the two matmuls."""
     S = OrthoSubspace(basis)
     assert S._coords is None
     for x in _points(3, np.random.default_rng(4)):
