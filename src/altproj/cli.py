@@ -39,7 +39,7 @@ from .engine import (Blocks, Constant, ProjectionStepError, RunConfig, _output, 
                      trace_to_csv, trace_to_json)
 from .geometry import as_point
 from .sets import (_THETA_OVERFLOW, ProjectionCertificateError, SamplerFailure,
-                   _check_orthonormal, _support_direction, set_from_dict)
+                   _check_orthonormal, set_from_dict)
 
 # CPython's built-in SHA-256 gives hashlib's digest without loading OpenSSL's
 # libcrypto, 3.6 MB of a run's resident memory; hashlib only where neither exists.
@@ -332,10 +332,13 @@ def _aw_family_pair(family, k):
     return cons.tilted_line(k), cons.OrthoSubspace(np.array([[1.0, 0.0]]))
 
 
-def _probe_execute(cfg, p):
-    """The ``execute`` of a probe config's job."""
+def _build_probe(cfg, p):
     seed = cfg["seed"]
     probe = p["probe"]
+
+    def construct():
+        return [("probe parameters construct", True, probe)]
+
     # The two closed-form probes are computed here, so validate checks them in full.
     if probe == "omega":
         for key in ("U", "V"):
@@ -345,27 +348,37 @@ def _probe_execute(cfg, p):
             with _naming(f"params.{key}"):
                 _check_orthonormal(np.array(p[key], dtype=float))
         rep = var.omega_angle(np.array(p["U"], dtype=float), np.array(p["V"], dtype=float))
-        return lambda out_dir, quiet: {"probe": "omega", "seed": seed, "result": asdict(rep)}
+        return Job(lambda out_dir, quiet: {"probe": "omega", "seed": seed, "result": asdict(rep)},
+                   construct)
     if probe == "exposure":
         S = _parse_set(p["set"], "params.set")
         f = _vector(p, "f", S.dim)
         with _naming("params.f"):  # SupportUnavailable is a ValueError
-            S.support_point(_support_direction(f, S.dim))  # as the probe takes it
+            translated, unit = var.exposure_frame(S, f)  # as the probe takes them
         alphas = [float(a) for a in p["alphas"]]
         _require(all(a > b for a, b in zip(alphas, alphas[1:])), "params.alphas",
                  "must be strictly decreasing")
         n = p.get("n_samples", 400)
-        return lambda out_dir, quiet: {
-            "probe": "exposure", "seed": seed, "n_samples": n,
-            "result": asdict(var.strongly_exposes_probe(S, f, alphas, n_samples=n,
-                                                        rng_seed=seed))}
+
+        # The probe's own sampled test of the translated set (0 in it, f's infimum at 0)
+        # names params.set: in full on probe, and at the first alpha on validate.
+        def execute(out_dir, quiet):
+            with _naming("params.set"):
+                rep = var.strongly_exposes_probe(S, f, alphas, n_samples=n, rng_seed=seed)
+            return {"probe": "exposure", "seed": seed, "n_samples": n, "result": asdict(rep)}
+
+        def checks():
+            with _naming("params.set"):
+                var.epsilon_alpha(translated, unit, unit, alphas[0], n_boundary=n, rng_seed=seed)
+            return construct()
+        return Job(execute, checks)
     if probe == "separation":
         with _naming("params.M"):  # no eps at omega = 0, the easiest omega, leaves none at all
             var.separation_constants(float(p["M"]), 0.0)
         with _naming("params.omega"):
             eps, eta = var.separation_constants(float(p["M"]), float(p["omega"]))
-        return lambda out_dir, quiet: {"probe": "separation", "seed": seed,
-                                       "result": {"eps": eps, "eta": eta}}
+        return Job(lambda out_dir, quiet: {"probe": "separation", "seed": seed,
+                                           "result": {"eps": eps, "eta": eta}}, construct)
     N = p.get("N", 2)
     n = p.get("n_samples", 1500)
     if "family" in p:
@@ -378,16 +391,16 @@ def _probe_execute(cfg, p):
                     for k in range(1, count + 1)]
             return {"probe": "aw", "seed": seed, "family": family, "N": N,
                     "n_samples": n, "result": rows}
-        return execute
+        return Job(execute, construct)
     A = _parse_set(p["A"], "params.A")
     C = _parse_set(p["C"], "params.C", A.dim)
     try:  # the run's own N-ball test, which fails before anything is drawn
         var.aw_distance(A, C, N, n_samples=1, rng_seed=seed)
     except SamplerFailure as exc:
         _fail("params.N", str(exc))
-    return lambda out_dir, quiet: {
+    return Job(lambda out_dir, quiet: {
         "probe": "aw", "seed": seed,
-        "result": asdict(var.aw_distance(A, C, N, n_samples=n, rng_seed=seed))}
+        "result": asdict(var.aw_distance(A, C, N, n_samples=n, rng_seed=seed))}, construct)
 
 
 _BUILDERS = {
@@ -399,8 +412,7 @@ _BUILDERS = {
     "example51": lambda cfg, p: _build_example(cfg, p, cons.run_example_unbounded_lines,
                                                _example51_row),
     "ell2": _build_ell2,
-    "probe": lambda cfg, p: Job(_probe_execute(cfg, p),
-                                lambda: [("probe parameters construct", True, p["probe"])]),
+    "probe": _build_probe,
 }
 
 
@@ -417,10 +429,12 @@ def cmd_run(cfg, out_dir: Path, quiet: bool) -> int:
     if trace is None:
         return 0
     meta = {"config_sha256": cfg["_sha256"], "seed": cfg["seed"], "kind": cfg["kind"]}
-    trace_to_csv(trace, out_dir / cfg["output"].get("trace_csv", "trace.csv"), meta=meta)
+    csv = out_dir / cfg["output"].get("trace_csv", "trace.csv")
     json_name = cfg["output"].get("trace_json")
-    if json_name:
-        trace_to_json(trace, out_dir / json_name, meta=meta)
+    if json_name:  # both files in one pass over the records
+        trace_to_json(trace, out_dir / json_name, meta=meta, csv=csv)
+    else:
+        trace_to_csv(trace, csv, meta=meta)
     last = trace.final
     if not quiet:
         print(f"status={trace.status} schedule_complete={trace.schedule_complete} "

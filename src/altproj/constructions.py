@@ -182,13 +182,6 @@ class Ell2Construction:
         """a_n = ratio^n for n = 1..d."""
         return self.ratio ** np.arange(1, self.d + 1)
 
-    def closed_alphas(self, h: int, t: int) -> np.ndarray:
-        """Closed-form first-factor coordinates after t steps of block h."""
-        blk = self.blocks[h - 1]
-        if not (0 <= t <= blk.N):
-            raise ValueError(f"step {t} outside block {h} of length {blk.N}")
-        return _block_alphas(blk.start_alphas, self.weights, blk.M, h, t)
-
     def block_boundaries(self) -> list:
         """Global step index at the end of each block (cumulative N_h)."""
         out, acc = [], 0

@@ -24,6 +24,7 @@ import os
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,8 +168,9 @@ class RunConfig:
         object.__setattr__(self, "record_indices", frozenset(int(i) for i in self.record_indices))
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One logged step; a named tuple, immutable and cheap to build at every record."""
+
     n: int
     block_id: int
     block_step: int
@@ -181,8 +183,7 @@ class TraceRecord:
     dist_target: float | None
 
 
-@dataclass(frozen=True)
-class BlockLog:
+class BlockLog(NamedTuple):
     block_id: int
     start_n: int
     end_n: int
@@ -230,11 +231,14 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
     max_iter, stride, indices = cfg.max_iter, cfg.record_stride, cfg.record_indices
     stop_residual = cfg.stop_residual
     log_block_ends, advance = getattr(schedule, "log_block_ends", True), schedule.advance
+    sqrt, target = math.sqrt, cfg.target
 
-    def log(n, bid, bstep, a, b, prev_a):
-        dist = _norm(a - cfg.target) if cfg.target is not None else None
-        norm_a, norm_b = _norm(a), _norm(b)
-        res_a, gap_ab = _norm(a - prev_a), _norm(a - b)
+    def log(n, bid, bstep, a, b, prev_a):  # each norm is _norm's sqrt(v.dot(v)), inlined
+        t = None if target is None else a - target
+        dist = None if t is None else sqrt(t.dot(t))
+        r, g = a - prev_a, a - b
+        norm_a, norm_b = sqrt(a.dot(a)), sqrt(b.dot(b))
+        res_a, gap_ab = sqrt(r.dot(r)), sqrt(g.dot(g))
         if not (math.isfinite(norm_a) and math.isfinite(norm_b) and math.isfinite(res_a)
                 and math.isfinite(gap_ab) and (dist is None or math.isfinite(dist))):
             raise ProjectionStepError(n, f"non-finite record: norm_a={norm_a} "
@@ -306,20 +310,16 @@ def run_classical(A, B, cfg: RunConfig) -> Trace:
 # Trace output
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 @contextmanager
 def _output(path):
     """A text stream to write one output into: ``path`` itself when it is a
-    file object, else the file at ``path``, rewritten in place and cut to
-    what was written when the writer leaves, also on an error, so that no
-    old bytes follow new ones.  The file is not truncated on open: on ext4
-    (``auto_da_alloc``), truncating a file whose last version was written
-    after a truncate waits for its write-back, tens of ms per file, while
-    overwriting it frees no blocks and waits for nothing."""
-    if hasattr(path, "write"):
+    file object, None when it is None, else the file at ``path``, rewritten in
+    place and cut to what was written when the writer leaves, also on an
+    error, so that no old bytes follow new ones.  The file is not truncated
+    on open: on ext4 (``auto_da_alloc``), truncating a file whose last version
+    was written after a truncate waits for its write-back, tens of ms per
+    file, while overwriting it frees no blocks and waits for nothing."""
+    if path is None or hasattr(path, "write"):
         yield path
         return
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
@@ -335,86 +335,104 @@ def trace_to_csv(trace: Trace, path, meta: dict | None = None) -> None:
 
     Column layout: n,block,res_a,norm_a,norm_b,gap_ab,dist_target.
     Metadata (config hash, seed) goes into leading '#' comment lines.
-    The lines are streamed one record at a time into ``_output``, which
-    rewrites a file in place: truncating on open can stall ext4 for 40 ms.
     """
-    with _output(path) as fh:
-        for key, val in (meta or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("n,block,res_a,norm_a,norm_b,gap_ab,dist_target\n")
-        for r in trace.records:
-            dist = "" if r.dist_target is None else _fmt(r.dist_target)
-            fh.write(f"{r.n},{r.block_id},{_fmt(r.res_a)},{_fmt(r.norm_a)},"
-                     f"{_fmt(r.norm_b)},{_fmt(r.gap_ab)},{dist}\n")
+    _write_trace(trace, meta, path, None)
 
 
-_JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_value(x) -> str:
-    """A scalar as ``json.dumps`` writes it.  ``repr`` is right for ints and
-    finite floats, and no such repr has an "n" in it; the rest (NaN,
-    infinities, numpy scalars) take the slow path."""
-    if x is None:
-        return "null"
-    text = repr(x)
-    if "n" not in text:
-        return text
-    if isinstance(x, float):
-        text = float.__repr__(x)
-        return _JSON_TOKENS.get(text, text)
-    return json.dumps(x)
-
-
-def _json_vector(v) -> str:
-    values = v.tolist()
-    if not values:
-        return "[]"
-    text = ",\n    ".join(map(repr, values))
-    if "n" in text:
-        text = ",\n    ".join(map(_json_value, values))
-    return "[\n    " + text + "\n   ]"
-
-
-def _json_record(r) -> str:
-    """One record, laid out as ``json.dumps(..., indent=1)`` lays out an
-    element of the top-level "records" list."""
-    return (f'  {{\n   "n": {r.n},\n   "block": {r.block_id},\n'
-            f'   "block_step": {r.block_step},\n'
-            f'   "a": {_json_vector(r.a)},\n   "b": {_json_vector(r.b)},\n'
-            f'   "norm_a": {_json_value(r.norm_a)},\n   "norm_b": {_json_value(r.norm_b)},\n'
-            f'   "res_a": {_json_value(r.res_a)},\n   "gap_ab": {_json_value(r.gap_ab)},\n'
-            f'   "dist_target": {_json_value(r.dist_target)}\n  }}')
-
-
-def trace_to_json(trace: Trace, path, meta: dict | None = None) -> None:
-    """Full-precision JSON dump including iterate coordinates.
+def trace_to_json(trace: Trace, path, meta: dict | None = None, csv=None) -> None:
+    """Full-precision JSON dump including iterate coordinates; with ``csv``,
+    the CSV ``trace_to_csv`` writes goes there in the same pass.
 
     The text is what ``json.dumps(doc, indent=1)`` gives.  Only the head
     (meta, status) goes through ``json``; the block logs and the records,
     the bulk of the file, are written by fixed templates, which the
     stdlib's pure-Python indenting encoder would make several times slower.
-    They are streamed one at a time into ``_output``, which rewrites a
-    file in place: truncating on open can stall ext4 for 40 ms.
     """
-    head = json.dumps({
-        "meta": meta or {},
-        "status": trace.status,
-        "schedule_complete": trace.schedule_complete,
-        "blocks": [],
-        "records": [],
-    }, indent=1)
-    with _output(path) as fh:
-        fh.write(head[:-len('[],\n "records": []\n}')])
-        sep = "[\n"
-        for bl in trace.blocks:  # an advance cause is a plain word, which JSON writes as is
-            fh.write(f'{sep}  {{\n   "block": {bl.block_id},\n   "start_n": {bl.start_n},\n'
-                     f'   "end_n": {bl.end_n},\n   "advance": "{bl.advance}"\n  }}')
-            sep = ",\n"
-        fh.write("\n ]" if trace.blocks else "[]")
-        fh.write(',\n "records": ')
-        sep = "[\n"
-        for r in trace.records:
-            fh.write(sep + _json_record(r))
-            sep = ",\n"
-        fh.write("\n ]\n}" if trace.records else "[]\n}")
+    _write_trace(trace, meta, csv, path)
+
+
+# the texts of a float's repr (and of None's) that the two files write otherwise
+_CSV_WORDS = {"None": ""}
+_JSON_WORDS = {"None": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CHUNK = 64  # records formatted per write: a few pages of text, so memory stays flat
+_CSV_LINE = "{},{},{},{},{},{},{}\n"  # n,block,res_a,norm_a,norm_b,gap_ab,dist_target
+_JSON_RECORD = ('  {{\n   "n": {},\n   "block": {},\n   "block_step": {},\n   "a": {},\n'
+                '   "b": {},\n   "norm_a": {},\n   "norm_b": {},\n   "res_a": {},\n'
+                '   "gap_ab": {},\n   "dist_target": {}\n  }}')
+
+
+def _scalar_texts(column):
+    """The (CSV, JSON) texts of one scalar field of a chunk of records.  A
+    float is ``repr``'d once for both files, which differ only where the
+    repr has an "n" in it (NaN, infinities) and for None (an empty CSV
+    field, JSON's null); another type takes ``repr(float(x))`` and ``json.dumps``."""
+    if not set(map(type, column)) <= {float, type(None)}:
+        return ["" if x is None else repr(float(x)) for x in column], [*map(json.dumps, column)]
+    texts = [*map(repr, column)]
+    if "n" not in "".join(texts):
+        return texts, texts
+    return [*map(_CSV_WORDS.get, texts, texts)], [*map(_JSON_WORDS.get, texts, texts)]
+
+
+def _vector_texts(column):
+    """The JSON texts of one vector field of a chunk of records: every
+    coordinate ``repr``'d, and one template for vectors of one length."""
+    if len({v.shape for v in column}) > 1:  # mixed lengths, one length at a time
+        return [text for v in column for text in _vector_texts((v,))]
+    d = column[0].size
+    if not d:
+        return ["[]"] * len(column)
+    texts = [*map(repr, np.array(column).ravel().tolist())]
+    if "n" in "".join(texts):
+        texts = [*map(_JSON_WORDS.get, texts, texts)]
+    template = "[\n    " + ",\n    ".join(["{}"] * d) + "\n   ]"
+    return [*map(template.format, *(texts[k::d] for k in range(d)))]
+
+
+def _json_record(item) -> str:
+    """One record, laid out as ``json.dumps(..., indent=1)`` lays out an element
+    of the top-level "records" list, from its fields' JSON texts in order."""
+    return _JSON_RECORD.format(*item)
+
+
+def _write_trace(trace: Trace, meta, csv, json_path) -> None:
+    """Write the CSV into ``csv`` and the JSON into ``json_path`` (each a path,
+    a file object or None) in one pass over the records, formatted a chunk
+    of records at a time, field by field (see ``_scalar_texts``), and
+    written per chunk.  A JSON record that fails to format leaves the ones
+    before it written, as a record-by-record stream would."""
+    with _output(csv) as cfh, _output(json_path) as jfh:
+        if cfh is not None:
+            cfh.write("".join(f"# {key}={val}\n" for key, val in (meta or {}).items())
+                      + "n,block,res_a,norm_a,norm_b,gap_ab,dist_target\n")
+        if jfh is not None:
+            head = json.dumps({"meta": meta or {}, "status": trace.status,
+                               "schedule_complete": trace.schedule_complete,
+                               "blocks": [], "records": []}, indent=1)
+            # an advance cause is a plain word, which JSON writes as is
+            blocks = ",\n".join(
+                f'  {{\n   "block": {bl.block_id},\n   "start_n": {bl.start_n},\n'
+                f'   "end_n": {bl.end_n},\n   "advance": "{bl.advance}"\n  }}'
+                for bl in trace.blocks)
+            jfh.write(head[:-len('[],\n "records": []\n}')]
+                      + (f"[\n{blocks}\n ]" if blocks else "[]") + ',\n "records": ')
+        records = trace.records
+        for start in range(0, len(records), _CHUNK):
+            n, block, step, a, b, *scalars = zip(*records[start:start + _CHUNK])
+            (csv_na, na), (csv_nb, nb), (csv_ra, ra), (csv_gap, gap), (csv_dist, dist) = map(
+                _scalar_texts, scalars)
+            if cfh is not None:
+                cfh.write("".join(map(_CSV_LINE.format, n, block, csv_ra, csv_na, csv_nb,
+                                      csv_gap, csv_dist)))
+            if jfh is None:
+                continue
+            items = []
+            try:
+                for item in zip(n, block, step, _vector_texts(a), _vector_texts(b),
+                                na, nb, ra, gap, dist):
+                    items.append(_json_record(item))
+            finally:
+                if items:
+                    jfh.write(("[\n" if start == 0 else ",\n") + ",\n".join(items))
+        if jfh is not None:
+            jfh.write("\n ]\n}" if records else "[]\n}")

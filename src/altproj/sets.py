@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+# LAPACK's gesv behind np.linalg.solve for a 1-D right-hand side, without its wrapper
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .geometry import _count_nonzero, as_point, as_points, row_norms
 
@@ -567,7 +569,7 @@ class Polyhedron(ConvexSet):
         x = as_point(x, dim=self.dim)
         A, b = self.normals, self.b
         r = b - A @ x
-        s = -float(r.min())
+        s = -float(_min(r))
         if s <= 0.0:
             return x.copy()
         g = r / -s
@@ -696,6 +698,7 @@ SET_KINDS = (Halfspace, Hyperplane, Ball, Polygon2D, OrthoSubspace,
 _KIND_BY_TAG = {cls.kind: cls for cls in SET_KINDS}
 
 _EPS = float(np.finfo(float).eps)
+_min = np.minimum.reduce  # what ndarray.min reduces with, without its Python wrapper
 
 
 def _nnls(E, f):
@@ -730,10 +733,10 @@ def _nnls(E, f):
             skipped.append(j)
             continue
         passive, skipped = trial, []
-        while sol.min() <= 0.0:
+        while _min(sol) <= 0.0:
             cur = u[passive]
             neg = sol <= 0.0
-            cur += float((cur[neg] / (cur[neg] - sol[neg])).min()) * (sol - cur)
+            cur += float(_min(cur[neg] / (cur[neg] - sol[neg]))) * (sol - cur)
             u[passive] = np.where(cur <= tol, 0.0, cur)
             passive = [k for k, c in zip(passive, cur) if c > tol]
             sol = _passive_solve(E, f, Q, q, passive)
@@ -744,17 +747,24 @@ def _nnls(E, f):
     raise ProjectionCertificateError(f"NNLS did not finish within {4 * m + 4} iterations")
 
 
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def _passive_solve(E, f, Q, q, cols):
     """argmin ||E[:, cols] v - f||, None if singular.  Normal equations while
     there are fewer columns than rows; a square system is solved directly,
     since its normal equations would square a condition number that grows
-    with the distance of the projected point (E nears rank d then)."""
+    with the distance of the projected point (E nears rank d then).  The
+    solve is ``np.linalg.solve``'s own LAPACK call under its own error state,
+    so its bits, without its argument checks."""
     if len(cols) == 1:
         return q[cols] / Q[cols[0], cols[0]]
+    M, v = (E[:, cols], f) if len(cols) == f.size else (Q[cols][:, cols], q[cols])
     try:
-        if len(cols) == f.size:
-            return np.linalg.solve(E[:, cols], f)
-        return np.linalg.solve(Q[cols][:, cols], q[cols])
+        with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                         under="ignore"):
+            return _solve1(M, v, signature="dd->d")
     except np.linalg.LinAlgError:
         return None
 
@@ -769,8 +779,8 @@ def _certify(x, y, lam, A, b):
     slack = b - A @ y
     stat = y - x + A.T @ lam
     checks = (
-        ("primal feasibility", -float(slack.min())),
-        ("dual feasibility", -float(lam.min())),
+        ("primal feasibility", -float(_min(slack))),
+        ("dual feasibility", -float(_min(lam))),
         ("complementary slackness", float(lam @ np.abs(slack)) / max(1.0, float(lam.sum()))),
         ("stationarity", math.sqrt(float(stat @ stat))),
     )
@@ -818,14 +828,18 @@ def _polyhedron_unbounded_in(S: Polyhedron, f: np.ndarray, tol: float = 1e-9) ->
 
 def _support_direction(f, dim: int) -> np.ndarray:
     """f as a point of R^dim to take a support point, slice or exposure in.
-    Those divide by ||f||, so f must be nonzero and its norm must not
-    underflow to 0, as it does when all its entries are below about 1e-162."""
+    Those divide by ||f||, so f must be nonzero and its norm must neither
+    underflow to 0, as it does when all its entries are below about 1e-162,
+    nor overflow, as it does when one is above about 1.34e154."""
     f = as_point(f, dim=dim)
     if not f.any():
         raise ValueError("support direction must be nonzero")
-    if float(np.linalg.norm(f)) == 0.0:
-        raise ValueError(f"support direction is nonzero but its norm underflows to 0 "
-                         f"(largest entry {float(np.max(np.abs(f))):.3g}); scale it up")
+    with np.errstate(over="ignore"):  # an overflowed norm is reported below
+        n = float(np.linalg.norm(f))
+    if n == 0.0 or n == math.inf:
+        what, way = ("underflows to 0", "up") if n == 0.0 else ("overflows", "down")
+        raise ValueError(f"support direction is nonzero but its norm {what} (largest entry "
+                         f"{float(np.max(np.abs(f))):.3g}); scale it {way}")
     return f
 
 

@@ -290,6 +290,13 @@ def _diameter(pts) -> float:
     return math.sqrt(sq)
 
 
+def exposure_frame(A, f):
+    """(A - x*, -f / ||f||) for the support point x* of A along f: the set
+    and unit functional ``epsilon_alpha`` takes, with the infimum at 0."""
+    f = _support_direction(f, A.dim)
+    return A.translate(-A.support_point(f)), -f / float(np.linalg.norm(f))
+
+
 def strongly_exposes_probe(A, f, alphas, n_samples: int = 400,
                            rng_seed: int = 0) -> ExposureProbe:
     """Slice diameters and shift ratios testing whether f strongly exposes A.
@@ -299,11 +306,8 @@ def strongly_exposes_probe(A, f, alphas, n_samples: int = 400,
     flat supporting face keeps the diameter bounded away from 0 and the
     ratios bounded away from 0.
     """
-    f = _support_direction(f, A.dim)
     alphas = tuple(float(a) for a in alphas)
-    star = A.support_point(f)  # raises SupportUnavailable where there is none
-    translated = A.translate(-star)
-    fprime = -f / float(np.linalg.norm(f))
+    translated, fprime = exposure_frame(A, f)  # SupportUnavailable where there is no x*
     diams = []
     eps_vals = []
     for i, alpha in enumerate(alphas):

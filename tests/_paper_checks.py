@@ -14,9 +14,9 @@ groups:
   containment of a set sequence in such a cone;
 * standalone geometric fact checks: the norm-gap bound, the cone-cosine
   separation and the cone-with-core neighborhood of a subspace;
-* the growth construction's closed forms against the engine: random
-  checkpoints, the relative gap with an underflow floor, a windowed
-  engine replay, and the limit graph.
+* the growth construction's closed forms against the engine: the closed-form
+  coordinates, random checkpoints, the relative gap with an underflow floor,
+  a windowed engine replay, and the limit graph.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from altproj.constructions import Ell2Construction, _first_factor
+from altproj.constructions import Ell2Construction, _block_alphas, _first_factor
 from altproj.geometry import as_point
 from altproj.sets import DiagonalAffineGraph, OrthoSubspace
 
@@ -235,6 +235,14 @@ def ell2_limit_graph(c: Ell2Construction) -> DiagonalAffineGraph:
     return DiagonalAffineGraph(c.weights, np.zeros(c.d))
 
 
+def ell2_closed_alphas(c: Ell2Construction, h: int, t: int) -> np.ndarray:
+    """Closed-form first-factor coordinates after t steps of block h."""
+    blk = c.blocks[h - 1]
+    if not (0 <= t <= blk.N):
+        raise ValueError(f"step {t} outside block {h} of length {blk.N}")
+    return _block_alphas(blk.start_alphas, c.weights, blk.M, h, t)
+
+
 def ell2_checkpoints(c: Ell2Construction, n_checkpoints: int, rng_seed: int = 0) -> list:
     """Random (h, t) checkpoints, t in 1..N_h, skewed toward small t."""
     rng = np.random.default_rng(rng_seed)
@@ -276,9 +284,9 @@ def ell2_verify_engine(c: Ell2Construction, checkpoints, window: int = 64) -> fl
     for h, t in checkpoints:
         blk = c.blocks[h - 1]
         t0 = max(0, t - window)
-        state = np.concatenate((c.closed_alphas(h, t0), np.zeros(d)))
+        state = np.concatenate((ell2_closed_alphas(c, h, t0), np.zeros(d)))
         graph = DiagonalAffineGraph(blk.theta, blk.b)
         for _ in range(t - t0):
             state = first_factor.project(graph.project(state))
-        worst = max(worst, ell2_relative_gap(state[:d], c.closed_alphas(h, t)))
+        worst = max(worst, ell2_relative_gap(state[:d], ell2_closed_alphas(c, h, t)))
     return worst

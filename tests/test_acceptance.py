@@ -23,8 +23,8 @@ from altproj.variational import (aw_distance, epsilon_alpha, omega_angle,
 from _oracles import (omega_bruteforce, polygon_containing_ball,
                       polyhedron_projection_bruteforce, random_set)
 from _paper_checks import (check_cos_separation, check_fact_norms, ell2_checkpoints,
-                           ell2_limit_graph, ell2_relative_gap, ell2_verify_engine,
-                           wset_contains)
+                           ell2_closed_alphas, ell2_limit_graph, ell2_relative_gap,
+                           ell2_verify_engine, wset_contains)
 
 
 def report(num, ok, detail):
@@ -164,7 +164,7 @@ def test_criterion_5_growth_construction_half_ratio(desk_ell2):
     indices = [bounds[h - 1] + t for h, t in cps]
     trace = ell2_run(c, record_indices=indices)
     recs = {r.n: r for r in trace.records}
-    worst_rel = max(ell2_relative_gap(recs[n].a[:c.d], c.closed_alphas(h, t))
+    worst_rel = max(ell2_relative_gap(recs[n].a[:c.d], ell2_closed_alphas(c, h, t))
                     for (h, t), n in zip(cps, indices))
 
     boundary_set = set(c.block_boundaries())

@@ -503,6 +503,45 @@ def test_exposure_direction_checked_for_underflow(tmp_path, capsys, f, message):
             assert code == 1 and f"config field 'params.f': {message}" in err
 
 
+@pytest.mark.parametrize("f", [[1e300, -1.0], [-1.0, 1e300], [2e154, 0.0]],
+                         ids=["1e300_first", "1e300_second", "2e154"])
+def test_exposure_direction_whose_norm_overflows_names_f(tmp_path, f):
+    """An f whose norm overflows is rejected as one whose norm underflows, on
+    validate and probe alike; the probe once looped forever on it."""
+    doc = json.loads((CONFIGS / "probe_exposure_disc.json").read_text())
+    doc["params"]["f"] = f
+    cfg = write_config(tmp_path, doc)
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    for cmd in ("validate", "probe"):
+        done = subprocess.run([sys.executable, "-m", "altproj", cmd, "--config", str(cfg),
+                               "--out", str(tmp_path / "o"), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == ("error: config field 'params.f': support direction is nonzero but "
+                               f"its norm overflows (largest entry {max(map(abs, f)):.3g}); "
+                               "scale it down\n")
+
+
+@pytest.mark.parametrize("field, value", [("center", 1e154), ("center", 1e300),
+                                          ("radius", 1e154), ("radius", 1e300)])
+def test_exposure_set_that_fails_the_translated_test_names_set(tmp_path, capsys, field, value):
+    """A shipped disc so far out that the probe's translated set fails its own
+    test (0 in the set, f's infimum at 0) fails on validate as on probe, naming
+    params.set; the same disc at 1e3 probes."""
+    doc = json.loads((CONFIGS / "probe_exposure_disc.json").read_text())
+    for scale, code in ((value, 1), (1e3, 0)):
+        if field == "center":
+            doc["params"]["set"]["center"][1] = scale
+        else:
+            doc["params"]["set"]["radius"] = scale
+        cfg = write_config(tmp_path, doc)
+        for cmd in ("validate", "probe"):
+            argv = [cmd, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]
+            assert main(argv) == code
+            err = capsys.readouterr().err
+            assert ("config field 'params.set': " in err) == (code == 1), (scale, cmd, err)
+
+
 @pytest.mark.parametrize("S, f", [
     ({"kind": "halfspace", "a": [0.0, 1.0], "b": 0.0}, [0.0, 1.0]),
     ({"kind": "hyperplane", "a": [0.0, 1.0], "b": 0.0}, [0.0, -1.0]),

@@ -17,8 +17,8 @@ from altproj.sets import AffineSubspace, Ball, Halfspace, Polyhedron
 from altproj.variational import aw_distance, strongly_exposes_probe
 
 from _oracles import exact_fields
-from _paper_checks import (ell2_checkpoints, ell2_limit_graph, ell2_relative_gap,
-                           ell2_verify_engine)
+from _paper_checks import (ell2_checkpoints, ell2_closed_alphas, ell2_limit_graph,
+                           ell2_relative_gap, ell2_verify_engine)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_ell2_per_coordinate_growth_monotone(desk_construction):
     blk = c.blocks[1]
     h = blk.h
     ts = [1, 5, 50, blk.N]
-    tables = [c.closed_alphas(h, t) for t in ts]
+    tables = [ell2_closed_alphas(c, h, t) for t in ts]
     for t1, t2 in zip(tables, tables[1:]):
         assert np.all(t2[h:] > t1[h:])   # growing coordinates strictly increase
         assert np.all(t2[:h] <= t1[:h])  # settled coordinates decay

@@ -303,6 +303,76 @@ def test_trace_csv_streamed_equals_joined_lines(meta):
         assert buf.getvalue() == _reference_csv(trace, meta)
 
 
+def _uniform_trace(count, d=3, seed=11):
+    """``count`` records in R^d, as the engine logs them, with iterates of every
+    magnitude, signed zeros and subnormals; every 97th record has a NaN or an
+    infinite coordinate, which JSON writes as a word."""
+    rng = np.random.default_rng(seed)
+    odd = [0.0, -0.0, 5e-324, -1e-310, 1.7976931348623157e308, -2.5e-300]
+    records = []
+    for n in range(1, count + 1):
+        a = rng.standard_normal(d) * 10.0 ** rng.integers(-300, 300, d).astype(float)
+        b = rng.standard_normal(d)
+        a[n % d], b[(n + 1) % d] = odd[n % len(odd)], odd[(n + 2) % len(odd)]
+        if n % 97 == 0:
+            b[0] = (math.nan, math.inf, -math.inf)[n % 3]
+        scalars = [float(v) for v in np.abs(rng.standard_normal(4)) * 10.0 ** (n % 40 - 20)]
+        records.append(TraceRecord(n, 1 + n // 300, 1 + n % 300, a, b, *scalars,
+                                   None if n % 7 else float(rng.uniform())))
+    return Trace(tuple(records), (BlockLog(1, 1, count, "run_end"),), "max_iter", False)
+
+
+def _signed_zero_trace():
+    """a and b equal but for the sign of a zero, in every coordinate in turn."""
+    records = []
+    for n, k in enumerate(range(3), start=1):
+        a = np.array([1.5, -2.0, 0.25])
+        a[k] = 0.0
+        b = a.copy()
+        b[k] = -0.0
+        records.append(TraceRecord(n, 1, n, a, b, 1.0, 1.0, 0.0, 0.0, -0.0 if k else 0.0))
+    return Trace(tuple(records), (), "max_iter", False)
+
+
+@pytest.mark.parametrize("meta", [None, {"config_sha256": "ab" * 32, "seed": 7}])
+def test_one_pass_writes_both_files_as_the_references(meta):
+    """trace_to_json with ``csv`` writes, in one pass, the CSV and the JSON the
+    reference writers give: on the hand-built traces (NaN, +-inf, +-0.0,
+    subnormals, vectors of mixed lengths), on traces of several chunks in one
+    dimension, and where a and b differ only by a signed zero."""
+    traces = [*_hand_built_traces(), _uniform_trace(2 * engine._CHUNK + 37),
+              _uniform_trace(engine._CHUNK, d=1), _signed_zero_trace()]
+    for trace in traces:
+        csv, doc = io.StringIO(), io.StringIO()
+        trace_to_json(trace, doc, meta=meta, csv=csv)
+        assert csv.getvalue() == _reference_csv(trace, meta)
+        assert doc.getvalue() == _reference_json(trace, meta)
+        alone = io.StringIO()
+        trace_to_csv(trace, alone, meta=meta)
+        assert alone.getvalue() == csv.getvalue()
+    assert '"a": [\n    0.0,' in doc.getvalue() and '"b": [\n    -0.0,' in doc.getvalue()
+
+
+def test_records_and_block_logs_are_immutable_named_tuples():
+    """TraceRecord and BlockLog build by keyword and by position, with the same
+    fields in the same order, and reject attribute assignment."""
+    a, b = np.array([1.0, 2.0]), np.array([0.5, 2.0])
+    fields = dict(n=3, block_id=1, block_step=2, a=a, b=b, norm_a=2.0, norm_b=1.5,
+                  res_a=0.25, gap_ab=0.5, dist_target=None)
+    by_keyword, by_position = TraceRecord(**fields), TraceRecord(*fields.values())
+    assert TraceRecord._fields == tuple(fields)
+    assert all(x is y for x, y in zip(by_keyword, by_position))
+    assert by_keyword.a is a and by_keyword.dist_target is None
+    log = BlockLog(block_id=2, start_n=4, end_n=9, advance="length")
+    assert log == BlockLog(2, 4, 9, "length") and BlockLog._fields == (
+        "block_id", "start_n", "end_n", "advance")
+    for obj, name in ((by_keyword, "norm_a"), (by_keyword, "a"), (log, "end_n")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    with pytest.raises(AttributeError):
+        by_keyword.extra = 1
+
+
 @pytest.mark.parametrize("write", [trace_to_csv, trace_to_json])
 def test_rewrite_in_place_equals_a_fresh_write(tmp_path, write):
     """Writing over a longer, shorter or empty trace leaves the bytes of a

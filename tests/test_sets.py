@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from altproj.engine import Constant, ProjectionStepError, RunConfig, run_perturbed
 from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, Hyperplane,
                           NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron,
-                          ProjectionCertificateError, SupportUnavailable,
+                          ProjectionCertificateError, SupportUnavailable, _passive_solve,
                           _polyhedron_unbounded_in, set_from_dict, set_to_dict,
                           slice_sample)
 
@@ -223,6 +223,36 @@ def test_polyhedron_projection_does_not_import_scipy_optimize(tmp_path):
     assert out.stdout.strip() == "['scipy']"   # only the blocking entry
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "aw_squares.json", "exposure_disc.json", "omega_planes.json", "separation.json"]
+
+
+def test_passive_solve_bit_equal_to_numpy_solve():
+    """The NNLS's least squares solves give np.linalg.solve's bits: square
+    systems and normal equations of 1 to 13 columns, seeded.  Only the
+    one-column solve is a division, which equals LAPACK's on a 1 x 1 system."""
+    rng = np.random.default_rng(21)
+    for rows in range(1, 14):
+        for _ in range(10):
+            E = rng.standard_normal((rows, rows + 3)) * 10.0 ** rng.uniform(-3, 3, rows + 3)
+            f = rng.standard_normal(rows)
+            Q, q = E.T @ E, E.T @ f
+            for k in range(1, rows + 1):
+                cols = sorted(rng.choice(rows + 3, k, replace=False).tolist())
+                want = (np.linalg.solve(E[:, cols], f) if 1 < k == rows
+                        else np.linalg.solve(Q[cols][:, cols], q[cols]))
+                assert _passive_solve(E, f, Q, q, cols).tobytes() == want.tobytes(), (rows, cols)
+
+
+def test_passive_solve_singular_returns_none_without_a_warning():
+    """A singular solve is None, as np.linalg.solve's LinAlgError was, and
+    raises no RuntimeWarning where warnings are errors."""
+    E = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
+    f = np.array([1.0, 0.0])
+    Q, q = E.T @ E, E.T @ f
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _passive_solve(E, f, Q, q, [0, 1]) is None  # the square system
+        assert _passive_solve(E, np.zeros(3), Q, q, [0, 1]) is None  # its normal equations
+        assert _passive_solve(E, f, Q, q, [0, 2]) is not None
 
 
 # ---------------------------------------------------------------------------
