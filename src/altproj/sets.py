@@ -5,18 +5,18 @@ projection, closed-form overrides where they are cheaper, and a ``kind``
 tag.  All nine kinds are projectable.  Projections are exact closed forms
 everywhere except ``Polyhedron``, whose projection solves the
 least-distance program by active-set NNLS (Lawson & Hanson, *Solving Least
-Squares Problems*, ch. 23) and checks a KKT certificate on every call; the
-same NNLS decides, by Farkas' lemma, in which directions a polyhedron is
-unbounded.  ``project_many`` and ``distance_many`` take (k, d) batches,
-bit-equal row by row to ``project`` and to ``distance``, which is row 0
-of ``distance_many``.  Only the sampled probes batch, so only ``Ball``
-and ``Polygon2D`` keep a batch projection kernel (see
-``ConvexSet.project_many``); membership is ``distance <= tol`` for
-every kind.  A kind with fields to
-check checks them in one ``_store``: the constructor turns its input
-into stored form (a unit normal, normalised rows) and passes it there,
-and ``ConvexSet._replace``, used by the per-step families, passes only
-the fields that move.  The runtime needs numpy only.
+Squares Problems*, ch. 23) and checks a KKT certificate on every call.  In
+any dimension, a polyhedron's support point comes from proximal steps on
+that projection, certified by its multipliers; the same NNLS decides, by
+Farkas' lemma, in which directions it is unbounded.  ``project_many`` and
+``distance_many`` take (k, d) batches, bit-equal row by row to ``project``
+and to ``distance``, which is row 0 of ``distance_many``.  Only the sampled
+probes batch, so only ``Ball`` and ``Polygon2D`` keep a batch projection
+kernel (see ``ConvexSet.project_many``); membership is ``distance <= tol``
+for every kind.  A kind with fields to check checks them in one ``_store``:
+the constructor turns its input into stored form (a unit normal, normalised
+rows) and passes it there, and ``ConvexSet._replace``, used by the per-step
+families, passes only the fields that move.  The runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -156,8 +156,8 @@ class ConvexSet:
         return self.distance(x) <= tol
 
     def support_value(self, f) -> float:
-        raise SupportUnavailable(f"no exact support value for {type(self).__name__}; "
-                                 "use sampled probes")
+        """sup <f, .>, attained at ``support_point(f)`` unless a closed form overrides it."""
+        return float(np.dot(f, self.support_point(f)))
 
     def support_point(self, f) -> np.ndarray:
         raise SupportUnavailable(f"no support point for {type(self).__name__}")
@@ -299,7 +299,8 @@ class Ball(ConvexSet):
         return out
 
     def distance_many(self, X):
-        return _positive_part(row_norms(as_points(X, self.dim) - self.center) - self.radius)
+        with np.errstate(over="ignore"):  # an overflowed norm is inf: the point is not a member
+            return _positive_part(row_norms(as_points(X, self.dim) - self.center) - self.radius)
 
     def support_value(self, f):
         return float(np.dot(f, self.center)) + self.radius * float(np.linalg.norm(f))
@@ -514,12 +515,9 @@ class NonnegOrthant(ConvexSet):
 
 @dataclass(frozen=True, eq=False)
 class Polyhedron(ConvexSet):
-    """{x : <a_i, x> <= b_i for all i}; the constructor demands a witness.
-
-    Rows of ``normals`` are the a_i (not necessarily unit), paired with
-    offsets ``b``.  Nonemptiness is certified by the feasible witness
-    point, checked at construction.
-    """
+    """{x : <a_i, x> <= b_i for all i}, nonempty by a feasible ``witness`` checked at
+    construction.  The rows a_i of ``normals`` need not be unit; they are stored scaled
+    to unit length, and ``b`` with them."""
 
     kind = "polyhedron"
     normals: np.ndarray
@@ -556,22 +554,24 @@ class Polyhedron(ConvexSet):
         return self.normals.shape[1]
 
     def project(self, x):
-        """The nearest point, from the least-distance program in z = y - x:
-        min ||z|| subject to A z <= r, r = b - A x (Lawson & Hanson, ch. 23).
+        return self._project(x)[0]
 
-        Scaled by the largest violation s, so that it is O(1), the program
-        is the NNLS min ||E u - f|| over u >= 0 with E = [-A^T; g^T],
-        g = -r / s and f = e_{d+1}.  Its residual res = E u - f gives
+    def _project(self, x):
+        """(y, lambda): the nearest point and its KKT multipliers (None for a feasible x),
+        from the least-distance program in z = y - x: min ||z|| subject to A z <= r,
+        r = b - A x (Lawson & Hanson, ch. 23).  Scaled by the largest violation s, so
+        that it is O(1), the program is the NNLS min ||E u - f|| over u >= 0 with
+        E = [-A^T; g^T], g = -r / s and f = e_{d+1}.  Its residual res = E u - f gives
         y = x - s res[:d] / res[d] = x - A^T lambda with the multipliers
-        lambda = s u / -res[d], where -res[d] = 1 - g.u.  The KKT
-        certificate is checked on every call (see ``_certify``).
+        lambda = s u / -res[d], where -res[d] = 1 - g.u.  The KKT certificate is
+        checked on every call (see ``_certify``).
         """
         x = as_point(x, dim=self.dim)
         A, b = self.normals, self.b
         r = b - A @ x
         s = -float(_min(r))
         if s <= 0.0:
-            return x.copy()
+            return x.copy(), None
         g = r / -s
         f = np.zeros(self.dim + 1)
         f[-1] = 1.0
@@ -583,23 +583,40 @@ class Polyhedron(ConvexSet):
         lam = (s / t) * u
         y = x - A.T @ lam
         _certify(x, y, lam, A, b)
-        return y
-
-    def _vertices_toward(self, f):
-        """The vertices, one of which attains sup <f, .>; raises if there is none."""
-        if _polyhedron_unbounded_in(self, f):
-            raise SupportUnavailable("polyhedron is unbounded in this direction")
-        verts = polyhedron_vertices(self)
-        if len(verts) == 0:
-            raise SupportUnavailable("polyhedron has no vertices; use sampled probes")
-        return verts
-
-    def support_value(self, f):
-        return float(np.max(self._vertices_toward(f) @ f))
+        return y, lam
 
     def support_point(self, f):
-        verts = self._vertices_toward(f)
-        return verts[int(np.argmax(verts @ f))]
+        return self._support(f)[0]
+
+    def _support(self, f):
+        """(y, mu): a maximiser y of <f, .> and multipliers mu >= 0 that certify it.
+
+        Proximal steps x <- P(x + t f) from the witness, t growing 1.5x a step from the
+        data's scale over ||f||, reach a maximiser in finitely many steps (Rockafellar,
+        SIAM J. Control Optim. 14, 1976).  Once mu = lambda / t has ||A^T mu - f|| <=
+        1e-9 ||f||, the point, rounded at the scale of x + t f, is moved onto its active
+        constraints and projected, at its own scale, to y, returned if |b.mu - <f, y>| +
+        ||A^T mu - f|| ||y|| <= 1e-9 ||f|| max(1, ||y||): by weak duality that bounds
+        sup - <f, y>.  After _SUPPORT_STEPS steps Farkas tells unbounded from uncertified."""
+        f = as_point(f, dim=self.dim)
+        A, b, x = self.normals, self.b, self.witness
+        nf = float(np.linalg.norm(f))
+        t = (max(float(np.max(np.abs(x))), float(np.max(np.abs(b)))) or 1.0) / (nf or 1.0)
+        tol = 1e-9 * nf  # f = 0 is certified at the witness by mu = 0
+        for _ in range(_SUPPORT_STEPS):
+            x, lam = self._project(x + t * f)
+            mu = lam / t if lam is not None else np.zeros(len(b))  # then A^T mu - f = -f
+            res = float(np.linalg.norm(A.T @ mu - f))
+            if res <= tol:
+                act = mu > 0.0
+                y = self._project(x - np.linalg.pinv(A[act]) @ (A[act] @ x - b[act]))[0]
+                ny = float(np.linalg.norm(y))
+                if abs(float(b @ mu - f @ y)) + res * ny <= tol * max(1.0, ny):
+                    return y, mu
+            t *= 1.5
+        if _polyhedron_unbounded_in(self, f):
+            raise SupportUnavailable("polyhedron is unbounded in this direction")
+        raise SupportUnavailable(f"no certified polyhedron support in {_SUPPORT_STEPS} steps")
 
     def translate(self, v):
         v = as_point(v, dim=self.dim)
@@ -770,6 +787,7 @@ def _passive_solve(E, f, Q, q, cols):
 
 
 _KKT_TOL = 1e-9
+_SUPPORT_STEPS = 100  # proximal steps before Polyhedron.support_point gives up
 
 
 def _certify(x, y, lam, A, b):
@@ -789,27 +807,6 @@ def _certify(x, y, lam, A, b):
             raise ProjectionCertificateError(
                 f"polyhedron projection failed its KKT certificate: {name} "
                 f"residual {value:.3e} > {tol:.3e}")
-
-
-def polyhedron_vertices(S: Polyhedron, tol: float = 1e-9) -> np.ndarray:
-    """Enumerate vertices of a polyhedron in dimension <= 3."""
-    d = S.dim
-    if d > 3:
-        raise SupportUnavailable("vertex enumeration only supported for d <= 3")
-    A, b = S.normals, S.b
-    m = A.shape[0]
-    verts = []
-    from itertools import combinations
-    for idx in combinations(range(m), d):
-        sub = A[list(idx)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        v = np.linalg.solve(sub, b[list(idx)])
-        if np.all(A @ v <= b + tol):
-            verts.append(v)
-    if not verts:
-        return np.empty((0, d))
-    return np.unique(np.round(np.array(verts), 12), axis=0)
 
 
 def _polyhedron_unbounded_in(S: Polyhedron, f: np.ndarray, tol: float = 1e-9) -> bool:
@@ -855,13 +852,17 @@ def slice_sample(S, f, alpha: float, n_samples: int, rng_seed: int) -> np.ndarra
     whole arrays with the same rounding, so the result does not depend on
     the batching.
     """
+    f = _support_direction(f, S.dim)
+    return _slice(S, f, S.support_value(f), alpha, n_samples, rng_seed)
+
+
+def _slice(S, f, sup, alpha, n_samples, rng_seed):
+    """``slice_sample`` for a checked direction f and its support value sup over S."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    f = _support_direction(f, S.dim)
-    sup = S.support_value(f)
     level = sup - alpha  # keep x with <f, x> >= level
 
     if isinstance(S, Ball):

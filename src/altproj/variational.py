@@ -17,8 +17,7 @@ import numpy as np
 
 from .geometry import as_point, row_norms
 from .sets import (AffineSubspace, DiagonalAffineGraph, Halfspace,
-                   OrthoSubspace, SamplerFailure, _check_orthonormal, _support_direction,
-                   slice_sample)
+                   OrthoSubspace, SamplerFailure, _check_orthonormal, _slice, _support_direction)
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,7 @@ class AngleReport:
 
 
 def _is_line(S):
-    if isinstance(S, OrthoSubspace) and S.basis.shape[0] == 1:
-        return True
-    if isinstance(S, AffineSubspace) and S.basis.shape[0] == 1:
-        return True
-    return False
+    return isinstance(S, (OrthoSubspace, AffineSubspace)) and S.basis.shape[0] == 1
 
 
 def _line_anchor_dir(S):
@@ -244,7 +239,12 @@ def epsilon_alpha(A, f, x0, alpha: float, n_boundary: int = 2000,
         raise ValueError("f and x0 must be unit vectors")
     if abs(float(np.dot(f, x0)) - 1.0) > 1e-9:
         raise ValueError("x0 must satisfy f(x0) = 1")
-    if not (0.0 < alpha < 1.0):
+    return _cone_shifts(A, f, x0, (alpha,), n_boundary, rng_seed, max_radius)[0]
+
+
+def _cone_shifts(A, f, x0, alphas, n_boundary, rng_seed, max_radius=1e3) -> list:
+    """``epsilon_alpha`` at each of ``alphas``, from one boundary sample of A."""
+    if not all(0.0 < alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must lie in (0, 1)")
     if not A.membership(np.zeros(f.size), 1e-7):
         raise ValueError("0 must belong to the (pre-translated) set")
@@ -253,15 +253,15 @@ def epsilon_alpha(A, f, x0, alpha: float, n_boundary: int = 2000,
     s = scales[np.arange(n_boundary) % len(scales)]
     a = A.project_many(rng.standard_normal((n_boundary, f.size)) * s[:, None])
     fa = np.vecdot(a, f)
-    lam = _min_shifts_into_cone(np.where(fa < 0.0, 0.0, fa), a, x0, alpha)
-    # the first sample that breaks the orientation or needs an unbounded
-    # shift decides, as it would in a sample-by-sample scan
-    wrong, unbounded = fa < -1e-7, lam == math.inf
-    if (wrong | unbounded).any():
-        if wrong[int(np.argmax(wrong | unbounded))]:
+    wrong, eps = fa < -1e-7, []
+    for alpha in alphas:
+        lam = _min_shifts_into_cone(np.where(fa < 0.0, 0.0, fa), a, x0, alpha)
+        # the first sample off orientation or with no finite shift decides, as in a scan
+        flagged = wrong | (lam == math.inf)
+        if flagged.any() and wrong[int(np.argmax(flagged))]:
             raise ValueError("f does not attain its infimum over the set at 0")
-        return math.inf
-    return float(lam.max(initial=0.0))
+        eps.append(math.inf if flagged.any() else float(lam.max(initial=0.0)))
+    return eps
 
 
 def _diameter(pts) -> float:
@@ -308,15 +308,13 @@ def strongly_exposes_probe(A, f, alphas, n_samples: int = 400,
     """
     alphas = tuple(float(a) for a in alphas)
     translated, fprime = exposure_frame(A, f)  # SupportUnavailable where there is no x*
-    diams = []
-    eps_vals = []
-    for i, alpha in enumerate(alphas):
-        diams.append(_diameter(slice_sample(A, f, alpha, n_samples, rng_seed + i)))
-        eps_vals.append(epsilon_alpha(translated, fprime, fprime, alpha,
-                                      n_boundary=n_samples, rng_seed=rng_seed))
+    f = _support_direction(f, A.dim)
+    sup = A.support_value(f)  # slice_sample's, taken once for every alpha
+    diams = tuple(_diameter(_slice(A, f, sup, alpha, n_samples, rng_seed + i))
+                  for i, alpha in enumerate(alphas))
+    eps_vals = tuple(_cone_shifts(translated, fprime, fprime, alphas, n_samples, rng_seed))
     ratios = tuple(e / a for e, a in zip(eps_vals, alphas))
-    return ExposureProbe(alphas=alphas, eps_of_alpha=tuple(eps_vals),
-                         slice_diams=tuple(diams), ratios=ratios)
+    return ExposureProbe(alphas=alphas, eps_of_alpha=eps_vals, slice_diams=diams, ratios=ratios)
 
 
 # ---------------------------------------------------------------------------

@@ -542,6 +542,39 @@ def test_exposure_set_that_fails_the_translated_test_names_set(tmp_path, capsys,
             assert ("config field 'params.set': " in err) == (code == 1), (scale, cmd, err)
 
 
+@pytest.mark.parametrize("radius", [1e154, 1e300])
+def test_huge_disc_names_set_where_warnings_are_errors(tmp_path, radius):
+    """With numpy's warnings made errors, as CI's installed-CLI steps run, the shipped
+    disc at a huge radius still exits 1 naming params.set on validate and probe: the
+    membership test's overflowed norm is inf, so 0 is not in the translated set."""
+    doc = json.loads((CONFIGS / "probe_exposure_disc.json").read_text())
+    doc["params"]["set"]["radius"] = radius
+    cfg = write_config(tmp_path, doc)
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    for cmd in ("validate", "probe"):
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "altproj",
+                               cmd, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                               "--quiet"], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: config field 'params.set': "), done.stderr
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_exposure_probe_on_a_box_beyond_three_dimensions(tmp_path, capsys, d):
+    """A box in R^4 or R^6 has a support point along f, so its exposure probe
+    validates and runs; its corner is exposed, so the slices shrink with alpha."""
+    box = {"kind": "polyhedron", "normals": np.vstack([np.eye(d), -np.eye(d)]).tolist(),
+           "b": [1.0] * (2 * d), "witness": [0.0] * d}
+    doc = _exposure([1.0] + [0.5] * (d - 1), [0.5, 0.25], box)
+    doc["params"]["n_samples"] = 40
+    cfg = write_config(tmp_path, doc)
+    for cmd in ("validate", "probe"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+    diams = json.loads((tmp_path / "o" / "report.json").read_text())["result"]["slice_diams"]
+    assert diams[1] < diams[0]
+
+
 @pytest.mark.parametrize("S, f", [
     ({"kind": "halfspace", "a": [0.0, 1.0], "b": 0.0}, [0.0, 1.0]),
     ({"kind": "hyperplane", "a": [0.0, 1.0], "b": 0.0}, [0.0, -1.0]),

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from altproj import sets as sets_module
 from altproj.engine import Constant, ProjectionStepError, RunConfig, run_perturbed
 from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, Hyperplane,
                           NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron,
@@ -23,7 +24,8 @@ from _oracles import (DISTANCE_CLOSED_FORMS, PROJECTABLE_KINDS, ball_slice_refer
                       exact_fields, graph_projection_first_coords_oracle,
                       polygon_project_loop,
                       polygon_slice_reference, polyhedron_project_dykstra,
-                      polyhedron_projection_bruteforce, public_translate, random_set)
+                      lp_support, polyhedron_projection_bruteforce, public_translate,
+                      random_set)
 from _paper_checks import ConeSpec
 
 
@@ -374,7 +376,7 @@ def test_support_value_unbounded_direction_errors():
         P.support_value(np.array([-1.0, 0.0]))
 
 
-def test_support_value_polyhedron_matches_vertices(rng):
+def test_support_value_polyhedron_attained_at_support_point(rng):
     for _ in range(10):
         P = random_set("polyhedron", rng, dim=2)
         f = rng.standard_normal(2)
@@ -387,28 +389,150 @@ def test_support_value_polyhedron_matches_vertices(rng):
         assert P.membership(pt, 1e-7)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_polyhedron_support_point_attains_support_value_from_one_enumeration(d, monkeypatch):
-    import altproj.sets as sets_mod
+def _box_bounded_polytope(rng, d, scale):
+    """A few random constraints and the box around a random center, all scaled."""
+    A = np.vstack([rng.standard_normal((int(rng.integers(1, 5)), d)), np.eye(d), -np.eye(d)])
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    center = rng.standard_normal(d)
+    b = A @ center + rng.uniform(0.3, 2.0, len(A))
+    return Polyhedron(A, b * scale, witness=center * scale)
+
+
+def _count_projections(monkeypatch):
+    """The list that every later ``Polyhedron._project`` call appends its point to."""
     calls = []
-    enumerate_vertices = sets_mod.polyhedron_vertices
-    monkeypatch.setattr(sets_mod, "polyhedron_vertices",
-                        lambda S: calls.append(S) or enumerate_vertices(S))
+    project = Polyhedron._project
+    monkeypatch.setattr(Polyhedron, "_project", lambda S, x: calls.append(x) or project(S, x))
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_polyhedron_support_point_attains_support_value_in_one_proximal_run(d, monkeypatch):
+    """support_value is <f, support_point(f)>: it takes exactly the projections of one
+    support_point, and no more than the step cap allows (two per step)."""
+    calls = _count_projections(monkeypatch)
     rng = np.random.default_rng(d)
     bounded = 0
-    for _ in range(40):
-        P = random_set("polyhedron", rng, dim=d)
+    for i in range(40):  # random polyhedra, unbounded in many directions, and boxed ones
+        P = random_set("polyhedron", rng, dim=d) if i % 2 else _box_bounded_polytope(rng, d, 1.0)
         f = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+        calls.clear()
         try:
             val = P.support_value(f)
         except SupportUnavailable:
             continue
+        per_value = len(calls)
         calls.clear()
         pt = P.support_point(f)
-        assert len(calls) == 1
+        assert len(calls) == per_value <= 2 * sets_module._SUPPORT_STEPS
         assert abs(float(f @ pt) - val) <= 1e-12 * abs(val)
         bounded += 1
     assert bounded >= 10
+
+
+def test_polyhedron_support_matches_rescaled_linprog(monkeypatch):
+    """1080 seeded box-bounded polytopes in d = 1..6 at scales 1e-8, 1 and 1e8: every
+    support value is answered within 1e-9 ||f|| max(1, ||x*||) of linprog's, in a
+    handful of projections (the vertex enumeration this replaced stopped at d = 3)."""
+    calls = _count_projections(monkeypatch)
+    rng = np.random.default_rng(22)
+    counts = []
+    for d in range(1, 7):
+        for scale in (1e-8, 1.0, 1e8):
+            for _ in range(60):
+                P = _box_bounded_polytope(rng, d, scale)
+                f = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+                value, x_star = lp_support(P, f)
+                calls.clear()
+                got = P.support_value(f)
+                counts.append(len(calls))
+                bound = 1e-9 * np.linalg.norm(f) * max(1.0, np.linalg.norm(x_star))
+                assert abs(got - value) <= bound, (d, scale, P.to_dict(), f, got, value)
+    assert len(counts) == 1080 and np.median(counts) <= 8 and max(counts) <= 40
+
+
+def test_polyhedron_support_dual_certificate_holds():
+    """The multipliers support_point stops on are a dual certificate in the stored
+    normals: mu >= 0, ||A^T mu - f|| <= 1e-9 ||f||, b.mu within 1e-9 ||f|| max(1, ||y||)
+    of <f, y> at the feasible y returned, so that no point of the set, sampled by
+    projecting far points, beats b.mu by more than weak duality allows."""
+    rng = np.random.default_rng(5)
+    for d in range(1, 7):
+        for scale in (1e-8, 1.0, 1e8):
+            for _ in range(10):
+                P = _box_bounded_polytope(rng, d, scale)
+                f = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+                y, mu = P._support(f)
+                nf, ny = np.linalg.norm(f), np.linalg.norm(y)
+                residual = np.linalg.norm(P.normals.T @ mu - f)
+                assert mu.shape == P.b.shape and np.all(mu >= 0.0)
+                assert residual <= 1e-9 * nf
+                assert abs(P.b @ mu - f @ y) <= 1e-9 * nf * max(1.0, ny)
+                assert P.distance(y) <= 1e-9 * max(1.0, ny)
+                Z = P.project_many(P.witness + rng.standard_normal((50, d)) * 10.0 * scale)
+                assert np.all(Z @ f <= P.b @ mu + residual * np.linalg.norm(Z, axis=1)
+                              + 1e-12 * nf * max(1.0, ny))
+
+
+def test_polyhedron_support_without_a_vertex_and_in_higher_dimensions():
+    """A strip has no vertex and a 6-D box is beyond enumeration by d-subsets of
+    rows: both have support points, and a zero f is attained at the witness."""
+    strip = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]),
+                       witness=np.zeros(2))
+    pt = strip.support_point(np.array([2.0, 0.0]))
+    assert pt[0] == 1.0 and strip.support_value(np.array([2.0, 0.0])) == 2.0
+    with pytest.raises(SupportUnavailable, match="unbounded"):
+        strip.support_value(np.array([1.0, 1.0]))
+    box = Polyhedron(np.vstack([np.eye(6), -np.eye(6)]), np.ones(12), witness=np.zeros(6))
+    f = np.arange(1.0, 7.0) * np.array([1, -1, 1, -1, 1, -1])
+    assert box.support_point(f).tolist() == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+    assert box.support_value(f) == 21.0
+    assert box.support_point(np.zeros(6)).tolist() == [0.0] * 6
+
+
+def _thin_cone_draws(delta, n=400, seed=3):
+    """Polyhedra in R^3 whose 3 to 6 normals lie within delta of one direction u
+    (u + delta v, v uniform in the unit disc orthogonal to u), with a direction f
+    that is a positive combination of them, so that sup <f, .> is finite."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        m = int(rng.integers(3, 7))
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        e1, e2 = np.linalg.svd(u[None])[2][1:]
+        r, phi = np.sqrt(rng.uniform(0.0, 1.0, m)), rng.uniform(0.0, 2.0 * np.pi, m)
+        A = u + delta * ((r * np.cos(phi))[:, None] * e1 + (r * np.sin(phi))[:, None] * e2)
+        A /= np.linalg.norm(A, axis=1, keepdims=True)
+        center = rng.standard_normal(3)
+        yield (Polyhedron(A, A @ center + rng.uniform(0.3, 2.0, m), witness=center),
+               A.T @ rng.uniform(0.1, 1.0, m))
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-5, 1e-6, 1e-7])
+def test_polyhedron_support_on_thin_cones_of_normals(delta):
+    """Thin cones of normals: at delta = 1e-4 every direction linprog calls bounded
+    gets a value; at 1e-4 and 1e-5 every value given is within 1e-9 ||f|| max(1,
+    ||x*||) of linprog's; and no more directions are called unbounded against
+    linprog than by the Farkas test alone, which the vertex enumeration ran first."""
+    answered = bounded = false_unbounded = farkas_false = 0
+    for P, f in _thin_cone_draws(delta):
+        reference = lp_support(P, f)
+        bounded += reference is not None
+        if reference is not None:
+            farkas_false += _polyhedron_unbounded_in(P, f)
+        try:
+            got = P.support_value(f)
+        except SupportUnavailable as exc:
+            false_unbounded += reference is not None and "unbounded" in str(exc)
+            continue
+        answered += 1
+        if reference is not None and delta >= 1e-5:
+            value, x_star = reference
+            bound = 1e-9 * np.linalg.norm(f) * max(1.0, np.linalg.norm(x_star))
+            assert abs(got - value) <= bound, (P.to_dict(), f, got, value)
+    assert false_unbounded <= farkas_false
+    if delta == 1e-4:
+        assert answered == bounded == 400
 
 
 def test_slice_sample_whole_ball():

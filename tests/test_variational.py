@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from altproj.sets import (Ball, DiagonalAffineGraph, Halfspace, OrthoSubspace, Polygon2D,
-                          Polyhedron, SamplerFailure, polyhedron_vertices, slice_sample)
+                          Polyhedron, SamplerFailure, slice_sample)
 from altproj.variational import (AwEstimate, ExposureProbe, _diameter,
-                                 aw_distance, epsilon_alpha, omega_angle,
+                                 aw_distance, epsilon_alpha, exposure_frame, omega_angle,
                                  separation_constants, strongly_exposes_probe)
 
 from _oracles import (diameter_reference, disc_min_shift_exact, omega_bruteforce,
@@ -534,15 +534,33 @@ def test_zero_support_direction_is_rejected():
         strongly_exposes_probe(B, np.zeros(2), [0.2, 0.1])
 
 
-def test_exposure_probe_enumerates_box_vertices_once_per_support_call(monkeypatch):
-    """A two-alpha probe on a box takes its support point once and its support
-    value once per alpha (in slice_sample): three vertex enumerations."""
-    calls = []
-    monkeypatch.setattr("altproj.sets.polyhedron_vertices",
-                        lambda S: calls.append(S) or polyhedron_vertices(S))
+def _counted(monkeypatch, cls, name):
+    """The list that every later call of ``cls.name`` appends its set to."""
+    calls, method = [], getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda S, *a, **k: calls.append(S) or method(S, *a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("alphas", [[0.2, 0.1], [0.4, 0.2, 0.1, 0.05]])
+def test_exposure_probe_takes_support_and_boundary_sample_once(alphas, monkeypatch):
+    """An exposure probe takes its support point and its support value once, and
+    draws and projects its boundary sample once, however many alphas it has:
+    on a box two proximal support runs, on a disc one batch projection.  Its
+    eps values are those of epsilon_alpha at each alpha."""
+    runs = _counted(monkeypatch, Polyhedron, "_support")
     box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4), witness=np.zeros(2))
-    probe = strongly_exposes_probe(box, np.array([1.0, 0.5]), [0.2, 0.1], n_samples=50)
-    assert len(probe.slice_diams) == 2 and len(calls) == 3
+    f = np.array([1.0, 0.5])
+    probe = strongly_exposes_probe(box, f, alphas, n_samples=50)
+    assert len(probe.slice_diams) == len(alphas) and len(runs) == 2
+    assert probe.slice_diams[0] > 0.0 and box.support_value(f) == 1.5
+    values = _counted(monkeypatch, Ball, "support_value")
+    batches = _counted(monkeypatch, Ball, "project_many")
+    disc = Ball(np.array([0.0, 1.0]), 1.0)
+    probe = strongly_exposes_probe(disc, [0.0, -1.0], alphas, n_samples=60, rng_seed=4)
+    assert (len(values), len(batches)) == (1, 1)
+    translated, unit = exposure_frame(disc, [0.0, -1.0])
+    assert probe.eps_of_alpha == tuple(epsilon_alpha(translated, unit, unit, a, n_boundary=60,
+                                                     rng_seed=4) for a in alphas)
 
 
 @pytest.mark.parametrize("f, message", [
