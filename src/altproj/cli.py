@@ -10,8 +10,9 @@ validate  dry-run: build everything, re-check construction invariants,
 
 Every config is checked against the package's ``schema.json`` before anything is
 built.  The schema owns the config's own fields, ``sets.set_from_dict`` set
-descriptors and ``constructions.stable_scenario`` its ``scenario_params``.  One
-builder per config kind holds the defaults and the checks that dimensions agree,
+descriptors and ``constructions.stable_scenario`` its ``scenario_params``; the
+library's signatures hold the defaults, so a builder passes only the fields a
+config sets.  One builder per config kind holds the checks that dimensions agree,
 and returns a ``Job``: what ``run`` or ``probe`` executes and the ledger rows
 ``validate`` prints.
 
@@ -38,8 +39,7 @@ from . import variational as var
 from .engine import (Blocks, Constant, ProjectionStepError, RunConfig, _output, run_perturbed,
                      trace_to_csv, trace_to_json)
 from .geometry import as_point
-from .sets import (_THETA_OVERFLOW, ProjectionCertificateError, SamplerFailure,
-                   _check_orthonormal, set_from_dict)
+from .sets import ProjectionCertificateError, SamplerFailure, _check_orthonormal, set_from_dict
 
 # CPython's built-in SHA-256 gives hashlib's digest without loading OpenSSL's
 # libcrypto, 3.6 MB of a run's resident memory; hashlib only where neither exists.
@@ -76,18 +76,18 @@ def _naming(field):
 
 
 # The draft-07 subset the config validator implements.  An integer is an int,
-# not a bool or 2.0; a number is an int or float that is a finite double.
+# not a bool or 2.0, and a number an int or float; both must be finite doubles.
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "null": lambda v: v is None,
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: (isinstance(v, float) and math.isfinite(v)
-                         or _TYPES["integer"](v) and abs(v) <= sys.float_info.max),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          and abs(v) <= sys.float_info.max),
+    "number": lambda v: isinstance(v, float) and math.isfinite(v) or _TYPES["integer"](v),
 }
 _BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"),
-           "exclusiveMaximum": (operator.lt, "<")}
+           "maximum": (operator.le, "<="), "exclusiveMaximum": (operator.lt, "<")}
 _KEYWORDS = {"type", "enum", "const", "required", "properties", "additionalProperties",
              "minItems", "items", "$ref", "allOf", "if", "then", "definitions",
              "$schema", "title", "description", *_BOUNDS}
@@ -185,9 +185,13 @@ def _parse_set(obj, field, dim=None):
     except Exception as exc:
         raise ConfigError(f"config field {field!r}: bad set descriptor ({exc})")
     _require(dim is None or S.dim == dim, field, f"has dimension {S.dim}, expected {dim}")
-    # a graph whose 1 + theta^2 overflows builds but fails its first projection
-    _require(S.kind != "diagonal_affine_graph" or S._denom is not None, field, _THETA_OVERFLOW)
     return S
+
+
+def _given(**fields):
+    """The keyword arguments a config sets (not absent, not null); the library's
+    signatures hold the defaults of the rest."""
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 def _vector(p, key, dim=None, default=None):
@@ -217,8 +221,8 @@ def _engine_job(cfg, p, schedule, dim, max_iter, start=None, target=None, scenar
     run_cfg = RunConfig(start=_vector(p, "start", dim, start),
                         max_iter=cfg.get("max_iter", max_iter),
                         stop_residual=p.get("stop_residual"),
-                        record_stride=cfg.get("record_stride", 1),
-                        target=_vector(p, "target", dim, target))
+                        target=_vector(p, "target", dim, target),
+                        **_given(record_stride=cfg.get("record_stride")))
 
     def checks():
         yield "schedule and run config construct", True, type(schedule).__name__
@@ -248,8 +252,8 @@ def _build_perturbed(cfg, p):
 
 def _build_scenario(cfg, p):
     with _naming("params.scenario_params"):
-        scen = cons.stable_scenario(p["scenario"], delta_law=p.get("delta_law", "inv_n"),
-                                    delta_scale=p.get("delta_scale", 1.0),
+        scen = cons.stable_scenario(p["scenario"], **_given(delta_law=p.get("delta_law"),
+                                                            delta_scale=p.get("delta_scale")),
                                     **p.get("scenario_params", {}))
     try:  # both delta laws shrink |delta_n|, so the step-1 pair is the worst case
         scen.a_family(1), scen.b_family(1)
@@ -276,26 +280,25 @@ def _example51_row(k):
 
 def _build_example(cfg, p, run, row):
     """Job running an example's blocks; ``row(k)`` checks the k-th block's sets."""
-    args = (p["n_blocks"], p.get("max_block_len", 10_000), _vector(p, "start", 2, (0.0, 0.0)),
-            cfg.get("record_stride", 1))
-    return Job(lambda out_dir, quiet: run(*args), lambda: map(row, range(1, p["n_blocks"] + 1)))
+    kwargs = _given(max_block_len=p.get("max_block_len"), start=_vector(p, "start", 2),
+                    record_stride=cfg.get("record_stride"))
+    return Job(lambda out_dir, quiet: run(p["n_blocks"], **kwargs),
+               lambda: map(row, range(1, p["n_blocks"] + 1)))
 
 
 def _build_ell2(cfg, p):
     _require(p["H"] < p["d"], "params.H", f"must be less than params.d = {p['d']}")
     with _naming("params.start"):
         start = cons.ell2_start_alphas(p["d"], p.get("start"))
-    c = cons.build_ell2_construction(
-        p["d"], p["H"], ratio=p.get("ratio", 0.5), slack=p.get("slack", 0.5),
-        start=start, max_block_n=p.get("max_block_n", 10 ** 8))
+    c = cons.build_ell2_construction(p["d"], p["H"], start=start, **_given(
+        ratio=p.get("ratio"), slack=p.get("slack"), max_block_n=p.get("max_block_n")))
     budget = p.get("engine_step_budget", 5_000_000)
     windows = p.get("aw_windows", [1, 2, 4])
     out = cfg["output"]
-    stride = cfg.get("record_stride", 0)  # 0: ell2_run picks about 1000 records
 
     def execute(out_dir, quiet):
         with _output(out_dir / out.get("construction_json", "construction.json")) as fh:
-            fh.write(json.dumps(c.as_dict(), indent=1))
+            fh.write(json.dumps(asdict(c), indent=1, default=np.ndarray.tolist))
         total = sum(blk.N for blk in c.blocks)
         certificate = cons.ell2_aw_certificate(c, windows)
         if total > budget:
@@ -305,7 +308,7 @@ def _build_ell2(cfg, p):
             ends = [float(np.sum(blk.end_alphas ** 2)) for blk in c.blocks]
             trace = None
         else:
-            trace = cons.ell2_run(c, record_stride=stride)
+            trace = cons.ell2_run(c, **_given(record_stride=cfg.get("record_stride")))
             boundaries = set(c.block_boundaries())
             ends = [r.norm_a ** 2 for r in trace.records if r.n in boundaries]
         if not quiet:

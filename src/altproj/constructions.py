@@ -228,30 +228,6 @@ class Ell2Construction:
                          f"||b^h|| = {float(np.linalg.norm(blk.b))!r}, bound = {bound!r}"))
         return rows
 
-    def as_dict(self) -> dict:
-        return {
-            "d": self.d, "ratio": self.ratio, "H": self.H, "slack": self.slack,
-            "start_alphas": self.start_alphas.tolist(),
-            "blocks": [{
-                "h": blk.h, "M": blk.M, "N": blk.N,
-                "theta": blk.theta.tolist(), "b": blk.b.tolist(),
-                "start_alphas": blk.start_alphas.tolist(),
-                "end_alphas": blk.end_alphas.tolist(),
-            } for blk in self.blocks],
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "Ell2Construction":
-        blocks = tuple(Ell2Block(
-            h=int(b["h"]), M=float(b["M"]), N=int(b["N"]),
-            theta=np.array(b["theta"]), b=np.array(b["b"]),
-            start_alphas=np.array(b["start_alphas"]),
-            end_alphas=np.array(b["end_alphas"])) for b in doc["blocks"])
-        return Ell2Construction(d=int(doc["d"]), ratio=float(doc["ratio"]),
-                                H=int(doc["H"]), slack=float(doc["slack"]),
-                                start_alphas=np.array(doc["start_alphas"]),
-                                blocks=blocks)
-
 
 def _block_alphas(start, a, M, h, t) -> np.ndarray:
     """First-factor coordinates after t steps of block h from ``start``.
@@ -272,10 +248,10 @@ def _block_alphas(start, a, M, h, t) -> np.ndarray:
     return out
 
 
-def default_start_alphas(d: int, target_norm: float = 0.9) -> np.ndarray:
-    """Positive coordinates proportional to 2^-n, scaled to the given norm."""
+def default_start_alphas(d: int) -> np.ndarray:
+    """Positive coordinates proportional to 2^-n, scaled to norm 0.9."""
     v = 2.0 ** -np.arange(1, d + 1)
-    return v * (target_norm / float(np.linalg.norm(v)))
+    return v * (0.9 / float(np.linalg.norm(v)))
 
 
 def ell2_start_alphas(d: int, start=None) -> np.ndarray:

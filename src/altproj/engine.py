@@ -356,6 +356,7 @@ _CSV_WORDS = {"None": ""}
 _JSON_WORDS = {"None": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CHUNK = 64  # records formatted per write: a few pages of text, so memory stays flat
 _CSV_LINE = "{},{},{},{},{},{},{}\n"  # n,block,res_a,norm_a,norm_b,gap_ab,dist_target
+# a record as json.dumps(..., indent=1) lays out an element of the top-level "records"
 _JSON_RECORD = ('  {{\n   "n": {},\n   "block": {},\n   "block_step": {},\n   "a": {},\n'
                 '   "b": {},\n   "norm_a": {},\n   "norm_b": {},\n   "res_a": {},\n'
                 '   "gap_ab": {},\n   "dist_target": {}\n  }}')
@@ -389,18 +390,11 @@ def _vector_texts(column):
     return [*map(template.format, *(texts[k::d] for k in range(d)))]
 
 
-def _json_record(item) -> str:
-    """One record, laid out as ``json.dumps(..., indent=1)`` lays out an element
-    of the top-level "records" list, from its fields' JSON texts in order."""
-    return _JSON_RECORD.format(*item)
-
-
 def _write_trace(trace: Trace, meta, csv, json_path) -> None:
     """Write the CSV into ``csv`` and the JSON into ``json_path`` (each a path,
     a file object or None) in one pass over the records, formatted a chunk
     of records at a time, field by field (see ``_scalar_texts``), and
-    written per chunk.  A JSON record that fails to format leaves the ones
-    before it written, as a record-by-record stream would."""
+    written per chunk."""
     with _output(csv) as cfh, _output(json_path) as jfh:
         if cfh is not None:
             cfh.write("".join(f"# {key}={val}\n" for key, val in (meta or {}).items())
@@ -424,15 +418,9 @@ def _write_trace(trace: Trace, meta, csv, json_path) -> None:
             if cfh is not None:
                 cfh.write("".join(map(_CSV_LINE.format, n, block, csv_ra, csv_na, csv_nb,
                                       csv_gap, csv_dist)))
-            if jfh is None:
-                continue
-            items = []
-            try:
-                for item in zip(n, block, step, _vector_texts(a), _vector_texts(b),
-                                na, nb, ra, gap, dist):
-                    items.append(_json_record(item))
-            finally:
-                if items:
-                    jfh.write(("[\n" if start == 0 else ",\n") + ",\n".join(items))
+            if jfh is not None:
+                jfh.write(("[\n" if start == 0 else ",\n") + ",\n".join(map(
+                    _JSON_RECORD.format, n, block, step, _vector_texts(a), _vector_texts(b),
+                    na, nb, ra, gap, dist)))
         if jfh is not None:
             jfh.write("\n ]\n}" if records else "[]\n}")

@@ -399,9 +399,9 @@ class Polygon2D(ConvexSet):
         return Polygon2D(self.vertices + as_point(v, dim=2))
 
 
-def _check_orthonormal(basis: np.ndarray, tol=1e-10):
+def _check_orthonormal(basis: np.ndarray):
     gram = basis @ basis.T
-    if np.max(np.abs(gram - np.eye(len(basis)))) > tol:
+    if np.max(np.abs(gram - np.eye(len(basis)))) > 1e-10:
         raise ValueError("basis is not orthonormal within 1e-10")
 
 
@@ -623,9 +623,6 @@ class Polyhedron(ConvexSet):
         return Polyhedron(self.normals, self.b + self.normals @ v, witness=self.witness + v)
 
 
-_THETA_OVERFLOW = "1 + theta^2 overflows: an entry of theta exceeds about 1.34e154"
-
-
 @dataclass(frozen=True, eq=False)
 class DiagonalAffineGraph(ConvexSet):
     """The set {(x, offset + D x)} in R^{2d} with D = diag(theta).
@@ -633,7 +630,8 @@ class DiagonalAffineGraph(ConvexSet):
     Operates on packed product points: the first d coordinates are x, the
     last d are the second factor.  Projection is the per-coordinate closed
     form x_n = (alpha_n + theta_n*(beta_n - offset_n)) / (1 + theta_n^2)
-    for input (alpha, beta).
+    for input (alpha, beta).  A theta whose 1 + theta_n^2 overflows (an entry
+    above about 1.34e154) is refused when the graph is built.
     """
 
     kind = "diagonal_affine_graph"
@@ -643,9 +641,11 @@ class DiagonalAffineGraph(ConvexSet):
     def __post_init__(self):
         object.__setattr__(self, "theta", _frozen_point(self.theta))
         object.__setattr__(self, "offset", _frozen_point(self.offset, self.theta.size))
-        with np.errstate(over="ignore"):  # _denom is not a field; None where it overflows
+        with np.errstate(over="ignore"):  # an overflowed 1 + theta^2 is refused below
             den = 1.0 + self.theta ** 2
-        object.__setattr__(self, "_denom", den if np.isfinite(den).all() else None)
+        if not np.isfinite(den).all():  # the closed form would return x = 0
+            raise ValueError("1 + theta^2 overflows: an entry of theta exceeds about 1.34e154")
+        object.__setattr__(self, "_denom", den)  # not a field
 
     @property
     def half_dim(self):
@@ -656,8 +656,6 @@ class DiagonalAffineGraph(ConvexSet):
         return 2 * self.theta.size
 
     def project(self, z):
-        if self._denom is None:
-            raise ValueError(_THETA_OVERFLOW)
         z = as_point(z, dim=self.dim)
         d = self.half_dim
         out = np.empty(2 * d)
@@ -673,7 +671,6 @@ class DiagonalAffineGraph(ConvexSet):
         README), for the caller to project twice and fail as before; ``point_b(p)`` is b_n."""
         d, coords = self.half_dim, getattr(A, "_coords", None)
         if (getattr(A, "kind", None) != "ortho_subspace" or A.dim != 2 * d or coords is None
-                or self._denom is None
                 or not np.array_equal(np.sort(coords), np.arange(d)) or prev.shape != (2 * d,)
                 or prev.dtype != np.float64 or prev[d:].view(np.uint64).any()):
             return None
@@ -809,10 +806,10 @@ def _certify(x, y, lam, A, b):
                 f"residual {value:.3e} > {tol:.3e}")
 
 
-def _polyhedron_unbounded_in(S: Polyhedron, f: np.ndarray, tol: float = 1e-9) -> bool:
+def _polyhedron_unbounded_in(S: Polyhedron, f: np.ndarray) -> bool:
     """Whether sup_S <f, .> = +inf.  S is nonempty, so by Farkas' lemma the
     supremum is finite iff f lies in the cone of the unit normals, that is,
-    iff min over lambda >= 0 of ||A^T lambda - f / ||f|||| is at most ``tol``
+    iff min over lambda >= 0 of ||A^T lambda - f / ||f|||| is at most 1e-9
     (Boyd & Vandenberghe, *Convex Optimization*, sec. 5.8).  An NNLS that
     does not finish raises, as in ``project``."""
     n = float(np.linalg.norm(f))
@@ -820,7 +817,7 @@ def _polyhedron_unbounded_in(S: Polyhedron, f: np.ndarray, tol: float = 1e-9) ->
         return False
     fhat = f / n
     lam = _nnls(S.normals.T, fhat)
-    return float(np.linalg.norm(S.normals.T @ lam - fhat)) > tol
+    return float(np.linalg.norm(S.normals.T @ lam - fhat)) > 1e-9
 
 
 def _support_direction(f, dim: int) -> np.ndarray:

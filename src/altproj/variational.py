@@ -151,8 +151,7 @@ def _sampled_excess(A, C, N, n_samples, rng) -> float:
     return float(C.distance_many(np.concatenate(pts)).max())
 
 
-def aw_distance(A, C, N: int, n_samples: int = 2000, rng_seed: int = 0,
-                mode: str = "auto") -> AwEstimate:
+def aw_distance(A, C, N: int, n_samples: int = 2000, rng_seed: int = 0) -> AwEstimate:
     """Localized Hausdorff distance h_N(A, C) = max of the two N-ball excesses.
 
     Closed forms handle halfspace pairs, linear-subspace pairs (principal
@@ -163,23 +162,20 @@ def aw_distance(A, C, N: int, n_samples: int = 2000, rng_seed: int = 0,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if mode not in ("auto", "sampled"):
-        raise ValueError("mode must be 'auto' or 'sampled'")
-    if mode == "auto":
-        if isinstance(A, Halfspace) and isinstance(C, Halfspace):
-            e1, e2 = _excess_halfspace(A, C, N), _excess_halfspace(C, A, N)
-            return AwEstimate(N, e1, e2, max(e1, e2), 0, "exact")
-        if _is_line(A) and _is_line(C) and A.dim == C.dim:
-            e1, e2 = _excess_line(A, C, N), _excess_line(C, A, N)
-            return AwEstimate(N, e1, e2, max(e1, e2), 0, "exact")
-        if isinstance(A, OrthoSubspace) and isinstance(C, OrthoSubspace):
-            e1, e2 = _excess_subspace(A, C, N), _excess_subspace(C, A, N)
-            return AwEstimate(N, e1, e2, max(e1, e2), 0, "exact")
-        if (isinstance(A, DiagonalAffineGraph) and isinstance(C, DiagonalAffineGraph)
-                and A.half_dim == C.half_dim):
-            bound = N * float(np.max(np.abs(A.theta - C.theta))) + \
-                float(np.linalg.norm(A.offset - C.offset))
-            return AwEstimate(N, bound, bound, bound, 0, "exact")
+    if isinstance(A, Halfspace) and isinstance(C, Halfspace):
+        e1, e2 = _excess_halfspace(A, C, N), _excess_halfspace(C, A, N)
+        return AwEstimate(N, e1, e2, max(e1, e2), 0, "exact")
+    if _is_line(A) and _is_line(C) and A.dim == C.dim:
+        e1, e2 = _excess_line(A, C, N), _excess_line(C, A, N)
+        return AwEstimate(N, e1, e2, max(e1, e2), 0, "exact")
+    if isinstance(A, OrthoSubspace) and isinstance(C, OrthoSubspace):
+        e1, e2 = _excess_subspace(A, C, N), _excess_subspace(C, A, N)
+        return AwEstimate(N, e1, e2, max(e1, e2), 0, "exact")
+    if (isinstance(A, DiagonalAffineGraph) and isinstance(C, DiagonalAffineGraph)
+            and A.half_dim == C.half_dim):
+        bound = N * float(np.max(np.abs(A.theta - C.theta))) + \
+            float(np.linalg.norm(A.offset - C.offset))
+        return AwEstimate(N, bound, bound, bound, 0, "exact")
     rng = np.random.default_rng(rng_seed)
     e1 = _sampled_excess(A, C, N, n_samples, rng)
     e2 = _sampled_excess(C, A, N, n_samples, rng)
@@ -190,15 +186,15 @@ def aw_distance(A, C, N: int, n_samples: int = 2000, rng_seed: int = 0,
 # Exposure probes
 
 
-def _min_shifts_into_cone(fa: np.ndarray, a: np.ndarray, x0: np.ndarray, alpha: float,
-                          tol: float = 1e-10, cap: float = 1e12) -> np.ndarray:
+def _min_shifts_into_cone(fa: np.ndarray, a: np.ndarray, x0: np.ndarray,
+                          alpha: float) -> np.ndarray:
     """Row i is the minimal lam >= 0 with fa[i] + lam >= alpha*||a[i] + lam*x0||.
 
     The defect lam -> fa + lam - alpha*||a + lam*x0|| is strictly
     increasing (alpha < 1), so bisection applies; every row is bisected at
     once, each on its own bracket until that bracket is narrower than
-    ``tol`` or its midpoint rounds to one of its ends (above about 5e5 the
-    spacing of doubles exceeds ``tol``).  A lam beyond ``cap`` reports
+    1e-10 or its midpoint rounds to one of its ends (above about 5e5 the
+    spacing of doubles exceeds 1e-10).  A lam beyond 1e12 reports
     infinity.
     """
 
@@ -208,17 +204,17 @@ def _min_shifts_into_cone(fa: np.ndarray, a: np.ndarray, x0: np.ndarray, alpha: 
     lam = np.zeros(len(fa))
     short = np.flatnonzero(~(g(lam, slice(None)) >= 0.0))
     hi = (alpha * row_norms(a[short]) - fa[short]) / (1.0 - alpha) + 1.0
-    lam[short[hi > cap]] = math.inf
-    rows, hi = short[hi <= cap], hi[hi <= cap]
+    lam[short[hi > 1e12]] = math.inf
+    rows, hi = short[hi <= 1e12], hi[hi <= 1e12]
     lo = np.zeros(len(rows))
-    active = np.flatnonzero(hi - lo > tol)
+    active = np.flatnonzero(hi - lo > 1e-10)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
         stuck = (mid == lo[active]) | (mid == hi[active])
         up = g(mid, rows[active]) >= 0.0
         hi[active[up]] = mid[up]
         lo[active[~up]] = mid[~up]
-        active = active[(hi[active] - lo[active] > tol) & ~stuck]
+        active = active[(hi[active] - lo[active] > 1e-10) & ~stuck]
     lam[rows] = hi
     return lam
 

@@ -10,7 +10,9 @@ references are the plain one-pair-block and one-point-at-a-time versions
 that the library's batched kernels must reproduce bit for bit, as the
 per-edge polygon loops are for ``Polygon2D``'s one edge kernel, and the
 scalar distance closed forms are those that ``distance``, now row 0 of
-``distance_many``, must reproduce bit for bit.
+``distance_many``, must reproduce bit for bit.  ``sampled_aw_distance`` is
+``aw_distance``'s sampled estimate, taken also where a closed form exists,
+for tests that check the one against the other.
 """
 
 import itertools
@@ -21,6 +23,16 @@ import numpy as np
 from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph,
                           Halfspace, Hyperplane, NonnegOrthant, OrthoSubspace,
                           Polygon2D, Polyhedron, _clip_polygon_halfplane)
+from altproj.variational import AwEstimate, _sampled_excess
+
+
+def sampled_aw_distance(A, C, N, n_samples, rng_seed) -> AwEstimate:
+    """The estimate ``aw_distance`` gives for a pair without a closed form,
+    from the same draws, for any pair."""
+    rng = np.random.default_rng(rng_seed)
+    e1 = _sampled_excess(A, C, N, n_samples, rng)
+    e2 = _sampled_excess(C, A, N, n_samples, rng)
+    return AwEstimate(N, e1, e2, max(e1, e2), n_samples, "sampled")
 
 
 def golden_section_min(fun, lo, hi, tol=1e-12):

@@ -17,11 +17,10 @@ from altproj.constructions import (BlockBudgetExceeded,
                                    run_example_unstable, stable_scenario)
 from altproj.engine import RunConfig, run_classical
 from altproj.sets import Ball, DiagonalAffineGraph, OrthoSubspace, Polygon2D
-from altproj.variational import (aw_distance, epsilon_alpha, omega_angle,
-                                 strongly_exposes_probe)
+from altproj.variational import epsilon_alpha, omega_angle, strongly_exposes_probe
 
 from _oracles import (omega_bruteforce, polygon_containing_ball,
-                      polyhedron_projection_bruteforce, random_set)
+                      polyhedron_projection_bruteforce, random_set, sampled_aw_distance)
 from _paper_checks import (check_cos_separation, check_fact_norms, ell2_checkpoints,
                            ell2_closed_alphas, ell2_limit_graph, ell2_relative_gap,
                            ell2_verify_engine, wset_contains)
@@ -146,8 +145,8 @@ def _certificate_checks(c, n_samples, seed):
     sampled_ok = True
     for blk in c.blocks:
         Ch = DiagonalAffineGraph(blk.theta, blk.b)
-        sampled = aw_distance(Ch, B, 2, mode="sampled",
-                              n_samples=n_samples, rng_seed=seed + blk.h).h_N
+        sampled = sampled_aw_distance(Ch, B, 2, n_samples=n_samples,
+                                      rng_seed=seed + blk.h).h_N
         sampled_ok &= sampled <= bound_of[(blk.h, 2)] + 1e-6
     return decreasing, sampled_ok
 

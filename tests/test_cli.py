@@ -473,7 +473,15 @@ def _exposure(f, alphas, S=BALL):
     ("run", {"kind": "perturbed", "params": {"start": [1.0, 1.0], "blocks": [
         {"A": {"kind": "ortho_subspace", "basis": [[1.0, 0.0]]},
          "B": {"kind": "diagonal_affine_graph", "theta": [1e200], "offset": [0.0]}, "len": 3}]}},
-     "config field 'params.blocks[0].B': 1 + theta^2 overflows"),
+     "config field 'params.blocks[0].B': bad set descriptor (1 + theta^2 overflows"),
+    # integers the closed forms would square or turn into floats past the largest double
+    ("probe", {"kind": "probe", "params": {"probe": "aw", "family": "tilted_lines",
+                                           "N": 10 ** 200}}, "config field 'params.N'"),
+    ("probe", {"kind": "probe", "params": {
+        "probe": "aw", "N": 10 ** 400, "A": {"kind": "halfspace", "a": [1.0, 0.0], "b": 0.0},
+        "C": {"kind": "halfspace", "a": [1.0, 0.1], "b": 0.0}}}, "config field 'params.N'"),
+    ("run", {"kind": "ell2", "params": {"d": 4, "H": 2, "aw_windows": [1, 10 ** 310]}},
+     "config field 'params.aw_windows[1]'"),
 ])
 def test_run_and_validate_reject_the_same_configs(tmp_path, capsys, command, doc, field):
     cfg = write_config(tmp_path, doc)

@@ -394,21 +394,20 @@ def test_failed_write_leaves_no_old_bytes_after_new_ones(tmp_path, monkeypatch):
     path = tmp_path / "t.json"
     trace_to_json(long, path, meta={"seed": 1})
     old = path.read_bytes()
-    real, done = engine._json_record, []
+    real, done = engine._vector_texts, []
 
-    def fails_at_the_fourth(r):
+    def fails_at_the_fourth(column):
         if len(done) == 3:
-            raise RuntimeError("record failed")
-        done.append(r)
-        return real(r)
+            raise RuntimeError("vector failed")
+        done.append(column)
+        return real(column)
 
-    monkeypatch.setattr(engine, "_json_record", fails_at_the_fourth)
-    with pytest.raises(RuntimeError, match="record failed"):
+    monkeypatch.setattr(engine, "_vector_texts", fails_at_the_fourth)
+    with pytest.raises(RuntimeError, match="vector failed"):
         trace_to_json(long, path, meta={"seed": 2})
     partial = path.read_bytes()
     assert len(partial) < len(old)
     assert _reference_json(long, {"seed": 2}).encode().startswith(partial)
-    assert partial.endswith(real(done[-1]).encode())
 
 
 def test_trace_to_a_device_is_not_cut():
@@ -593,10 +592,10 @@ def _entries(rng, k):
 
 
 def _graph(rng, d):
+    """A graph of seeded entries; raises ValueError where its 1 + theta^2 overflows."""
     theta = np.zeros(d) if rng.random() < 0.1 else _entries(rng, d)
     offset = np.zeros(d) if rng.random() < 0.1 else _entries(rng, d)
-    with np.errstate(over="ignore"):  # 1 + theta^2 may overflow
-        return DiagonalAffineGraph(theta, offset)
+    return DiagonalAffineGraph(theta, offset)
 
 
 def _growth_case(rng):
@@ -646,7 +645,8 @@ def test_fused_growth_step_matches_the_two_projections(monkeypatch):
     """At record_stride 1 the fused step gives the records, block logs and status of
     the two generic projections bit for bit, and fails at the same step with the
     same error; seeded cases cover theta = 0, offset 0, -0.0 coordinates, starts
-    whose second factor is nonzero or -0.0, and magnitudes near 1e308."""
+    whose second factor is nonzero or -0.0, and magnitudes near 1e308.  A case
+    whose graph has a 1 + theta^2 that overflows is refused when built."""
     rng = np.random.default_rng(2718)
     real, taken = DiagonalAffineGraph.pair_step, []
 
@@ -655,9 +655,14 @@ def test_fused_growth_step_matches_the_two_projections(monkeypatch):
         taken.append(out is not None)
         return out
 
-    errors = 0
+    errors = refused = 0
     for case in range(400):
-        schedule, cfg = _growth_case(rng)
+        try:
+            schedule, cfg = _growth_case(rng)
+        except ValueError as exc:
+            assert "1 + theta^2 overflows" in str(exc), case
+            refused += 1
+            continue
         with monkeypatch.context() as m:
             m.setattr(DiagonalAffineGraph, "pair_step", spy)
             fused = _outcome(schedule, cfg)
@@ -666,7 +671,7 @@ def test_fused_growth_step_matches_the_two_projections(monkeypatch):
             generic = _outcome(schedule, cfg)
         assert fused == generic, case
         errors += isinstance(fused[1], int)
-    assert 50 < errors < 350 and 100 < sum(taken) < len(taken)
+    assert 50 < refused < 200 and 50 < errors < 350 and 100 < sum(taken) < len(taken)
 
 
 def test_fused_steps_build_each_record_through_trace_record_in_order(monkeypatch):

@@ -94,6 +94,19 @@ def test_non_finite_number_is_not_a_number(oracle, value):
     assert oracle.is_valid(doc) and not _accepts(doc)
 
 
+@pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400)])
+def test_integer_beyond_the_largest_double_is_not_an_integer(oracle, value):
+    doc = {"kind": "example51", "seed": value, "params": {"n_blocks": 1}}
+    assert oracle.is_valid(doc) and not _accepts(doc)
+
+
+@pytest.mark.parametrize("N, valid", [(int(1e150), True), (10 ** 150, False), (10 ** 200, False)])
+def test_maximum_agrees_with_jsonschema(oracle, N, valid):
+    """An aw probe's N is at most the double 1e150, which is just below 10**150."""
+    doc = {"kind": "probe", "params": {"probe": "aw", "family": "tilted_lines", "N": N}}
+    assert oracle.is_valid(doc) == _accepts(doc) == valid
+
+
 @pytest.mark.parametrize("schema", [
     {"type": "object", "oneOf": [{"type": "object"}]},
     {"properties": {"x": {"pattern": "a+"}}},

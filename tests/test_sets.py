@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from altproj import sets as sets_module
-from altproj.engine import Constant, ProjectionStepError, RunConfig, run_perturbed
 from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, Hyperplane,
                           NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron,
                           ProjectionCertificateError, SupportUnavailable, _passive_solve,
@@ -999,22 +998,18 @@ def test_extreme_normals_fail_with_their_message_and_no_warning(build, message):
             build()
 
 
-def test_graph_whose_one_plus_theta_squared_overflows_refuses_to_project():
+def test_graph_whose_one_plus_theta_squared_overflows_is_refused_when_built():
     """Above |theta_i| of about 1.34e154, 1 + theta_i^2 is inf and the closed form
-    would return x = 0: such a graph builds without a warning, but its projection
-    raises, naming theta, and a run on it fails at step 1 whichever path it takes."""
+    would return x = 0: such a graph is refused when built, naming theta, without
+    a warning, whether built directly or from its descriptor."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        G = DiagonalAffineGraph([1e200], [0.0])
-    with pytest.raises(ValueError, match="theta"):
-        G.project([0.0, 5.0])
-    with pytest.raises(ValueError, match="theta"):
-        G.distance([0.0, 5.0])
-    X = OrthoSubspace(np.eye(1, 2))
-    assert G.pair_step(X, np.zeros(2)) is None
-    with pytest.raises(ProjectionStepError, match="step 1: .*theta") as err:
-        run_perturbed(Constant(X, G), RunConfig(start=np.zeros(2), max_iter=3))
-    assert err.value.step == 1
+        for theta in ([1e200], [0.5, -1e155], [1e308]):
+            with pytest.raises(ValueError, match="1 \\+ theta\\^2 overflows"):
+                DiagonalAffineGraph(theta, np.zeros(len(theta)))
+            with pytest.raises(ValueError, match="theta"):
+                set_from_dict({"kind": "diagonal_affine_graph", "theta": theta,
+                               "offset": [0.0] * len(theta)})
     # just below the bound the closed form is exact
     g = DiagonalAffineGraph([1e154], [0.0])
     np.testing.assert_allclose(g.project([0.0, 5.0]), [5e-154, 5.0], rtol=1e-15)

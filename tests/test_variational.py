@@ -10,7 +10,7 @@ from altproj.variational import (AwEstimate, ExposureProbe, _diameter,
                                  separation_constants, strongly_exposes_probe)
 
 from _oracles import (diameter_reference, disc_min_shift_exact, omega_bruteforce,
-                      polygon_containing_ball)
+                      polygon_containing_ball, sampled_aw_distance)
 from _paper_checks import (ConeSpec, check_cos_separation, check_fact_norms, cone_contains,
                            cone_from_angle, eventual_containment_probe,
                            first_containment_index, sample_cone_point, wset_contains)
@@ -27,7 +27,7 @@ def test_aw_translated_halfspaces_exact():
         est = aw_distance(A, C, N)
         assert est.mode == "exact"
         assert est.h_N == pytest.approx(0.1, abs=1e-12)
-        sampled = aw_distance(A, C, N, mode="sampled", n_samples=400, rng_seed=N)
+        sampled = sampled_aw_distance(A, C, N, n_samples=400, rng_seed=N)
         assert sampled.h_N <= est.h_N + 1e-9  # sampled estimates stay below exact
 
 
@@ -59,7 +59,7 @@ def test_aw_graph_pair_bound_and_sampled():
     expected = N * float(np.max(np.abs(D - Dn))) + float(np.linalg.norm(bn))
     assert bound.mode == "exact"
     assert bound.h_N == pytest.approx(expected, rel=1e-12)
-    sampled = aw_distance(W, Wn, N, mode="sampled", n_samples=800, rng_seed=5)
+    sampled = sampled_aw_distance(W, Wn, N, n_samples=800, rng_seed=5)
     assert sampled.h_N <= bound.h_N + 1e-9
 
 
@@ -71,7 +71,7 @@ def test_aw_subspace_pairs_exact_vs_sampled():
         est = aw_distance(U, V, N)
         assert est.mode == "exact"
         assert est.h_N == pytest.approx(N * math.sin(phi), rel=1e-12)
-        sampled = aw_distance(U, V, N, mode="sampled", n_samples=1500, rng_seed=1)
+        sampled = sampled_aw_distance(U, V, N, n_samples=1500, rng_seed=1)
         assert sampled.h_N <= est.h_N + 1e-9
         assert sampled.h_N >= 0.8 * est.h_N  # boundary bias finds the far points
 
@@ -512,7 +512,7 @@ def test_batched_samplers_equal_one_at_a_time_loops(rng):
         A = polygon_containing_ball(rng)
         C = polygon_containing_ball(rng)
         n, seed = int(rng.integers(2, 400)), int(rng.integers(1000))
-        est = aw_distance(A, C, 2, n_samples=n, rng_seed=seed, mode="sampled")
+        est = aw_distance(A, C, 2, n_samples=n, rng_seed=seed)
         ref = np.random.default_rng(seed)
         assert est.e_A_to_C == _excess_one_at_a_time(A, C, 2, n, ref)
         assert est.e_C_to_A == _excess_one_at_a_time(C, A, 2, n, ref)
