@@ -124,6 +124,8 @@ def _check(value, schema, field=""):
     types = schema.get("type", ())
     types = [types] if isinstance(types, str) else types
     if types and not any(_TYPES[t](value) for t in types):
+        _require(not (type(value) is int and {"integer", "number"} & {*types}), field,
+                 "is an integer outside the double range")
         _fail(field, f"must be of type {' or '.join(types)}, got {value!r:.60}")
     if "enum" in schema and value not in schema["enum"]:
         _fail(field, f"must be one of {tuple(schema['enum'])}")
@@ -361,7 +363,7 @@ def _build_probe(cfg, p):
         alphas = [float(a) for a in p["alphas"]]
         _require(all(a > b for a, b in zip(alphas, alphas[1:])), "params.alphas",
                  "must be strictly decreasing")
-        n = p.get("n_samples", 400)
+        n = p.get("n_samples", var._EXPOSURE_SAMPLES)
 
         # The probe's own sampled test of the translated set (0 in it, f's infimum at 0)
         # names params.set: in full on probe, and at the first alpha on validate.

@@ -19,8 +19,9 @@ Four families live here:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -403,13 +404,10 @@ def ell2_run(c: Ell2Construction, record_stride: int = 0,
 class StableScenario:
     """A limit pair, its shrinking perturbation family, and run plumbing.
 
-    ``a_family(n)`` and ``b_family(n)`` give the step-n perturbed sets, built
-    from the validated limit sets; ``make_schedule()`` wraps them as a
-    ``PerStep`` schedule.  ``target``, when set, is the expected norm-limit
-    of the runs.
-    """
+    ``a_family(n)`` and ``b_family(n)`` give the step-n sets, built from the validated
+    limit sets A and B; ``make_schedule()`` wraps them as a ``PerStep`` schedule.
+    ``target``, when set, is the expected norm-limit of the runs."""
 
-    name: str
     A: object
     B: object
     a_family: object
@@ -417,7 +415,6 @@ class StableScenario:
     delta: object
     target: np.ndarray | None
     default_start: np.ndarray
-    notes: dict = field(default_factory=dict)
 
     def make_schedule(self) -> PerStep:
         return PerStep(lambda k: (self.a_family(k), self.b_family(k)))
@@ -439,124 +436,118 @@ def _delta_law(law: str, scale: float):
     raise InfeasibleParams(f"unknown delta law {law!r}")
 
 
+def _tangent_disc(delta, params) -> StableScenario:
+    """Unit disc on a halfplane, strongly exposed at their touching point 0, the runs'
+    norm-limit; the families pull the disc up and the halfplane down by delta_n."""
+    up = np.array([0.0, 1.0])
+    A, B = Ball(up, 1.0), Halfspace(up, 0.0)
+    return StableScenario(A=A, B=B, a_family=lambda n: A.translate(delta(n) * up),
+                          b_family=lambda n: B._replace(b=-delta(n)),  # B's raw normal is a unit
+                          delta=delta, target=np.zeros(2), default_start=np.array([3.0, -2.0]))
+
+
+def _overlapping_balls(delta, params) -> StableScenario:
+    """Two balls whose intersection has 0 in its interior; the families translate and
+    inflate them by delta_n, so each step's pair contains the limit pair."""
+    A, B = Ball(np.array([0.5, 0.0]), 1.5), Ball(np.array([-0.5, 0.0]), 1.5)
+    u = np.array([1.0, 0.0])
+    return StableScenario(
+        A=A, B=B, a_family=lambda n: A._replace(center=A.center + delta(n) * u,
+                                                radius=A.radius + delta(n)),
+        b_family=lambda n: B._replace(center=B.center - delta(n) * u, radius=B.radius + delta(n)),
+        delta=delta, target=None, default_start=np.array([4.0, 3.0]))
+
+
+def _transversal_planes(delta, params) -> StableScenario:
+    """Two 2-planes in R^4 with trivial intersection and closed sum (Friedrichs cosine
+    kappa/sqrt(1 + kappa^2)); the families translate each plane off 0 by delta_n."""
+    kappa = float(_param(params, "kappa", 0.5))
+    U = OrthoSubspace(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
+    v1 = np.array([kappa, 0.0, 1.0, 0.0])
+    v1 /= np.linalg.norm(v1)
+    V = OrthoSubspace(np.vstack([v1, [0.0, 0.0, 0.0, 1.0]]))
+    uA, uB = np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
+    return StableScenario(A=U, B=V, a_family=lambda n: U.translate(delta(n) * uA),
+                          b_family=lambda n: V.translate(delta(n) * uB), delta=delta,
+                          target=np.zeros(4), default_start=np.array([2.0, -1.0, 1.5, 0.5]))
+
+
+def _orthant(delta, params, constraint, d: int, start: float) -> StableScenario:
+    """The nonnegative orthant in R^d (``d`` the default), translated by -delta_n/sqrt(d) in
+    each coordinate, against ``constraint(d, delta, params)``'s set and its step family."""
+    d = int(_param(params, "d", d, kinds="iu"))
+    K = NonnegOrthant(d)
+    shift = np.ones(d) / math.sqrt(d)
+    B, b_family = constraint(d, delta, params)
+    return StableScenario(A=K, B=B, a_family=lambda n: K.translate(-delta(n) * shift),
+                          b_family=b_family, delta=delta, target=None,
+                          default_start=np.full(d, start))
+
+
+def _orthant_bounds(d, delta, params):
+    """Finitely many inequalities with strictly positive offsets, so 0 is interior to
+    their intersection with the orthant; the family raises each offset by delta_n."""
+    normals = _param(params, "normals", np.vstack([np.ones(d), np.eye(d)[0] + 0.5]), ndim=2)
+    offsets = _param(params, "offsets", np.array([float(d), 2.0]), ndim=1)
+    if np.any(offsets <= 0.0):
+        raise InfeasibleParams("offsets must be strictly positive")
+    B = Polyhedron(normals, offsets, witness=np.zeros(d))
+    scales, norms = _row_scales(np.array(normals, dtype=float))  # B divides by these
+    return B, lambda n: B._replace(b=(offsets + delta(n)) / scales / norms)
+
+
+def _orthant_halfspace(d, delta, params):
+    """One halfspace <a, x> <= b whose normal is not in the orthant's polar cone and
+    which meets the orthant's interior; the family moves it out by delta_n."""
+    a = as_point(_param(params, "a", np.array([1.0, -1.0]), ndim=1), dim=d)
+    b = float(_param(params, "b", 0.5))
+    if np.all(a <= 0.0):
+        raise InfeasibleParams("normal lies in the polar cone of the orthant")
+    B = Halfspace(a, b)
+    # <a, x> <= b meets the open orthant iff b > 0 or some a_i < 0, asked of B as stored
+    if B.b <= 0.0 and not np.any(B.a < 0.0):
+        raise InfeasibleParams("halfspace does not meet the orthant's interior")
+    scale, norm_a = (float(v[0]) for v in _row_scales(a[None]))  # B divides by these
+    return B, lambda n: B._replace(b=(b / scale + delta(n) * norm_a) / norm_a)
+
+
+def _orthant_polar(d, delta, params):
+    """The zero-offset halfspace of a normal interior to the orthant's polar cone
+    (componentwise strictly negative); the family moves it out by delta_n."""
+    a = as_point(_param(params, "a", np.array([-1.0, -2.0, -0.5]), ndim=1), dim=d)
+    if not np.all(a < 0.0):
+        raise InfeasibleParams("normal must be componentwise strictly negative "
+                               "(interior of the orthant's polar cone)")
+    B = Halfspace(a, 0.0)
+    _, norm_a = (float(v[0]) for v in _row_scales(a[None]))  # B divides by it
+    return B, lambda n: B._replace(b=delta(n) * norm_a / norm_a)
+
+
+_FAMILIES = {
+    "tangent_disc": _tangent_disc,
+    "overlapping_balls": _overlapping_balls,
+    "transversal_planes": _transversal_planes,
+    "orthant_bounds": functools.partial(_orthant, constraint=_orthant_bounds, d=3, start=2.0),
+    "orthant_halfspace": functools.partial(_orthant, constraint=_orthant_halfspace, d=2,
+                                           start=3.0),
+    "orthant_polar": functools.partial(_orthant, constraint=_orthant_polar, d=3, start=2.0),
+}
+
+
 def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.0,
                     **params) -> StableScenario:
-    """Build one of the positive stability scenarios.
-
-    Kinds
-    -----
-    ``tangent_disc``
-        Unit disc resting on a halfplane, touching at the origin; the
-        separating functional strongly exposes the disc there.  The
-        families pull the disc up and the halfplane down by delta_n,
-        keeping the touching point the norm-limit.
-    ``overlapping_balls``
-        Two balls whose intersection has interior containing 0; families
-        translate and inflate by delta_n (perturbed sets contain the
-        originals, so 0 stays inside every pair).
-    ``transversal_planes``
-        Two 2-planes in R^4 with trivial intersection and closed sum;
-        families translate each plane off the origin by delta_n.
-    ``orthant_bounds``
-        Nonnegative orthant against finitely many inequalities with
-        strictly positive offsets (interior intersection).
-    ``orthant_halfspace``
-        Orthant against one halfspace whose normal has a strictly
-        positive component against the orthant (not in the polar cone);
-        requires a strictly feasible point, found at validation.
-    ``orthant_polar``
-        Orthant against the zero-offset halfspace of a normal interior
-        to the polar cone (componentwise strictly negative).
-    """
+    """The positive stability scenario ``kind``, built by its builder in ``_FAMILIES``
+    (whose docstring states the pair) with delta_n = delta_scale/n (``inv_n``) or
+    delta_scale/n^2 (``inv_n_sq``).  ``params`` are the family's finite parameters
+    (``kappa``; ``d`` with ``normals`` and ``offsets``, or ``a`` and ``b``); one it does
+    not take, or values outside its case, raise InfeasibleParams."""
     delta = _delta_law(delta_law, delta_scale)
-
-    if kind == "tangent_disc":
-        _no_more(params)
-        A = Ball(np.array([0.0, 1.0]), 1.0)
-        B = Halfspace(np.array([0.0, 1.0]), 0.0)
-        up = np.array([0.0, 1.0])
-        return StableScenario(
-            name=kind, A=A, B=B,
-            a_family=lambda n: A.translate(delta(n) * up),
-            b_family=lambda n: B._replace(b=-delta(n)),  # B's raw normal has norm 1
-            delta=delta, target=np.zeros(2),
-            default_start=np.array([3.0, -2.0]),
-            notes={"touch_point": [0.0, 0.0], "separator": [0.0, -1.0]})
-
-    if kind == "overlapping_balls":
-        _no_more(params)
-        A = Ball(np.array([0.5, 0.0]), 1.5)
-        B = Ball(np.array([-0.5, 0.0]), 1.5)
-        u = np.array([1.0, 0.0])
-        return StableScenario(
-            name=kind, A=A, B=B,
-            a_family=lambda n: A._replace(center=A.center + delta(n) * u,
-                                          radius=A.radius + delta(n)),
-            b_family=lambda n: B._replace(center=B.center - delta(n) * u,
-                                          radius=B.radius + delta(n)),
-            delta=delta, target=None,
-            default_start=np.array([4.0, 3.0]),
-            notes={"interior_radius": 1.0})
-
-    if kind == "transversal_planes":
-        kappa = float(_param(params, "kappa", 0.5))
-        _no_more(params)
-        U = OrthoSubspace(np.array([[1.0, 0.0, 0.0, 0.0],
-                                    [0.0, 1.0, 0.0, 0.0]]))
-        v1 = np.array([kappa, 0.0, 1.0, 0.0])
-        v1 /= np.linalg.norm(v1)
-        V = OrthoSubspace(np.vstack([v1, [0.0, 0.0, 0.0, 1.0]]))
-        uA = np.array([0.0, 0.0, 1.0, 0.0])
-        uB = np.array([0.0, 1.0, 0.0, 0.0])
-        return StableScenario(
-            name=kind, A=U, B=V,
-            a_family=lambda n: U.translate(delta(n) * uA),
-            b_family=lambda n: V.translate(delta(n) * uB),
-            delta=delta, target=np.zeros(4),
-            default_start=np.array([2.0, -1.0, 1.5, 0.5]),
-            notes={"omega": kappa / math.sqrt(1.0 + kappa ** 2)})
-
-    if kind in ("orthant_bounds", "orthant_halfspace", "orthant_polar"):
-        d = int(_param(params, "d", 2 if kind == "orthant_halfspace" else 3, kinds="iu"))
-        K = NonnegOrthant(d)
-        shift = np.ones(d) / math.sqrt(d)
-        notes, start = {}, 2.0
-        if kind == "orthant_bounds":
-            normals = _param(params, "normals", np.vstack([np.ones(d), np.eye(d)[0] + 0.5]), ndim=2)
-            offsets = _param(params, "offsets", np.array([float(d), 2.0]), ndim=1)
-            _no_more(params)
-            if np.any(offsets <= 0.0):
-                raise InfeasibleParams("offsets must be strictly positive")
-            B = Polyhedron(normals, offsets, witness=np.zeros(d))
-            scales, norms = _row_scales(np.array(normals, dtype=float))  # B divides by these
-            b_family = lambda n: B._replace(b=(offsets + delta(n)) / scales / norms)
-        elif kind == "orthant_halfspace":
-            a = as_point(_param(params, "a", np.array([1.0, -1.0]), ndim=1), dim=d)
-            b = float(_param(params, "b", 0.5))
-            _no_more(params)
-            if np.all(a <= 0.0):
-                raise InfeasibleParams("normal lies in the polar cone of the orthant")
-            notes, start = {"witness": _strict_orthant_witness(a, b).tolist()}, 3.0
-            B = Halfspace(a, b)
-            scale, norm_a = (float(v[0]) for v in _row_scales(a[None]))  # B divides by these
-            b_family = lambda n: B._replace(b=(b / scale + delta(n) * norm_a) / norm_a)
-        else:
-            a = as_point(_param(params, "a", np.array([-1.0, -2.0, -0.5]), ndim=1), dim=d)
-            _no_more(params)
-            if not np.all(a < 0.0):
-                raise InfeasibleParams(
-                    "normal must be componentwise strictly negative "
-                    "(interior of the orthant's polar cone)")
-            notes = {"polar_interior": True}
-            B = Halfspace(a, 0.0)
-            _, norm_a = (float(v[0]) for v in _row_scales(a[None]))  # B divides by it
-            b_family = lambda n: B._replace(b=delta(n) * norm_a / norm_a)
-        return StableScenario(
-            name=kind, A=K, B=B, a_family=lambda n: K.translate(-delta(n) * shift),
-            b_family=b_family, delta=delta, target=None,
-            default_start=np.full(d, start), notes=notes)
-
-    raise InfeasibleParams(f"unknown scenario kind {kind!r}")
+    if kind not in _FAMILIES:
+        raise InfeasibleParams(f"unknown scenario kind {kind!r}")
+    scenario = _FAMILIES[kind](delta, params)
+    if params:
+        raise InfeasibleParams(f"unknown parameters {sorted(params)}")
+    return scenario
 
 
 def _param(params: dict, name: str, default, ndim: int = 0, kinds: str = "iuf") -> np.ndarray:
@@ -572,26 +563,3 @@ def _param(params: dict, name: str, default, ndim: int = 0, kinds: str = "iuf") 
         raise InfeasibleParams(f"scenario parameter {name!r} must be a finite {kind}, "
                                f"got {value!r:.60}")
     return arr
-
-
-def _no_more(params: dict):
-    """Reject scenario parameters the scenario did not take."""
-    if params:
-        raise InfeasibleParams(f"unknown parameters {sorted(params)}")
-
-
-def _strict_orthant_witness(a: np.ndarray, b: float) -> np.ndarray:
-    """A strictly positive point with <a, x> < b, or raise."""
-    d = a.size
-    neg = np.where(a < 0.0)[0]
-    for eps in (1e-3, 1e-6):
-        x = np.full(d, eps)
-        if neg.size:
-            # push along the most negative coordinate until strictly inside
-            j = int(neg[np.argmin(a[neg])])
-            need = float(np.dot(a, x)) - b
-            if need >= 0.0:
-                x[j] += (need + 1.0) / (-a[j])
-        if float(np.dot(a, x)) < b and np.all(x > 0.0):
-            return x
-    raise InfeasibleParams("halfspace does not meet the orthant's interior")

@@ -400,9 +400,9 @@ class Polygon2D(ConvexSet):
 
 
 def _check_orthonormal(basis: np.ndarray):
-    gram = basis @ basis.T
-    if np.max(np.abs(gram - np.eye(len(basis)))) > 1e-10:
-        raise ValueError("basis is not orthonormal within 1e-10")
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge entry gives inf or NaN
+        if not np.max(np.abs(basis @ basis.T - np.eye(len(basis)))) <= 1e-10:
+            raise ValueError("basis is not orthonormal within 1e-10")
 
 
 @dataclass(frozen=True, eq=False)

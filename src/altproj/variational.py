@@ -286,6 +286,9 @@ def _diameter(pts) -> float:
     return math.sqrt(sq)
 
 
+_EXPOSURE_SAMPLES = 400  # the exposure probe's default n_samples, read by the CLI too
+
+
 def exposure_frame(A, f):
     """(A - x*, -f / ||f||) for the support point x* of A along f: the set
     and unit functional ``epsilon_alpha`` takes, with the infimum at 0."""
@@ -293,7 +296,7 @@ def exposure_frame(A, f):
     return A.translate(-A.support_point(f)), -f / float(np.linalg.norm(f))
 
 
-def strongly_exposes_probe(A, f, alphas, n_samples: int = 400,
+def strongly_exposes_probe(A, f, alphas, n_samples: int = _EXPOSURE_SAMPLES,
                            rng_seed: int = 0) -> ExposureProbe:
     """Slice diameters and shift ratios testing whether f strongly exposes A.
 

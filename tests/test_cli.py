@@ -1,9 +1,11 @@
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from altproj import cli
 from altproj.cli import ConfigError, load_config, main
 import altproj.sets
+import altproj.variational
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -565,6 +568,64 @@ def test_huge_disc_names_set_where_warnings_are_errors(tmp_path, radius):
                                "--quiet"], env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 1, done.stderr
         assert done.stderr.startswith("error: config field 'params.set': "), done.stderr
+
+
+def _main_where_warnings_are_errors(argv):
+    """``main(argv)`` with numpy's RuntimeWarnings made errors, as CI's installed-CLI
+    steps run; a warning then ends in a traceback, not an exit code."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return main(argv)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"kind": "probe", "params": {"probe": "omega", "U": [[1e300, 0.0], [0.0, 1.0]],
+                                  "V": [[1.0, 0.0]]}}, "params.U"),
+    ({"kind": "probe", "params": {"probe": "omega", "U": [[1.0, 0.0]],
+                                  "V": [[1e300, 1e300]]}}, "params.V"),
+    ({"kind": "classical", "params": {
+        "A": {"kind": "ortho_subspace", "basis": [[1.0, 0.0], [0.0, -1e300]]},
+        "B": {"kind": "ortho_subspace", "basis": [[1.0, 0.0]]}, "start": [1.0, 0.0]}},
+     "params.A"),
+])
+def test_huge_basis_entry_is_not_orthonormal_where_warnings_are_errors(tmp_path, capsys, doc,
+                                                                      field):
+    """A basis entry of 1e300 overflows the Gram matrix of the orthonormality check;
+    validate and probe or run still exit 1 naming the field, with its message."""
+    cfg = write_config(tmp_path, doc)
+    command = "probe" if doc["kind"] == "probe" else "run"
+    for cmd in ("validate", command):
+        assert _main_where_warnings_are_errors(
+            [cmd, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err and "basis is not orthonormal" in err, err
+
+
+@pytest.mark.parametrize("scenario_params", [{"a": [1, 2], "b": 1e-7},
+                                             {"a": [1, -1e-310], "b": -1}])
+def test_orthant_halfspace_meeting_the_open_orthant_validates_and_runs(tmp_path, capsys,
+                                                                       scenario_params):
+    """A halfspace meets the open orthant iff b > 0 or some a_i < 0: a tiny offset and
+    a subnormal negative normal entry both validate and run, warning-free."""
+    cfg = write_config(tmp_path, {"kind": "stable-scenario", "max_iter": 300, "params": {
+        "scenario": "orthant_halfspace", "scenario_params": scenario_params}})
+    for cmd in ("validate", "run"):
+        assert _main_where_warnings_are_errors(
+            [cmd, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+    assert (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_exposure_probe_reports_the_library_default_sample_count(tmp_path):
+    """An exposure probe without n_samples takes and reports the library's default."""
+    doc = json.loads((CONFIGS / "probe_exposure_disc.json").read_text())
+    del doc["params"]["n_samples"]
+    doc["params"]["alphas"] = [0.2]
+    cfg = write_config(tmp_path, doc)
+    assert main(["probe", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    report = json.loads(next((tmp_path / "o").glob("*.json")).read_text())
+    signature = inspect.signature(altproj.variational.strongly_exposes_probe)
+    assert report["n_samples"] == signature.parameters["n_samples"].default
 
 
 @pytest.mark.parametrize("d", [4, 6])

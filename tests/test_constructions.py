@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -305,23 +306,53 @@ def test_transversal_planes_omega_below_one():
     scen = stable_scenario("transversal_planes")
     from altproj.variational import omega_angle
     rep = omega_angle(scen.A.basis, scen.B.basis)
-    assert rep.omega == pytest.approx(scen.notes["omega"], abs=1e-12)
+    assert rep.omega == pytest.approx(0.5 / math.sqrt(1.0 + 0.5 ** 2), abs=1e-12)  # kappa = 0.5
     assert rep.omega < 1.0
 
 
 def test_orthant_polar_membership_validation():
     scen = stable_scenario("orthant_polar", d=3, a=np.array([-1.0, -2.0, -0.5]))
-    assert scen.notes["polar_interior"]
+    assert np.all(scen.B.a < 0.0)  # interior to the orthant's polar cone
     with pytest.raises(InfeasibleParams):
         stable_scenario("orthant_polar", d=3, a=np.array([-1.0, 0.0, -0.5]))
 
 
 def test_orthant_halfspace_validation():
     scen = stable_scenario("orthant_halfspace", d=2, a=np.array([1.0, -1.0]), b=0.5)
-    w = np.array(scen.notes["witness"])
+    w = np.array([0.25, 0.25])  # strictly inside the orthant, <a, w> = 0 < 0.5
     assert np.all(w > 0) and float(scen.B.a @ w) < scen.B.b
-    with pytest.raises(InfeasibleParams):
+    with pytest.raises(InfeasibleParams, match="normal lies in the polar cone of the orthant"):
         stable_scenario("orthant_halfspace", d=2, a=np.array([-1.0, -1.0]), b=0.5)
+
+
+@pytest.mark.parametrize("a, b, inside", [
+    ([1.0, 2.0], 1e-7, [1e-8, 1e-8]),  # a tiny positive offset
+    ([1.0, -1e-310], -1.0, None),  # a subnormal negative entry: no double lies inside
+    ([2.0, 0.0, -1.0], -5.0, [1.0, 1.0, 8.0]),
+])
+def test_orthant_halfspace_accepts_every_halfspace_meeting_the_open_orthant(a, b, inside):
+    """<a, x> <= b meets the open orthant iff b > 0 or some a_i < 0, so each of
+    these builds, with no numpy warning, and its step sets contain the limit set's."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scen = stable_scenario("orthant_halfspace", d=len(a), a=np.array(a), b=b)
+        B_1 = scen.b_family(1)
+    if inside is not None:
+        x = np.array(inside)
+        assert np.all(x > 0) and float(scen.B.a @ x) < scen.B.b
+    assert B_1.b > scen.B.b and np.array_equal(B_1.a, scen.B.a)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1.0, 0.0], 0.0),
+    ([1.0, 2.0], -1e-300),
+    ([0.0, 3.0, 0.0], 0.0),
+    ([1e300, 0.0], 1e-300),  # the offset scaled with the normal underflows to 0
+])
+def test_orthant_halfspace_refuses_a_halfspace_missing_the_open_orthant(a, b):
+    """With a >= 0 and b <= 0 (as stored) the halfspace misses the open orthant."""
+    with pytest.raises(InfeasibleParams, match="^halfspace does not meet the orthant's interior$"):
+        stable_scenario("orthant_halfspace", d=len(a), a=np.array(a), b=b)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])

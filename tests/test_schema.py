@@ -4,6 +4,7 @@ refused, and no single-field change makes ``validate`` raise."""
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,20 @@ def test_integer_beyond_the_largest_double_is_not_an_integer(oracle, value):
     assert oracle.is_valid(doc) and not _accepts(doc)
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"kind": "probe", "params": {"probe": "aw", "family": "tilted_lines", "N": 10 ** 400}},
+     "params.N"),
+    ({"kind": "stable-scenario", "params": {"scenario": "tangent_disc",
+                                            "delta_scale": -(10 ** 400)}}, "params.delta_scale"),
+])
+def test_integer_beyond_the_largest_double_is_named_as_out_of_range(doc, field):
+    """An integer or number field given a huge integer says that the integer is out of
+    the double range, not that its type is wrong."""
+    with pytest.raises(ConfigError) as exc:
+        cli._check(doc, cli.config_schema())
+    assert str(exc.value) == f"config field '{field}': is an integer outside the double range"
+
+
 @pytest.mark.parametrize("N, valid", [(int(1e150), True), (10 ** 150, False), (10 ** 200, False)])
 def test_maximum_agrees_with_jsonschema(oracle, N, valid):
     """An aw probe's N is at most the double 1e150, which is just below 10**150."""
@@ -123,8 +138,10 @@ def test_unimplemented_schema_keyword_raises(schema):
 
 
 # Integers stay small: n_blocks, d and H set how much work a dry run does, and
-# sizing is not what this test is about.
-JSON_VALUES = st.recursive(
+# sizing is not what this test is about.  Numbers whose squares or products
+# overflow, or nearly do, make up half of the values drawn.
+HUGE = st.sampled_from([1e154, -1e154, 1e300, -1e300])
+JSON_VALUES = HUGE | st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                max_size=3),
@@ -139,5 +156,7 @@ def test_validate_never_raises_on_one_changed_field(tmp_path_factory, data):
     path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
     target = tmp_path_factory.mktemp("fuzz") / "cfg.json"
     target.write_text(json.dumps(_replaced(doc, path, data.draw(JSON_VALUES, label="value"))))
-    assert main(["validate", "--config", str(target), "--out", str(target.parent),
-                 "--quiet"]) in (0, 1, 2)
+    with warnings.catch_warnings():  # as CI's installed-CLI steps run: a numpy warning fails
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["validate", "--config", str(target), "--out", str(target.parent),
+                     "--quiet"]) in (0, 1, 2)
