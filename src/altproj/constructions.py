@@ -501,9 +501,9 @@ def _orthant_halfspace(d, delta, params):
     which meets the orthant's interior; the family moves it out by delta_n."""
     a = as_point(_param(params, "a", np.array([1.0, -1.0]), ndim=1), dim=d)
     b = float(_param(params, "b", 0.5))
-    if np.all(a <= 0.0):
+    B = Halfspace(a, b) if np.any(a > 0.0) else None  # the zero normal has no halfspace
+    if B is None or not np.any(B.a > 0.0):  # as stored: scaling can round an a_i > 0 to 0
         raise InfeasibleParams("normal lies in the polar cone of the orthant")
-    B = Halfspace(a, b)
     # <a, x> <= b meets the open orthant iff b > 0 or some a_i < 0, asked of B as stored
     if B.b <= 0.0 and not np.any(B.a < 0.0):
         raise InfeasibleParams("halfspace does not meet the orthant's interior")

@@ -844,10 +844,9 @@ def slice_sample(S, f, alpha: float, n_samples: int, rng_seed: int) -> np.ndarra
     attains the supremum where a support point is available.  Ball and
     polygon slices are sampled directly (cap parametrization, halfplane
     clip); other kinds fall back to rejection over projected Gaussians
-    with a finite budget.  Every branch draws the random numbers of a
-    one-at-a-time loop, in its order, and computes the points from them as
-    whole arrays with the same rounding, so the result does not depend on
-    the batching.
+    with a finite budget.  Each round draws the random numbers of all its
+    points as whole arrays, so a seed fixes the result, and the points are
+    distributed as those of a one-at-a-time loop, not equal to them.
     """
     f = _support_direction(f, S.dim)
     return _slice(S, f, S.support_value(f), alpha, n_samples, rng_seed)
@@ -862,18 +861,18 @@ def _slice(S, f, sup, alpha, n_samples, rng_seed):
     rng = np.random.default_rng(rng_seed)
     level = sup - alpha  # keep x with <f, x> >= level
 
-    if isinstance(S, Ball):
-        return _ball_slice(S, f, level, n_samples, rng)
     if isinstance(S, Polygon2D):
         return _polygon_slice(S, f, level, n_samples, rng)
-
-    # generic rejection over boundary-biased samples, drawn in batches of at
-    # most the number still missing: the draws of a one-at-a-time loop
-    found, count, tries = [], 0, 0
-    budget = 200 * n_samples
+    if isinstance(S, Ball):
+        found, draw = [S.support_point(f)[None]], _cap_draws(S, f, level, rng)
+    else:  # boundary-biased samples
+        found, draw = [], lambda k: S.project_many(
+            rng.standard_normal((k, S.dim)) * (2.0 + abs(sup)))
+    # rejection in rounds of at most the number still missing
+    count, tries, budget = len(found), 0, 200 * n_samples
     while count < n_samples and tries < budget:
         k = min(n_samples - count, budget - tries)
-        X = S.project_many(rng.standard_normal((k, S.dim)) * (2.0 + abs(sup)))
+        X = draw(k)
         tries += k
         found.append(X[np.vecdot(X, f) >= level - 1e-12])
         count += len(found[-1])
@@ -883,83 +882,53 @@ def _slice(S, f, sup, alpha, n_samples, rng_seed):
     return np.concatenate(found)[np.arange(n_samples) % count]
 
 
-def _ball_slice(S: Ball, f, level: float, n_samples: int, rng) -> np.ndarray:
-    """The support point, then points c + r u of the cap {<f, x> >= level}.
-
-    Each attempt draws the polar angle psi, a Gaussian whose part tangent
-    to f gives the direction (redrawn, after a new psi, if that part is
-    below 1e-14), and the radius: r with probability 0.7, else r times a
-    uniform to the power 1/d.  Attempts run in rounds of at most the number
-    of points still missing, so no round draws past the point where a
-    one-at-a-time loop stops.  The draws and the rejection are scalar; the
-    points and the level test are whole-array arithmetic with the same
-    rounding.  In one dimension the slice is a segment, sampled uniformly.
-    """
+def _cap_draws(S: Ball, f, level: float, rng):
+    """draw(k), which gives up to k points c + r u of S near its cap {<f, x> >= level}
+    from k polar angles psi, k Gaussians whose parts tangent to f give the directions
+    (one below 1e-14 is dropped) and k radii: r with probability 0.7 (in the cap), else
+    r times a uniform to the power 1/d.  In one dimension the cap is a segment, drawn
+    uniformly."""
     c, radius, d = S.center, S.radius, S.dim
     nf = float(np.linalg.norm(f))
     fhat = f / nf
     # cos of the polar angle at which the sphere leaves the slice
     cos_min = max(-1.0, (level - float(np.dot(f, c))) / (radius * nf))
-    found, count = [S.support_point(f)[None]], 1
     if d == 1:
         # every Gaussian is parallel to f there, so the cap has no tangent part
-        t = rng.uniform(min(cos_min, 1.0) * radius, radius, n_samples - 1)
-        return np.concatenate(found + [c + t[:, None] * fhat])
+        return lambda k: c + rng.uniform(min(cos_min, 1.0) * radius, radius, k)[:, None] * fhat
     psi_max = float(np.arccos(np.clip(cos_min, -1.0, 1.0)))
-    while count < n_samples:
-        psi, W, nw, scale = [], [], [], []
-        for _ in range(n_samples - count):
-            p = psi_max * rng.random()  # rng.uniform(0.0, psi_max), the same draw
-            w = rng.standard_normal(d)
-            w -= float(np.dot(w, fhat)) * fhat
-            n = float(np.linalg.norm(w))
-            if n < 1e-14:
-                continue
-            psi.append(p)
-            W.append(w)
-            nw.append(n)
-            scale.append(radius * (1.0 if rng.random() < 0.7 else rng.random() ** (1.0 / d)))
-        if not psi:
-            continue
-        psi, W = np.array(psi)[:, None], np.array(W) / np.array(nw)[:, None]
-        X = c + np.array(scale)[:, None] * (np.cos(psi) * fhat + np.sin(psi) * W)
-        X = X[np.vecdot(X, f) >= level - 1e-12]
-        found.append(X)
-        count += len(X)
-    return np.concatenate(found)
+
+    def draw(k):
+        psi = psi_max * rng.random(k)
+        W = rng.standard_normal((k, d))
+        W -= np.vecdot(W, fhat)[:, None] * fhat
+        scale = radius * np.where(rng.random(k) < 0.7, 1.0, rng.random(k) ** (1.0 / d))
+        nw = row_norms(W)
+        keep = nw >= 1e-14
+        psi, W, scale = psi[keep, None], W[keep] / nw[keep, None], scale[keep, None]
+        return c + scale * (np.cos(psi) * fhat + np.sin(psi) * W)
+    return draw
 
 
 def _polygon_slice(S: Polygon2D, f, level: float, n_samples: int, rng) -> np.ndarray:
     """The vertices of the clipped slice, then points on it: with
     probability 1/2 (always for a segment) on an edge, at a uniform t from
     a uniform vertex to the next, else a Dirichlet(1, ..., 1) combination of
-    all vertices.  A single vertex is repeated.  The draws are scalar, the
-    points whole-array arithmetic with the same rounding."""
+    all vertices.  A single vertex is repeated."""
     clipped = _clip_polygon_halfplane(S.vertices, f, level)
-    m = len(clipped)
+    m, k = len(clipped), n_samples - len(clipped)
     if m == 0:
         raise SamplerFailure("slice clipped to empty set")
     if m == 1:
         return np.repeat(clipped, n_samples, axis=0)
-    if n_samples <= m:
+    if k <= 0:
         return clipped[:n_samples]
-    on_edge, I, T, W = [], [], [], []
-    ones = np.ones(m)
-    for _ in range(n_samples - m):
-        edge = rng.random() < 0.5 or m == 2
-        on_edge.append(edge)
-        if edge:
-            I.append(rng.integers(m))
-            T.append(rng.random())
-        else:
-            W.append(rng.dirichlet(ones))
-    out = np.empty((n_samples - m, 2))
-    on_edge = np.array(on_edge)
-    if I:
-        I, T = np.array(I), np.array(T)[:, None]
-        out[on_edge] = (1 - T) * clipped[I] + T * clipped[(I + 1) % m]
-    if W:
-        out[~on_edge] = (np.array(W)[:, None, :] @ clipped)[:, 0]
+    on_edge = (rng.random(k) < 0.5) | (m == 2)
+    I = rng.integers(m, size=int(on_edge.sum()))
+    T = rng.random(len(I))[:, None]
+    out = np.empty((k, 2))
+    out[on_edge] = (1 - T) * clipped[I] + T * clipped[(I + 1) % m]
+    out[~on_edge] = rng.dirichlet(np.ones(m), size=k - len(I)) @ clipped
     return np.concatenate((clipped, out))
 
 

@@ -5,12 +5,14 @@ paths: golden-section line search instead of the projection closed form,
 face enumeration and cyclic Dykstra instead of the active-set NNLS, linprog
 and exact rational vertices instead of the proximal support steps,
 random-restart polishing instead of the SVD, and closed-form plane
-geometry worked out by hand.  The slice-diameter and slice-sampler
-references are the plain one-pair-block and one-point-at-a-time versions
-that the library's batched kernels must reproduce bit for bit, as the
-per-edge polygon loops are for ``Polygon2D``'s one edge kernel, and the
-scalar distance closed forms are those that ``distance``, now row 0 of
-``distance_many``, must reproduce bit for bit.  ``sampled_aw_distance`` is
+geometry worked out by hand.  The slice-diameter reference is the plain
+one-pair-block version that the library's batched kernel must reproduce
+bit for bit, as the per-edge polygon loops are for ``Polygon2D``'s one
+edge kernel, and the scalar distance closed forms are those that
+``distance``, now row 0 of ``distance_many``, must reproduce bit for bit.
+The slice-sampler references draw one point at a time; the library's
+samplers, which draw a round of points at a time, must match their
+distribution.  ``sampled_aw_distance`` is
 ``aw_distance``'s sampled estimate, taken also where a closed form exists,
 for tests that check the one against the other.
 """

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -614,6 +615,37 @@ def test_orthant_halfspace_meeting_the_open_orthant_validates_and_runs(tmp_path,
             [cmd, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
         assert capsys.readouterr().err == ""
     assert (tmp_path / "o" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("a", [[-1e300, 1e-30], [0, 0]])
+def test_orthant_halfspace_with_a_stored_normal_in_the_polar_cone_is_refused(tmp_path, capsys,
+                                                                           a):
+    """(-1e300, 1e-30) is stored as the unit normal (-1, 0), which lies in the orthant's
+    polar cone, as the zero normal does: validate and run both exit 1 naming the
+    scenario parameters, with the polar-cone message."""
+    cfg = write_config(tmp_path, {"kind": "stable-scenario", "max_iter": 5, "params": {
+        "scenario": "orthant_halfspace", "scenario_params": {"a": a, "b": 1.0}}})
+    for cmd in ("validate", "run"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'params.scenario_params'" in err, err
+        assert "normal lies in the polar cone of the orthant" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_aw_probe_of_the_tilted_lines_is_exact(tmp_path):
+    """Each row of the tilted_lines aw probe is the exact distance of the k-th line of
+    Example 5.1 to the horizontal axis, as ``aw_distance`` gives it."""
+    from altproj.constructions import tilted_line
+    cfg = write_config(tmp_path, {"kind": "probe", "params": {
+        "probe": "aw", "family": "tilted_lines", "count": 4, "N": 2}})
+    assert main(["probe", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    rows = json.loads(next((tmp_path / "o").glob("*.json")).read_text())["result"]
+    axis = altproj.sets.OrthoSubspace(np.array([[1.0, 0.0]]))
+    assert [row.pop("index") for row in rows] == [1, 2, 3, 4]
+    for k, row in enumerate(rows, start=1):
+        assert row["mode"] == "exact"
+        assert row == asdict(altproj.variational.aw_distance(tilted_line(k), axis, 2))
 
 
 def test_exposure_probe_reports_the_library_default_sample_count(tmp_path):

@@ -843,21 +843,50 @@ def test_slice_sample_fallback_cycles_through_a_short_draw():
     assert np.array_equal(pts, np.array(found)[np.arange(n) % len(found)])
 
 
-@pytest.mark.parametrize("d", range(2, 7))
-def test_ball_slice_bit_equal_to_one_point_loop(d):
-    """The batched cap sampler draws and returns what the one-point-at-a-time
-    loop does, for thin caps, half balls and the whole ball (alpha >= 2r)."""
-    rng = np.random.default_rng(d)
-    for i in range(12):
+def _ks(x, y) -> float:
+    """The two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical distribution functions of x and y."""
+    grid = np.concatenate((x, y))
+    return float(np.max(np.abs(np.searchsorted(np.sort(x), grid, side="right") / len(x)
+                               - np.searchsorted(np.sort(y), grid, side="right") / len(y))))
+
+
+def _assert_distributed_alike(got, want, f, c):
+    """<f, x>, ||x - c|| and each coordinate of the rows of got and want pass the
+    two-sample KS test at about the 0.1 % level."""
+    def stats(X):
+        return np.column_stack((X @ f, np.linalg.norm(X - c, axis=1), X))
+    bound = 1.95 * np.sqrt(2.0 / len(got))
+    for i, (g, w) in enumerate(zip(stats(got).T, stats(want).T)):
+        assert _ks(g, w) <= bound, (i, _ks(g, w), bound)
+
+
+def _assert_slice_sample(S, f, alpha, n, seed):
+    """slice_sample's (n, dim) points for seed, the same bytes when drawn again, each
+    in S and in the slice; returned."""
+    got = slice_sample(S, f, alpha, n, seed)
+    assert got.shape == (n, S.dim)
+    assert got.tobytes() == slice_sample(S, f, alpha, n, seed).tobytes()
+    assert np.all(S.distance_many(got) <= 1e-9)
+    assert np.all(got @ f >= S.support_value(f) - alpha - 1e-9)
+    return got
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_ball_slice_distributed_as_one_point_loop(d):
+    """The cap sampler, drawing a round of points at a time, gives the distribution
+    of the one-point-at-a-time loop of tests/_oracles.py, for thin caps, half balls
+    and the whole ball (alpha >= 2r), with the support point first."""
+    rng, n = np.random.default_rng(d), 4000
+    for i in range(4):
         B = Ball(rng.standard_normal(d) * 3.0, float(rng.uniform(0.2, 3.0)))
         f = rng.standard_normal(d) * float(rng.uniform(0.5, 2.0))
         depth = B.radius * float(np.linalg.norm(f))
-        for alpha in (1e-3 * depth, 0.3 * depth, depth, 2.0 * depth, 5.0 * depth):
-            for n in (1, 2, 37, 300):
-                got = slice_sample(B, f, alpha, n, 17 * i + n)
-                want = ball_slice_reference(B, f, alpha, n, 17 * i + n)
-                assert got.shape == (n, d)
-                assert got.tobytes() == want.tobytes(), (i, alpha, n)
+        for j, alpha in enumerate((1e-2 * depth, 0.3 * depth, depth, 2.5 * depth)):
+            got = _assert_slice_sample(B, f, alpha, n, 2 * (4 * i + j))
+            assert np.array_equal(got[0], B.support_point(f))
+            want = ball_slice_reference(B, f, alpha, n, 2 * (4 * i + j) + 1)
+            _assert_distributed_alike(got, want, f, B.center)
 
 
 _SLICE_POLYGONS = [
@@ -869,23 +898,24 @@ _SLICE_POLYGONS = [
     (Polygon2D([(1, 1), (-1, 1), (1, 0), (-1, 0)]), (0.0, 1.0), 1e-14, 2),  # top edge
     (Polygon2D([(1, 1), (-1, 1), (1, 0), (-1, 0)]), (0.0, 1.0), 0.5, 4),
     (Polygon2D([(1, 1), (-1, 1), (-1, -1), (1, -1)]), (1.0, 1.0), 0.7, 3),
-    (Polygon2D([(np.cos(t), np.sin(t)) for t in np.linspace(0, 6, 7)]), (0.2, -1.0), 1.5, 6),
+    (Polygon2D([(np.cos(t), np.sin(t)) for t in np.linspace(0, 6, 7)]), (0.2, -1.0), 1.5, 7),
 ]
 
 
 @pytest.mark.parametrize("P, f, alpha, m", _SLICE_POLYGONS)
-def test_polygon_slice_bit_equal_to_one_point_loop(P, f, alpha, m):
-    """The batched polygon sampler returns what the one-point-at-a-time loop
-    does, for clipped slices of 1, 2 and more vertices and n_samples below,
-    at and above the vertex count."""
-    f = np.array(f, dtype=float)
-    for n in sorted({1, 2, 3, m - 1, m, m + 1, 50, 400} - {0}):
-        for seed in (0, 5):
-            got = slice_sample(P, f, alpha, n, seed)
-            want = polygon_slice_reference(P, f, alpha, n, seed)
-            assert got.shape == (n, 2)
-            assert got.tobytes() == want.tobytes(), (n, seed)
-    assert len(polygon_slice_reference(P, f, alpha, m, 0)) == m
+def test_polygon_slice_distributed_as_one_point_loop(P, f, alpha, m):
+    """The polygon sampler, drawing its points' random numbers as arrays, gives the
+    distribution of the one-point-at-a-time loop, for clipped slices of 1, 2 and
+    more vertices; the clipped vertices come first, so up to m points are exactly
+    the loop's."""
+    f, n = np.array(f, dtype=float), 4000
+    got = _assert_slice_sample(P, f, alpha, n, 0)
+    want = polygon_slice_reference(P, f, alpha, n, 1)
+    clipped = sets_module._clip_polygon_halfplane(P.vertices, f, P.support_value(f) - alpha)
+    assert len(clipped) == m and np.array_equal(got[:m], clipped)
+    for k in range(1, m + 1):
+        assert np.array_equal(slice_sample(P, f, alpha, k, 0), want[:k])
+    _assert_distributed_alike(got, want, f, P.vertices.mean(axis=0))
 
 
 _ONE_DIM_BALL = """

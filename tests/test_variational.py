@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from altproj.constructions import stable_scenario
 from altproj.sets import (Ball, DiagonalAffineGraph, Halfspace, OrthoSubspace, Polygon2D,
                           Polyhedron, SamplerFailure, slice_sample)
 from altproj.variational import (AwEstimate, ExposureProbe, _diameter,
@@ -74,6 +75,30 @@ def test_aw_subspace_pairs_exact_vs_sampled():
         sampled = sampled_aw_distance(U, V, N, n_samples=1500, rng_seed=1)
         assert sampled.h_N <= est.h_N + 1e-9
         assert sampled.h_N >= 0.8 * est.h_N  # boundary bias finds the far points
+
+
+_E4 = np.eye(4)
+_TRANSVERSAL = stable_scenario("transversal_planes")
+
+
+@pytest.mark.parametrize("U, W, N, excesses", [
+    # principal cosines 1 and 0.6: the farthest unit vector of either plane is 0.8 off the other
+    (_E4[:2], np.vstack([_E4[0], 0.6 * _E4[1] + 0.8 * _E4[2]]), 3, (2.4, 2.4)),
+    (_TRANSVERSAL.A.basis, _TRANSVERSAL.B.basis, 2, (2.0, 2.0)),  # trivial intersection
+    (_E4[:2], _E4[:1], 2, (2.0, 0.0)),  # a plane and a line in it
+], ids=["tilted_planes", "transversal_planes", "plane_and_its_line"])
+def test_aw_subspaces_beyond_lines_exact_vs_sampled(U, W, N, excesses):
+    """Two linear subspaces that are not both lines take the principal-angle closed
+    form: each excess is N sin of the largest principal angle, or N when the first
+    subspace has the larger dimension; the sampled estimate is a lower bound."""
+    A, C = OrthoSubspace(U), OrthoSubspace(W)
+    est = aw_distance(A, C, N)
+    assert est.mode == "exact" and est.n_samples == 0
+    assert (est.e_A_to_C, est.e_C_to_A) == pytest.approx(excesses, rel=1e-12, abs=1e-12)
+    assert est.h_N == pytest.approx(max(excesses), rel=1e-12)
+    sampled = sampled_aw_distance(A, C, N, n_samples=1500, rng_seed=1)
+    assert sampled.e_A_to_C <= est.e_A_to_C + 1e-9 and sampled.e_C_to_A <= est.e_C_to_A + 1e-9
+    assert sampled.h_N >= 0.99 * est.h_N
 
 
 def test_aw_affine_lines_exact():
