@@ -253,14 +253,14 @@ def _build_perturbed(cfg, p):
 
 
 def _build_scenario(cfg, p):
-    with _naming("params.scenario_params"):
+    try:
         scen = cons.stable_scenario(p["scenario"], **_given(delta_law=p.get("delta_law"),
                                                             delta_scale=p.get("delta_scale")),
                                     **p.get("scenario_params", {}))
-    try:  # both delta laws shrink |delta_n|, so the step-1 pair is the worst case
-        scen.a_family(1), scen.b_family(1)
+    except cons.InfeasibleStep as exc:  # checked for every n on the step-1 pair
+        _fail("params.delta_scale", f"step-1 sets fail: {exc}")
     except ValueError as exc:
-        raise ConfigError(f"config field 'params.delta_scale': step-1 sets fail: {exc}") from exc
+        _fail("params.scenario_params", str(exc))
     return _engine_job(cfg, p, scen.make_schedule(), scen.A.dim, max_iter=10_000,
                        start=scen.default_start, target=scen.target, scenario=scen)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,10 @@ from .sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace,
 
 class InfeasibleParams(ValueError):
     """Scenario parameters violate the scenario's defining conditions."""
+
+
+class InfeasibleStep(InfeasibleParams):
+    """A stability scenario's step-1 sets fail their constructors' checks (their message)."""
 
 
 class BlockBudgetExceeded(RuntimeError):
@@ -404,9 +408,9 @@ def ell2_run(c: Ell2Construction, record_stride: int = 0,
 class StableScenario:
     """A limit pair, its shrinking perturbation family, and run plumbing.
 
-    ``a_family(n)`` and ``b_family(n)`` give the step-n sets, built from the validated
-    limit sets A and B; ``make_schedule()`` wraps them as a ``PerStep`` schedule.
-    ``target``, when set, is the expected norm-limit of the runs."""
+    ``a_family(n)`` and ``b_family(n)`` give the step-n sets, unchecked copies of the
+    validated limit sets A and B (see ``_moved``); ``make_schedule()`` wraps them as a
+    ``PerStep`` schedule.  ``target``, when set, is the expected norm-limit of the runs."""
 
     A: object
     B: object
@@ -428,6 +432,22 @@ class StableScenario:
         return run_perturbed(self.make_schedule(), cfg)
 
 
+def _moved(S, **changes):
+    """S with new stored values of fields that no attribute derives from, unchecked and
+    with read-only arrays: a family's step set, whose checks ``stable_scenario`` runs once."""
+    new = object.__new__(type(S))
+    new.__dict__.update(S.__dict__, **changes)
+    for value in changes.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return new
+
+
+def _checked(S):
+    """S rebuilt by its public constructor from its fields: raises where S fails its checks."""
+    return type(S)(*(getattr(S, fld.name) for fld in fields(S)))
+
+
 def _delta_law(law: str, scale: float):
     if law == "inv_n":
         return lambda n: scale / n
@@ -441,8 +461,8 @@ def _tangent_disc(delta, params) -> StableScenario:
     norm-limit; the families pull the disc up and the halfplane down by delta_n."""
     up = np.array([0.0, 1.0])
     A, B = Ball(up, 1.0), Halfspace(up, 0.0)
-    return StableScenario(A=A, B=B, a_family=lambda n: A.translate(delta(n) * up),
-                          b_family=lambda n: B._replace(b=-delta(n)),  # B's raw normal is a unit
+    return StableScenario(A=A, B=B, a_family=lambda n: _moved(A, center=A.center + delta(n) * up),
+                          b_family=lambda n: _moved(B, b=-delta(n)),  # B's raw normal is a unit
                           delta=delta, target=np.zeros(2), default_start=np.array([3.0, -2.0]))
 
 
@@ -452,9 +472,9 @@ def _overlapping_balls(delta, params) -> StableScenario:
     A, B = Ball(np.array([0.5, 0.0]), 1.5), Ball(np.array([-0.5, 0.0]), 1.5)
     u = np.array([1.0, 0.0])
     return StableScenario(
-        A=A, B=B, a_family=lambda n: A._replace(center=A.center + delta(n) * u,
-                                                radius=A.radius + delta(n)),
-        b_family=lambda n: B._replace(center=B.center - delta(n) * u, radius=B.radius + delta(n)),
+        A=A, B=B, a_family=lambda n: _moved(A, center=A.center + delta(n) * u,
+                                            radius=A.radius + delta(n)),
+        b_family=lambda n: _moved(B, center=B.center - delta(n) * u, radius=B.radius + delta(n)),
         delta=delta, target=None, default_start=np.array([4.0, 3.0]))
 
 
@@ -467,8 +487,9 @@ def _transversal_planes(delta, params) -> StableScenario:
     v1 /= np.linalg.norm(v1)
     V = OrthoSubspace(np.vstack([v1, [0.0, 0.0, 0.0, 1.0]]))
     uA, uB = np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
-    return StableScenario(A=U, B=V, a_family=lambda n: U.translate(delta(n) * uA),
-                          b_family=lambda n: V.translate(delta(n) * uB), delta=delta,
+    U0, V0 = U.translate(np.zeros(4)), V.translate(np.zeros(4))  # as affine subspaces
+    return StableScenario(A=U, B=V, a_family=lambda n: _moved(U0, anchor=delta(n) * uA),
+                          b_family=lambda n: _moved(V0, anchor=delta(n) * uB), delta=delta,
                           target=np.zeros(4), default_start=np.array([2.0, -1.0, 1.5, 0.5]))
 
 
@@ -477,11 +498,13 @@ def _orthant(delta, params, constraint, d: int, start: float) -> StableScenario:
     each coordinate, against ``constraint(d, delta, params)``'s set and its step family."""
     d = int(_param(params, "d", d, kinds="iu"))
     K = NonnegOrthant(d)
-    shift = np.ones(d) / math.sqrt(d)
+    K0, shift = K.translate(np.zeros(d)), np.ones(d) / math.sqrt(d)  # K0 a polyhedron
     B, b_family = constraint(d, delta, params)
-    return StableScenario(A=K, B=B, a_family=lambda n: K.translate(-delta(n) * shift),
-                          b_family=b_family, delta=delta, target=None,
-                          default_start=np.full(d, start))
+    # K.translate(v) at v = -delta_n shift: b = -v, and the witness is feasible for every v
+    return StableScenario(
+        A=K, B=B, a_family=lambda n: _moved(K0, b=delta(n) * shift,
+                                            witness=np.maximum(-delta(n) * shift, 0.0) + 1.0),
+        b_family=b_family, delta=delta, target=None, default_start=np.full(d, start))
 
 
 def _orthant_bounds(d, delta, params):
@@ -493,7 +516,7 @@ def _orthant_bounds(d, delta, params):
         raise InfeasibleParams("offsets must be strictly positive")
     B = Polyhedron(normals, offsets, witness=np.zeros(d))
     scales, norms = _row_scales(np.array(normals, dtype=float))  # B divides by these
-    return B, lambda n: B._replace(b=(offsets + delta(n)) / scales / norms)
+    return B, lambda n: _moved(B, b=(offsets + delta(n)) / scales / norms)
 
 
 def _orthant_halfspace(d, delta, params):
@@ -508,7 +531,7 @@ def _orthant_halfspace(d, delta, params):
     if B.b <= 0.0 and not np.any(B.a < 0.0):
         raise InfeasibleParams("halfspace does not meet the orthant's interior")
     scale, norm_a = (float(v[0]) for v in _row_scales(a[None]))  # B divides by these
-    return B, lambda n: B._replace(b=(b / scale + delta(n) * norm_a) / norm_a)
+    return B, lambda n: _moved(B, b=(b / scale + delta(n) * norm_a) / norm_a)
 
 
 def _orthant_polar(d, delta, params):
@@ -520,7 +543,7 @@ def _orthant_polar(d, delta, params):
                                "(interior of the orthant's polar cone)")
     B = Halfspace(a, 0.0)
     _, norm_a = (float(v[0]) for v in _row_scales(a[None]))  # B divides by it
-    return B, lambda n: B._replace(b=delta(n) * norm_a / norm_a)
+    return B, lambda n: _moved(B, b=delta(n) * norm_a / norm_a)
 
 
 _FAMILIES = {
@@ -540,13 +563,23 @@ def stable_scenario(kind: str, delta_law: str = "inv_n", delta_scale: float = 1.
     (whose docstring states the pair) with delta_n = delta_scale/n (``inv_n``) or
     delta_scale/n^2 (``inv_n_sq``).  ``params`` are the family's finite parameters
     (``kappa``; ``d`` with ``normals`` and ``offsets``, or ``a`` and ``b``); one it does
-    not take, or values outside its case, raise InfeasibleParams."""
+    not take, or values outside its case, raise InfeasibleParams.  The step sets are
+    unchecked copies, checked once here: the step-1 pair, rebuilt by the public
+    constructors, raises their message as InfeasibleStep.  That covers every n, as delta_n
+    keeps delta_1's sign with |delta_n| <= |delta_1| and each moving field (a center, an
+    anchor, a radius, an offset, a witness feasible by construction) is a rounding-monotone
+    function of delta: each check (finite, radius > 0, witness feasible) that holds at the
+    limit and at step 1 holds between them."""
     delta = _delta_law(delta_law, delta_scale)
     if kind not in _FAMILIES:
         raise InfeasibleParams(f"unknown scenario kind {kind!r}")
     scenario = _FAMILIES[kind](delta, params)
     if params:
         raise InfeasibleParams(f"unknown parameters {sorted(params)}")
+    try:  # the step-1 pair
+        _checked(scenario.a_family(1)), _checked(scenario.b_family(1))
+    except ValueError as exc:
+        raise InfeasibleStep(str(exc)) from exc
     return scenario
 
 

@@ -11,9 +11,11 @@ block, at its first step, so a callable ``Adaptive`` family builds each
 block's sets lazily and once.  Every step is computed; ``record_stride``
 only thins the log, where a block end forces a record (a ``PerStep``
 one does not).  A block pairing X (+) {0} with a ``DiagonalAffineGraph``
-takes the graph's ``pair_step``, one update per step, bit-equal to both
-projections.  Runs are strictly sequential and deterministic: the same
-schedule and run config give the same trace, bit for bit.
+takes the graph's ``pair_step``, bit-equal to both projections; under
+``Blocks`` or ``Constant`` (blocks end by length) with no ``stop_residual``,
+one call runs the steps between two that log or end the block.  Runs are
+strictly sequential and deterministic: the same schedule and run config
+give the same trace, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import math
 import os
 import stat
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -249,6 +252,10 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
             norm_a=norm_a, norm_b=norm_b, res_a=res_a, gap_ab=gap_ab,
             dist_target=dist))
 
+    # Blocks and Constant end blocks by length: a fused block runs unlogged between records
+    by_length = stop_residual is None and type(schedule) in (Blocks, Constant)
+    marks = sorted({*indices, 1, max_iter})  # steps logged whatever the stride
+
     while n <= max_iter:
         if block_step == 0:
             try:
@@ -259,12 +266,20 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
                 schedule_complete = all(bl.advance in ("predicate", "length")
                                         for bl in block_logs) and len(block_logs) > 0
                 break
-            # the growth pair's one update; the kind tag first keeps other blocks cheap
-            step, point_b = (getattr(B_n, "kind", None) == "diagonal_affine_graph"
-                             and B_n.pair_step(A_n, prev)) or (None, None)
+            # the growth pair's k-step runner; the kind tag first keeps other blocks cheap
+            run, point_b = (getattr(B_n, "kind", None) == "diagonal_affine_graph"
+                            and B_n.pair_step(A_n, prev)) or (None, None)
+            last = n - 1 + (schedule.blocks[block_id - 1][2] if type(schedule) is Blocks
+                            else max_iter)  # the block's last step, if by_length
 
-        b_n, a_n = None, step(prev) if step else None
-        if a_n is None:
+        if run and by_length:
+            # up to the next record or block end; a step whose x.x > 1e300 is left to below
+            k = min(last, -(-n // stride) * stride, marks[bisect_left(marks, n)]) - n
+            if k:
+                prev, j = run(prev, k)
+                n, block_step = n + j, block_step + j
+        b_n, (a_n, j) = None, run(prev, 1) if run else (None, 0)
+        if not j:
             try:
                 b_n = project_b(prev)
                 a_n = project_a(b_n)

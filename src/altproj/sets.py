@@ -13,15 +13,14 @@ Farkas' lemma, in which directions it is unbounded.  ``project_many`` and
 and to ``distance``, which is row 0 of ``distance_many``.  Only the sampled
 probes batch, so only ``Ball`` and ``Polygon2D`` keep a batch projection
 kernel (see ``ConvexSet.project_many``); membership is ``distance <= tol``
-for every kind.  A kind with fields to check checks them in one ``_store``:
-the constructor turns its input into stored form (a unit normal, normalised
-rows) and passes it there, and ``ConvexSet._replace``, used by the per-step
-families, passes only the fields that move.  The runtime needs numpy only.
+for every kind.  A kind checks its fields in its constructor alone, which
+stores them in normal form (a unit normal, normalised rows); the scenario
+families copy their step sets unchecked, as ``constructions.stable_scenario``
+checks step 1, which covers every step.  The runtime needs numpy only.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -126,7 +125,6 @@ class ConvexSet:
     encoding; distance and membership follow from the projection."""
 
     kind = None
-    _replaceable = frozenset()  # fields _replace may change: no attribute derives from them
 
     def distance(self, x) -> float:
         return float(self.distance_many(as_point(x, dim=self.dim)[None])[0])
@@ -174,16 +172,6 @@ class ConvexSet:
     def from_dict(cls, doc: dict):
         return cls(*_take(doc, [fld.name for fld in fields(cls)], cls.kind))
 
-    def _replace(self, **changes):
-        """This validated set with new, as-stored values of ``_replaceable`` fields,
-        checked by the kind's ``_store``; the rest is shared."""
-        if not self._replaceable.issuperset(changes):
-            raise TypeError(f"{type(self).__name__} can replace only {sorted(self._replaceable)}")
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__)
-        new._store(**changes)
-        return new
-
 
 @dataclass(frozen=True, eq=False)
 class _UnitNormal(ConvexSet):
@@ -192,7 +180,6 @@ class _UnitNormal(ConvexSet):
 
     a: np.ndarray
     b: float
-    _replaceable = frozenset({"b"})
     _one_sided = True  # a support value along +a only, as for a halfspace
 
     def __post_init__(self):
@@ -201,15 +188,7 @@ class _UnitNormal(ConvexSet):
         s, n = (float(v[0]) for v in _row_scales(a[None]))
         if not s:
             raise ValueError("a must be nonzero")
-        self._store(a=a / s / n, b=float(self.b) / s / n)
-
-    def _store(self, **fields):
-        """Check and set fields given in stored form: a unit normal, a scaled offset."""
-        if "a" in fields:
-            fields["a"] = _freeze(fields["a"], "a")
-        if "b" in fields:
-            fields["b"] = _finite(fields["b"], "b")
-        self.__dict__.update(fields)
+        self.__dict__.update(a=_freeze(a / s / n, "a"), b=_finite(float(self.b) / s / n, "b"))
 
     @property
     def dim(self):
@@ -262,20 +241,12 @@ class Ball(ConvexSet):
     kind = "ball"
     center: np.ndarray
     radius: float
-    _replaceable = frozenset({"center", "radius"})
 
     def __post_init__(self):
-        self._store(center=self.center, radius=self.radius)
-
-    def _store(self, **fields):
-        """Check and set the given fields, as the constructor takes them."""
-        if "center" in fields:
-            fields["center"] = _frozen_point(fields["center"])
-        if "radius" in fields:
-            if not fields["radius"] > 0.0:
-                raise ValueError("radius must be positive")
-            fields["radius"] = _finite(fields["radius"], "radius")
-        self.__dict__.update(fields)
+        object.__setattr__(self, "center", _frozen_point(self.center))
+        if not self.radius > 0.0:
+            raise ValueError("radius must be positive")
+        object.__setattr__(self, "radius", _finite(self.radius, "radius"))
 
     @property
     def dim(self):
@@ -309,7 +280,7 @@ class Ball(ConvexSet):
         return self.center + self.radius * f / float(np.linalg.norm(f))
 
     def translate(self, v):
-        return self._replace(center=self.center + as_point(v, dim=self.dim))
+        return Ball(self.center + as_point(v, dim=self.dim), self.radius)
 
 
 def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
@@ -437,9 +408,7 @@ class OrthoSubspace(ConvexSet):
         raise SupportUnavailable("subspace is unbounded in this direction")
 
     def translate(self, v):
-        T = object.__new__(AffineSubspace)  # the basis is checked, so only v needs checking
-        T.__dict__.update(anchor=_frozen_point(v, self.dim), basis=self.basis)
-        return T
+        return AffineSubspace(as_point(v, dim=self.dim), self.basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,20 +418,12 @@ class AffineSubspace(ConvexSet):
     kind = "affine_subspace"
     anchor: np.ndarray
     basis: np.ndarray
-    _replaceable = frozenset({"anchor"})
 
     def __post_init__(self):
-        self._store(anchor=self.anchor, basis=self.basis)
-
-    def _store(self, **fields):
-        """Check and set the given fields, as the constructor takes them, against
-        the stored basis when none is given."""
-        a = _frozen_point(fields["anchor"]) if "anchor" in fields else self.anchor
-        b = _freeze(fields["basis"], "basis") if "basis" in fields else self.basis
+        a, b = _frozen_point(self.anchor), _freeze(self.basis, "basis")
         if b.ndim != 2 or b.shape[1] != a.size:
             raise ValueError("basis shape incompatible with anchor")
-        if "basis" in fields:
-            _check_orthonormal(b)
+        _check_orthonormal(b)
         self.__dict__.update(anchor=a, basis=b)
 
     @property
@@ -480,7 +441,7 @@ class AffineSubspace(ConvexSet):
         raise SupportUnavailable("affine flat is unbounded in this direction")
 
     def translate(self, v):
-        return self._replace(anchor=self.anchor + as_point(v, dim=self.dim))
+        return AffineSubspace(self.anchor + as_point(v, dim=self.dim), self.basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,7 +471,7 @@ class NonnegOrthant(ConvexSet):
 
     def translate(self, v):
         v = as_point(v, dim=self.d)
-        return _orthant_polyhedron(self.d)._replace(b=-v, witness=np.maximum(v, 0.0) + 1.0)
+        return Polyhedron(-np.eye(self.d), -v, witness=np.maximum(v, 0.0) + 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,29 +484,18 @@ class Polyhedron(ConvexSet):
     normals: np.ndarray
     b: np.ndarray
     witness: np.ndarray
-    _replaceable = frozenset({"b", "witness"})
 
     def __post_init__(self):
-        A = _freeze(self.normals, "normals")
-        b = _freeze(self.b, "b")
-        if A.ndim == 2 and b.shape == A.shape[:1]:  # otherwise _store reports the shapes
-            s, norms = _row_scales(A)
-            if not s.all():
-                raise ValueError("zero constraint normal")
-            with np.errstate(over="ignore"):  # _store rejects an offset scaled out of range
-                A, b = _freeze(A / s[:, None] / norms[:, None], "normals"), b / s / norms
-        self._store(normals=A, b=b, witness=self.witness)
-
-    def _store(self, **fields):
-        """Check and set fields given in stored form (unit rows, scaled offsets),
-        against the stored ones not given; b must be finite before the witness
-        is tested."""
-        A = fields.get("normals", self.normals)
-        b = _freeze(fields.get("b", self.b), "b")
+        A, b = _freeze(self.normals, "normals"), _freeze(self.b, "b")
         if A.ndim != 2 or b.shape != A.shape[:1] or not b.size:
             raise ValueError("normals must be (m, d), b must be (m,)")
-        w = _frozen_point(fields.get("witness", self.witness), A.shape[1])
-        if (A @ w > b + 1e-9).any():
+        s, norms = _row_scales(A)
+        if not s.all():
+            raise ValueError("zero constraint normal")
+        with np.errstate(over="ignore"):  # an offset scaled out of range is refused here
+            A, b = _freeze(A / s[:, None] / norms[:, None], "normals"), _freeze(b / s / norms, "b")
+        w = _frozen_point(self.witness, A.shape[1])
+        if (A @ w > b + 1e-9).any():  # b is finite before the witness is tested
             raise ValueError("witness point is not feasible")
         self.__dict__.update(normals=A, b=b, witness=w)
 
@@ -664,28 +614,35 @@ class DiagonalAffineGraph(ConvexSet):
         return out
 
     def pair_step(self, A, prev):
-        """``(step, point_b)`` for the pair (A, self) when A is the first factor X (+) {0}
+        """``(run, point_b)`` for the pair (A, self) when A is the first factor X (+) {0}
         and prev's second factor is +0.0 bit for bit, else None.  ``project`` is then
-        x = (p[:d] + c) / _denom, c = theta * (0.0 - offset), and ``A.project`` (x + 0.0, 0):
-        ``step(p)`` is that a_n, or None unless x.x <= 1e300, which keeps b_n finite (see
-        README), for the caller to project twice and fail as before; ``point_b(p)`` is b_n."""
+        x = (p[:d] + c) / _denom, c = theta * (0.0 - offset), and ``A.project`` (x + 0.0, 0).
+        ``run(p, k)`` takes that step up to k times from p in reused buffers, and returns a
+        new array, the a_n after the j steps taken, and j: it stops before a step whose x.x
+        is not <= 1e300, which keeps b_n finite (see README), for the caller to project
+        twice and fail as before.  ``point_b(p)`` is b_n."""
         d, coords = self.half_dim, getattr(A, "_coords", None)
         if (getattr(A, "kind", None) != "ortho_subspace" or A.dim != 2 * d or coords is None
                 or not np.array_equal(np.sort(coords), np.arange(d)) or prev.shape != (2 * d,)
                 or prev.dtype != np.float64 or prev[d:].view(np.uint64).any()):
             return None
-        c, den, add, zeros = self.theta * (0.0 - self.offset), self._denom, np.add, np.zeros
+        c, den, add, divide = self.theta * (0.0 - self.offset), self._denom, np.add, np.divide
 
-        def step(p):
-            x = (p[:d] + c) / den
-            a = zeros(2 * d)
-            add(x, 0.0, out=a[:d])  # A.project's +0.0 for a -0.0
-            return a if x.dot(x) <= 1e300 else None
+        def run(p, k):
+            a, t = np.zeros(2 * d), np.empty(d)
+            x = a[:d]
+            x[:] = p[:d]
+            for j in range(k):
+                divide(add(x, c, out=t), den, out=t)
+                if not t.dot(t) <= 1e300:
+                    return a, j
+                add(t, 0.0, out=x)  # A.project's +0.0 for a -0.0
+            return a, k
 
         def point_b(p):
             x = (p[:d] + c) / den
             return np.concatenate((x, self.offset + self.theta * x))
-        return step, point_b
+        return run, point_b
 
     def support_value(self, f):
         d = self.half_dim
@@ -699,12 +656,6 @@ class DiagonalAffineGraph(ConvexSet):
         d = self.half_dim
         # {(x, off + Dx)} + (u, w) = {(x', off + w - Du + Dx')}
         return DiagonalAffineGraph(self.theta, self.offset + v[d:] - self.theta * v[:d])
-
-
-@functools.lru_cache(maxsize=8)
-def _orthant_polyhedron(d: int) -> Polyhedron:
-    """The orthant of R^d as a polyhedron, whose -I its translates share."""
-    return Polyhedron(-np.eye(d), np.zeros(d), witness=np.zeros(d))
 
 
 SET_KINDS = (Halfspace, Hyperplane, Ball, Polygon2D, OrthoSubspace,

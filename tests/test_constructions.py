@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from altproj.constructions import (BlockBudgetExceeded, InfeasibleParams,
+from altproj.constructions import (BlockBudgetExceeded, InfeasibleParams, InfeasibleStep,
                                    build_ell2_construction, default_start_alphas, ell2_aw_certificate,
                                    ell2_run, ell2_schedule, ell2_start_point,
                                    example_unstable_bodies,
@@ -431,10 +431,9 @@ SCENARIOS = ("tangent_disc", "overlapping_balls", "transversal_planes", "orthant
              "orthant_halfspace", "orthant_polar")
 
 
-def _public_pair(kind, scen, n):
-    """The step-n pair of a scenario with default parameters, built by the
+def _public_pair(kind, scen, dn):
+    """The pair of a scenario with default parameters at delta_n = dn, built by the
     public constructors alone."""
-    dn = scen.delta(n)
     if kind == "tangent_disc":
         up = np.array([0.0, 1.0])
         return Ball(up + dn * up, 1.0), Halfspace(up, -dn)
@@ -461,11 +460,12 @@ def _public_pair(kind, scen, n):
 @pytest.mark.parametrize("law", ["inv_n", "inv_n_sq"])
 @pytest.mark.parametrize("kind", SCENARIOS)
 def test_scenario_step_sets_bit_equal_to_public_constructors(kind, law):
-    """Each step-n set has the type and exact fields the public constructor gives."""
-    for scale in (1.0, 0.3, 0.0):
+    """Each step-n set has the type and exact fields the public constructor gives, also
+    at a negative delta_scale that step 1 survives and at one within 10x of overflow."""
+    for scale in (1.0, 0.3, 0.0, -0.5, 1.5e307):
         scen = stable_scenario(kind, delta_law=law, delta_scale=scale)
         for n in [*range(1, 51), 10 ** 3, 10 ** 5]:
-            A_n, B_n = _public_pair(kind, scen, n)
+            A_n, B_n = _public_pair(kind, scen, scen.delta(n))
             assert exact_fields(scen.a_family(n)) == exact_fields(A_n), (scale, n)
             assert exact_fields(scen.b_family(n)) == exact_fields(B_n), (scale, n)
 
@@ -476,14 +476,16 @@ def test_scenario_step_sets_bit_equal_to_public_constructors(kind, law):
     ("orthant_halfspace", 1.5e308, (1,), "b must be finite"),
 ])
 def test_scenario_step_sets_fail_as_the_public_constructors_do(kind, scale, steps, message):
-    """A step whose perturbation breaks a set raises the constructor's error."""
-    scen = stable_scenario(kind, delta_scale=scale)
+    """A delta_scale whose perturbation breaks the sets of these steps is refused when
+    the scenario is built, with the error the public constructors give for them."""
+    limit = stable_scenario(kind)
     for n in steps:
         with pytest.raises(ValueError) as want:
-            _public_pair(kind, scen, n)
-        with pytest.raises(ValueError) as got:
-            scen.a_family(n), scen.b_family(n)
-        assert str(got.value) == str(want.value) == message
+            _public_pair(kind, limit, scale / n)
+        assert str(want.value) == message
+    with pytest.raises(InfeasibleStep) as got:
+        stable_scenario(kind, delta_scale=scale)
+    assert str(got.value) == message
 
 
 @pytest.mark.parametrize("kind", SCENARIOS)

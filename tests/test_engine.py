@@ -592,7 +592,13 @@ def _entries(rng, k):
 
 
 def _graph(rng, d):
-    """A graph of seeded entries; raises ValueError where its 1 + theta^2 overflows."""
+    """A graph of seeded entries; raises ValueError where its 1 + theta^2 overflows.  One
+    in six has theta of 1e-5 to 1e-4 and an offset of about 1e153, so that each step adds
+    about theta * offset (1e147.5 to 1e149.5) to x, whose x.x passes 1e300 within a few
+    hundred steps, while the records' norms of b stay finite."""
+    if rng.random() < 1 / 6:
+        return DiagonalAffineGraph(rng.uniform(1e-5, 1e-4, d), rng.choice([-1.0, 1.0], d)
+                                   * 10.0 ** rng.uniform(152.5, 153.5, d))
     theta = np.zeros(d) if rng.random() < 0.1 else _entries(rng, d)
     offset = np.zeros(d) if rng.random() < 0.1 else _entries(rng, d)
     return DiagonalAffineGraph(theta, offset)
@@ -600,10 +606,11 @@ def _graph(rng, d):
 
 def _growth_case(rng):
     """A seeded (schedule, run config) over pairs of X (+) {0} and graphs in R^(2d),
-    d = 1..4, under Constant, Blocks or Adaptive.  Some blocks use X's basis rows
-    permuted (fused too), the whole space (whose iterates leave a nonzero second
-    factor to the next block), d other unit vectors or R^(2d+1) (neither fused);
-    some starts have a second factor that is nonzero or -0.0."""
+    d = 1..4, under Constant, Blocks or Adaptive, logged at a record_stride of 1 to 50
+    and at up to three record_indices, with a max_iter that may end a Blocks schedule
+    early.  Some blocks use X's basis rows permuted (fused too), the whole space (whose
+    iterates leave a nonzero second factor to the next block), d other unit vectors or
+    R^(2d+1) (neither fused); some starts have a second factor that is nonzero or -0.0."""
     d = int(rng.integers(1, 5))
     first, unit = OrthoSubspace(np.eye(d, 2 * d)), np.eye(2 * d)
     others = (OrthoSubspace(unit[rng.permutation(d)]), OrthoSubspace(unit),
@@ -612,20 +619,26 @@ def _growth_case(rng):
     tail = rng.random()
     second = (np.zeros(d) if tail < 0.6 else np.full(d, -0.0) if tail < 0.75
               else _entries(rng, d))
-    cfg = RunConfig(start=np.concatenate((_entries(rng, d), second)),
-                    max_iter=int(rng.integers(1, 13)))
     graphs = [_graph(rng, d) for _ in range(int(rng.integers(1, 4)))]
     kind = rng.integers(3)
+    if kind == 1:
+        schedule = Blocks(tuple((others[int(rng.integers(4))] if rng.random() < 0.3 else first,
+                                 G, int(rng.integers(1, 80))) for G in graphs))
+        max_iter = int(rng.integers(1, schedule.total_length + 20))
+    else:
+        max_iter = int(rng.integers(1, 200))
+    cfg = RunConfig(start=np.concatenate((_entries(rng, d), second)), max_iter=max_iter,
+                    record_stride=int(rng.integers(1, 51)),
+                    record_indices=frozenset(rng.integers(1, max_iter + 1, rng.integers(4))))
     if kind == 0:
         return Constant(first, graphs[0]), cfg
     if kind == 1:
-        return Blocks(tuple((others[int(rng.integers(4))] if rng.random() < 0.3 else first,
-                             G, int(rng.integers(1, 6))) for G in graphs)), cfg
+        return schedule, cfg
     limit = float(rng.uniform(-2.0, 2.0))
 
     def pairs(k):
         return first, graphs[k - 1]
-    return Adaptive(pairs, lambda k, a: a[0] > limit, int(rng.integers(1, 6))), cfg
+    return Adaptive(pairs, lambda k, a: a[0] > limit, int(rng.integers(1, 60))), cfg
 
 
 def _outcome(schedule, cfg):
@@ -642,18 +655,28 @@ def _outcome(schedule, cfg):
 
 
 def test_fused_growth_step_matches_the_two_projections(monkeypatch):
-    """At record_stride 1 the fused step gives the records, block logs and status of
-    the two generic projections bit for bit, and fails at the same step with the
-    same error; seeded cases cover theta = 0, offset 0, -0.0 coordinates, starts
-    whose second factor is nonzero or -0.0, and magnitudes near 1e308.  A case
-    whose graph has a 1 + theta^2 that overflows is refused when built."""
+    """The fused runner gives the records, block logs and status of the two generic
+    projections bit for bit, and fails at the same step with the same error, when it
+    runs unlogged steps in one call (Constant and Blocks) and when it runs one step at
+    a time (Adaptive, and every logged step).  Seeded cases cover theta = 0, offset 0,
+    -0.0 coordinates, starts whose second factor is nonzero or -0.0, magnitudes near
+    1e308, and runs whose x.x passes 1e300 between two records, where the call stops
+    short.  A case whose graph has a 1 + theta^2 that overflows is refused when built."""
     rng = np.random.default_rng(2718)
-    real, taken = DiagonalAffineGraph.pair_step, []
+    real, taken, calls = DiagonalAffineGraph.pair_step, [], []
 
     def spy(self, A, prev):
         out = real(self, A, prev)
         taken.append(out is not None)
-        return out
+        if out is None:
+            return None
+        run, point_b = out
+
+        def counted(p, k):
+            a, j = run(p, k)
+            calls.append((k, j))
+            return a, j
+        return counted, point_b
 
     errors = refused = 0
     for case in range(400):
@@ -672,6 +695,8 @@ def test_fused_growth_step_matches_the_two_projections(monkeypatch):
         assert fused == generic, case
         errors += isinstance(fused[1], int)
     assert 50 < refused < 200 and 50 < errors < 350 and 100 < sum(taken) < len(taken)
+    chunks = [(k, j) for k, j in calls if k > 1]  # the calls that run unlogged steps
+    assert len(chunks) > 1000 and sum(0 < j < k for k, j in chunks) > 10
 
 
 def test_fused_steps_build_each_record_through_trace_record_in_order(monkeypatch):

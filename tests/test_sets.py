@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from altproj import sets as sets_module
+from altproj.constructions import _checked, _moved
 from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, Hyperplane,
                           NonnegOrthant, OrthoSubspace, Polygon2D, Polyhedron,
                           ProjectionCertificateError, SupportUnavailable, _passive_solve,
@@ -1148,7 +1149,7 @@ def test_signed_or_rotated_rows_take_the_matmul_path(basis):
 
 
 # ---------------------------------------------------------------------------
-# sets built from a validated set: translates and ConvexSet._replace
+# sets built from a validated set: translates and the scenario families' unchecked copies
 
 
 @pytest.mark.parametrize("kind", PROJECTABLE_KINDS)
@@ -1177,48 +1178,55 @@ _POLY = Polyhedron(np.array([[1.0, 1.0], [-2.0, 0.5]]), np.array([1.0, 2.0]),
 _BIG = 1.5e308
 
 
+def _step(S, **changes):
+    """A scenario family's unchecked copy of S with ``changes``, through the check
+    ``stable_scenario`` runs on its step-1 sets."""
+    return _checked(_moved(S, **changes))
+
+
 @pytest.mark.parametrize("public, fast", [
-    (lambda: Ball([np.nan, 0.0], 1.5), lambda: _BALL._replace(center=[np.nan, 0.0])),
+    (lambda: Ball([np.nan, 0.0], 1.5), lambda: _step(_BALL, center=[np.nan, 0.0])),
     (lambda: Ball([_BIG + _BIG, 0.0], 1.5),
      lambda: Ball([_BIG, 0.0], 1.5).translate([_BIG, 0.0])),
-    (lambda: Ball([1.0, -2.0], np.nan), lambda: _BALL._replace(radius=np.nan)),
-    (lambda: Ball([1.0, -2.0], np.inf), lambda: _BALL._replace(radius=np.inf)),
-    (lambda: Ball([1.0, -2.0], 0.0), lambda: _BALL._replace(radius=0.0)),
-    (lambda: Ball([1.0, -2.0], -1.0), lambda: _BALL._replace(radius=-1.0)),
+    (lambda: Ball([1.0, -2.0], np.nan), lambda: _step(_BALL, radius=np.nan)),
+    (lambda: Ball([1.0, -2.0], np.inf), lambda: _step(_BALL, radius=np.inf)),
+    (lambda: Ball([1.0, -2.0], 0.0), lambda: _step(_BALL, radius=0.0)),
+    (lambda: Ball([1.0, -2.0], -1.0), lambda: _step(_BALL, radius=-1.0)),
     (lambda: Ball([np.nan, 0.0], -1.0),
-     lambda: _BALL._replace(radius=-1.0, center=[np.nan, 0.0])),
+     lambda: _step(_BALL, radius=-1.0, center=[np.nan, 0.0])),
     (lambda: AffineSubspace([np.inf, 0.0, 0.0], _FLAT.basis),
-     lambda: _FLAT._replace(anchor=[np.inf, 0.0, 0.0])),
-    (lambda: AffineSubspace([0.0, 0.0], _FLAT.basis), lambda: _FLAT._replace(anchor=[0.0, 0.0])),
+     lambda: _step(_FLAT, anchor=[np.inf, 0.0, 0.0])),
+    (lambda: AffineSubspace([0.0, 0.0], _FLAT.basis), lambda: _step(_FLAT, anchor=[0.0, 0.0])),
     (lambda: AffineSubspace([_BIG + _BIG, 0.0, 0.0], _FLAT.basis),
      lambda: AffineSubspace([_BIG, 0.0, 0.0], _FLAT.basis).translate([_BIG, 0.0, 0.0])),
-    (lambda: Halfspace([3.0, 4.0], np.nan), lambda: _HALF._replace(b=np.nan)),
-    (lambda: Halfspace([3.0, 4.0], -np.inf), lambda: _HALF._replace(b=-np.inf)),
+    (lambda: Halfspace([3.0, 4.0], np.nan), lambda: _step(_HALF, b=np.nan)),
+    (lambda: Halfspace([3.0, 4.0], -np.inf), lambda: _step(_HALF, b=-np.inf)),
     (lambda: Polyhedron(_POLY.normals, [np.nan, 1.0], witness=[0.0, 0.0]),
-     lambda: _POLY._replace(b=[np.nan, 1.0])),
+     lambda: _step(_POLY, b=[np.nan, 1.0])),
     (lambda: Polyhedron(_POLY.normals, [np.inf, 1.0], witness=[0.0, 0.0]),
-     lambda: _POLY._replace(b=[np.inf, 1.0])),
+     lambda: _step(_POLY, b=[np.inf, 1.0])),
     (lambda: Polyhedron(_POLY.normals, [1.0, -0.5], witness=[0.0, 0.0]),
-     lambda: _POLY._replace(b=[1.0, -0.5])),
+     lambda: _step(_POLY, b=[1.0, -0.5])),
     (lambda: Polyhedron(_POLY.normals, [1.0, 1.0, 1.0], witness=[0.0, 0.0]),
-     lambda: _POLY._replace(b=[1.0, 1.0, 1.0])),
+     lambda: _step(_POLY, b=[1.0, 1.0, 1.0])),
     (lambda: Polyhedron(_POLY.normals, _POLY.b, witness=[np.nan, 0.0]),
-     lambda: _POLY._replace(witness=[np.nan, 0.0])),
+     lambda: _step(_POLY, witness=[np.nan, 0.0])),
     (lambda: Polyhedron(_POLY.normals, _POLY.b, witness=[0.0, 0.0, 0.0]),
-     lambda: _POLY._replace(witness=[0.0, 0.0, 0.0])),
+     lambda: _step(_POLY, witness=[0.0, 0.0, 0.0])),
     (lambda: Polyhedron(_POLY.normals, _POLY.b, witness=[5.0, 5.0]),
-     lambda: _POLY._replace(witness=[5.0, 5.0])),
+     lambda: _step(_POLY, witness=[5.0, 5.0])),
     (lambda: Polyhedron(_POLY.normals, [-np.inf, 1.0], witness=[0, 0]),
-     lambda: _POLY._replace(b=[-np.inf, 1.0])),
-    (lambda: Ball(None, 1.5), lambda: _BALL._replace(center=None)),
-    (lambda: AffineSubspace(None, _FLAT.basis), lambda: _FLAT._replace(anchor=None)),
+     lambda: _step(_POLY, b=[-np.inf, 1.0])),
+    (lambda: Ball(None, 1.5), lambda: _step(_BALL, center=None)),
+    (lambda: AffineSubspace(None, _FLAT.basis), lambda: _step(_FLAT, anchor=None)),
     (lambda: Polyhedron(_POLY.normals, None, witness=[0.0, 0.0]),
-     lambda: _POLY._replace(b=None)),
+     lambda: _step(_POLY, b=None)),
     (lambda: Polyhedron(_POLY.normals, _POLY.b, witness=None),
-     lambda: _POLY._replace(witness=None)),
+     lambda: _step(_POLY, witness=None)),
 ])
 def test_replaced_field_fails_as_the_constructor_does(public, fast):
-    """A bad replaced field raises the constructor's exception type and message."""
+    """A bad field in a scenario family's unchecked copy is refused by the step-1 check
+    with the constructor's exception type and message; so is a bad translate."""
     with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
         public()
     with np.errstate(over="ignore"), pytest.raises(ValueError) as got:
@@ -1243,27 +1251,18 @@ _NONE_FLOAT = (TypeError, "float() argument must be a string or a real number, n
     (lambda: Polyhedron(_POLY.normals, None, witness=[0.0, 0.0]),
      (ValueError, "b must be finite")),
     (lambda: Polyhedron(_POLY.normals, _POLY.b, witness=None), _NOT_1D),
-    (lambda: _BALL._replace(radius=None), _NONE_RADIUS),
-    (lambda: _HALF._replace(b=None), _NONE_FLOAT),
+    (lambda: _step(_BALL, radius=None), _NONE_RADIUS),
+    (lambda: _step(_HALF, b=None), _NONE_FLOAT),
 ], ids=["ball-center", "ball-radius", "halfspace-a", "halfspace-b", "affine-anchor",
         "affine-basis", "polyhedron-normals", "polyhedron-b", "polyhedron-witness",
         "replace-ball-radius", "replace-halfspace-b"])
 def test_none_field_fails_with_its_own_message(build, error):
     """None in a field is a bad value, not a field left out: it raises the pinned
-    exception type and message.  The ValueErrors of None in a replaced field are
-    compared with the constructor's above; the TypeErrors are pinned here."""
+    exception type and message.  The ValueErrors of None in an unchecked copy's field
+    are compared with the constructor's above; the TypeErrors are pinned here."""
     with pytest.raises(error[0]) as got:
         build()
     assert (type(got.value), str(got.value)) == error
-
-
-def test_replace_refuses_fields_with_derived_attributes():
-    """Only a kind's _replaceable fields can be replaced (not theta, which _denom uses)."""
-    G = DiagonalAffineGraph(np.array([0.5]), np.array([1.0]))
-    for S, name in ((G, "theta"), (G, "offset"), (_BALL, "anchor"), (_POLY, "normals"),
-                    (NonnegOrthant(2), "d"), (_HALF, "a")):
-        with pytest.raises(TypeError, match="can replace only"):
-            S._replace(**{name: getattr(S, name, 1.0)})
 
 
 def test_replaced_sets_are_read_only_and_leave_their_source_unchanged(rng):
