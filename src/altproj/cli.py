@@ -374,7 +374,7 @@ def _build_probe(cfg, p):
 
         def checks():
             with _naming("params.set"):
-                var.epsilon_alpha(translated, unit, unit, alphas[0], n_boundary=n, rng_seed=seed)
+                var.epsilon_alpha(translated, unit, alphas[0], n_boundary=n, rng_seed=seed)
             return construct()
         return Job(execute, checks)
     if probe == "separation":
@@ -385,7 +385,7 @@ def _build_probe(cfg, p):
         return Job(lambda out_dir, quiet: {"probe": "separation", "seed": seed,
                                            "result": {"eps": eps, "eta": eta}}, construct)
     N = p.get("N", 2)
-    n = p.get("n_samples", 1500)
+    n = p.get("n_samples", var._AW_SAMPLES)
     if "family" in p:
         family = p["family"]
         count = p.get("count", 6)

@@ -1,11 +1,12 @@
 """Quantitative probes for set convergence, exposure, and angle conditions.
 
 Everything here is a measurement, not a proof: localized-Hausdorff
-excesses are estimated from boundary-biased samples (exact closed forms
-are used where the set kinds admit them), exposure is probed through
-slice diameters and minimal cone-shift tables, and the subspace-angle
-machinery reduces to singular values of a cross-Gram matrix.  All probes
-take explicit RNG seeds and report how they were computed.
+excesses are estimated from boundary-biased samples (closed forms, or a
+certified bound, are used where the set kinds admit them), exposure is
+probed through slice diameters and the largest closed-form cone shift
+over sampled points, and the subspace-angle machinery reduces to
+singular values of a cross-Gram matrix.  All probes take explicit RNG
+seeds and report how they were computed.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .sets import (AffineSubspace, DiagonalAffineGraph, Halfspace,
 class AwEstimate:
     """Localized Hausdorff distance h_N between two sets.
 
-    ``mode`` is "exact" when a closed form (or a certified bound, for
-    graph pairs) was available; "sampled" estimates are lower bounds of
-    the true h_N and are reported as such.
+    ``mode`` is "exact" when a closed form was available, "bound" for the
+    certified upper bound of a graph pair, and "sampled" for estimates,
+    which are lower bounds of the true h_N.
     """
 
     N: int
@@ -151,14 +152,17 @@ def _sampled_excess(A, C, N, n_samples, rng) -> float:
     return float(C.distance_many(np.concatenate(pts)).max())
 
 
-def aw_distance(A, C, N: int, n_samples: int = 2000, rng_seed: int = 0) -> AwEstimate:
+_AW_SAMPLES = 1500  # the aw probe's default n_samples, read by the CLI too
+
+
+def aw_distance(A, C, N: int, n_samples: int = _AW_SAMPLES, rng_seed: int = 0) -> AwEstimate:
     """Localized Hausdorff distance h_N(A, C) = max of the two N-ball excesses.
 
     Closed forms handle halfspace pairs, linear-subspace pairs (principal
-    angles), and affine-line pairs; diagonal-graph pairs use the certified
-    bound N*||D - D'|| + ||offset - offset'||.  Everything else is
-    estimated from boundary-biased samples and is a lower bound of the
-    true value.
+    angles), and affine-line pairs; diagonal-graph pairs report the
+    certified bound N*||D - D'|| + ||offset - offset'|| with mode "bound".
+    Everything else is estimated from boundary-biased samples and is a
+    lower bound of the true value.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -175,7 +179,7 @@ def aw_distance(A, C, N: int, n_samples: int = 2000, rng_seed: int = 0) -> AwEst
             and A.half_dim == C.half_dim):
         bound = N * float(np.max(np.abs(A.theta - C.theta))) + \
             float(np.linalg.norm(A.offset - C.offset))
-        return AwEstimate(N, bound, bound, bound, 0, "exact")
+        return AwEstimate(N, bound, bound, bound, 0, "bound")
     rng = np.random.default_rng(rng_seed)
     e1 = _sampled_excess(A, C, N, n_samples, rng)
     e2 = _sampled_excess(C, A, N, n_samples, rng)
@@ -186,78 +190,56 @@ def aw_distance(A, C, N: int, n_samples: int = 2000, rng_seed: int = 0) -> AwEst
 # Exposure probes
 
 
-def _min_shifts_into_cone(fa: np.ndarray, a: np.ndarray, x0: np.ndarray,
-                          alpha: float) -> np.ndarray:
-    """Row i is the minimal lam >= 0 with fa[i] + lam >= alpha*||a[i] + lam*x0||.
+def _shifts_into_cone(a: np.ndarray, f: np.ndarray, alphas) -> np.ndarray:
+    """Entry (i, j) is the least lam >= 0 with a[i] + lam*f in the cone
+    C(f, alpha_j) = {x : <f, x> >= alpha_j*||x||}.
 
-    The defect lam -> fa + lam - alpha*||a + lam*x0|| is strictly
-    increasing (alpha < 1), so bisection applies; every row is bisected at
-    once, each on its own bracket until that bracket is narrower than
-    1e-10 or its midpoint rounds to one of its ends (above about 5e5 the
-    spacing of doubles exceeds 1e-10).  A lam beyond 1e12 reports
-    infinity.
+    With t = <f, a> + lam and p = ||a - <f, a> f||, the point is in the cone
+    when t >= alpha*||(t, p)||, i.e. t >= alpha*p / sqrt(1 - alpha^2); so
+    lam = max(0, alpha*p / sqrt(1 - alpha^2) - <f, a>).  1 - alpha^2 is
+    taken as (1 - alpha)(1 + alpha), which keeps its digits as alpha nears 1.
     """
-
-    def g(lam, rows):
-        return fa[rows] + lam - alpha * row_norms(a[rows] + lam[:, None] * x0)
-
-    lam = np.zeros(len(fa))
-    short = np.flatnonzero(~(g(lam, slice(None)) >= 0.0))
-    hi = (alpha * row_norms(a[short]) - fa[short]) / (1.0 - alpha) + 1.0
-    lam[short[hi > 1e12]] = math.inf
-    rows, hi = short[hi <= 1e12], hi[hi <= 1e12]
-    lo = np.zeros(len(rows))
-    active = np.flatnonzero(hi - lo > 1e-10)
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        stuck = (mid == lo[active]) | (mid == hi[active])
-        up = g(mid, rows[active]) >= 0.0
-        hi[active[up]] = mid[up]
-        lo[active[~up]] = mid[~up]
-        active = active[(hi[active] - lo[active] > 1e-10) & ~stuck]
-    lam[rows] = hi
-    return lam
+    fa = np.vecdot(a, f)
+    p = row_norms(a - fa[:, None] * f)
+    slopes = np.array([alpha / math.sqrt((1.0 - alpha) * (1.0 + alpha)) for alpha in alphas])
+    return np.maximum(0.0, p[:, None] * slopes - fa[:, None])
 
 
-def epsilon_alpha(A, f, x0, alpha: float, n_boundary: int = 2000,
-                  rng_seed: int = 0, max_radius: float = 1e3) -> float:
-    """Sampled minimal shift lam with A inside the shifted cone C(f, alpha) - lam*x0.
+def epsilon_alpha(A, f, alpha: float, n_boundary: int = 2000, rng_seed: int = 0) -> float:
+    """Sampled minimal shift lam with A inside the shifted cone C(f, alpha) - lam*f.
 
     The set must already be translated and oriented so that 0 is in A and
     f attains its infimum over A at 0.  Returns the supremum of the
     per-sample minimal shifts over boundary-biased samples of A (a lower
     estimate of the true value, converging from below as n_boundary
-    grows); unbounded sets against the cone report math.inf.
+    grows).  The cone shifts along f itself: a unit x0 with f(x0) = 1 is
+    f by Cauchy-Schwarz, so there is no separate shift direction to pass.
     """
     f = as_point(f)
-    x0 = as_point(x0, dim=f.size)
-    if abs(float(np.linalg.norm(f)) - 1.0) > 1e-9 or abs(float(np.linalg.norm(x0)) - 1.0) > 1e-9:
-        raise ValueError("f and x0 must be unit vectors")
-    if abs(float(np.dot(f, x0)) - 1.0) > 1e-9:
-        raise ValueError("x0 must satisfy f(x0) = 1")
-    return _cone_shifts(A, f, x0, (alpha,), n_boundary, rng_seed, max_radius)[0]
+    if abs(float(np.linalg.norm(f)) - 1.0) > 1e-9:
+        raise ValueError("f must be a unit vector")
+    return _cone_shifts(A, f, (alpha,), n_boundary, rng_seed)[0]
 
 
-def _cone_shifts(A, f, x0, alphas, n_boundary, rng_seed, max_radius=1e3) -> list:
-    """``epsilon_alpha`` at each of ``alphas``, from one boundary sample of A."""
+def _cone_shifts(A, f, alphas, n_boundary, rng_seed) -> list:
+    """``epsilon_alpha`` at each of ``alphas``, from one boundary sample of A.
+
+    The samples project Gaussian draws at 16 scales from 0.5 to 1e3; P_A is
+    nonexpansive and 0 is in A (to 1e-7), so ||a|| <= ||draw|| + 2e-7 and
+    every shift is finite.  The shift runs along f, the only unit x0 with
+    f(x0) = 1, so no x0 is taken.
+    """
     if not all(0.0 < alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must lie in (0, 1)")
     if not A.membership(np.zeros(f.size), 1e-7):
         raise ValueError("0 must belong to the (pre-translated) set")
     rng = np.random.default_rng(rng_seed)
-    scales = np.geomspace(0.5, max_radius, 16)
+    scales = np.geomspace(0.5, 1e3, 16)
     s = scales[np.arange(n_boundary) % len(scales)]
     a = A.project_many(rng.standard_normal((n_boundary, f.size)) * s[:, None])
-    fa = np.vecdot(a, f)
-    wrong, eps = fa < -1e-7, []
-    for alpha in alphas:
-        lam = _min_shifts_into_cone(np.where(fa < 0.0, 0.0, fa), a, x0, alpha)
-        # the first sample off orientation or with no finite shift decides, as in a scan
-        flagged = wrong | (lam == math.inf)
-        if flagged.any() and wrong[int(np.argmax(flagged))]:
-            raise ValueError("f does not attain its infimum over the set at 0")
-        eps.append(math.inf if flagged.any() else float(lam.max(initial=0.0)))
-    return eps
+    if (np.vecdot(a, f) < -1e-7).any():
+        raise ValueError("f does not attain its infimum over the set at 0")
+    return _shifts_into_cone(a, f, alphas).max(axis=0, initial=0.0).tolist()
 
 
 def _diameter(pts) -> float:
@@ -311,7 +293,7 @@ def strongly_exposes_probe(A, f, alphas, n_samples: int = _EXPOSURE_SAMPLES,
     sup = A.support_value(f)  # slice_sample's, taken once for every alpha
     diams = tuple(_diameter(_slice(A, f, sup, alpha, n_samples, rng_seed + i))
                   for i, alpha in enumerate(alphas))
-    eps_vals = tuple(_cone_shifts(translated, fprime, fprime, alphas, n_samples, rng_seed))
+    eps_vals = tuple(_cone_shifts(translated, fprime, alphas, n_samples, rng_seed))
     ratios = tuple(e / a for e, a in zip(eps_vals, alphas))
     return ExposureProbe(alphas=alphas, eps_of_alpha=eps_vals, slice_diams=diams, ratios=ratios)
 

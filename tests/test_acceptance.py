@@ -307,8 +307,8 @@ def test_criterion_8_probes():
     alphas = [0.2, 0.1, 0.05, 0.025]
     disc = Ball(np.array([0.0, 1.0]), 1.0)
     f_up = np.array([0.0, 1.0])
-    disc_ratios = [epsilon_alpha(disc, f_up, f_up, a, n_boundary=1500,
-                                 rng_seed=47) / a for a in alphas]
+    disc_ratios = [epsilon_alpha(disc, f_up, a, n_boundary=1500, rng_seed=47) / a
+                   for a in alphas]
     disc_decreasing = all(r1 > r2 for r1, r2 in zip(disc_ratios, disc_ratios[1:]))
 
     flat = strongly_exposes_probe(

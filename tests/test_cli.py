@@ -660,6 +660,20 @@ def test_exposure_probe_reports_the_library_default_sample_count(tmp_path):
     assert report["n_samples"] == signature.parameters["n_samples"].default
 
 
+def test_aw_probe_reports_the_library_default_sample_count(tmp_path):
+    """An aw probe without n_samples draws aw_distance's default count, 1500 as
+    the CLI always took it, and reports aw_distance's own estimate."""
+    moved = {"kind": "ball", "center": [0.5, 0.0], "radius": 1.0}
+    cfg = write_config(tmp_path, {"kind": "probe", "params": {
+        "probe": "aw", "A": BALL, "C": moved, "N": 2}})
+    assert main(["probe", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    result = json.loads(next((tmp_path / "o").glob("*.json")).read_text())["result"]
+    signature = inspect.signature(altproj.variational.aw_distance)
+    assert result["n_samples"] == signature.parameters["n_samples"].default == 1500
+    A, C = (altproj.sets.set_from_dict(S) for S in (BALL, moved))
+    assert result == asdict(altproj.variational.aw_distance(A, C, 2))
+
+
 @pytest.mark.parametrize("d", [4, 6])
 def test_exposure_probe_on_a_box_beyond_three_dimensions(tmp_path, capsys, d):
     """A box in R^4 or R^6 has a support point along f, so its exposure probe

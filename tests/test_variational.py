@@ -6,7 +6,8 @@ import pytest
 from altproj.constructions import stable_scenario
 from altproj.sets import (Ball, DiagonalAffineGraph, Halfspace, OrthoSubspace, Polygon2D,
                           Polyhedron, SamplerFailure, slice_sample)
-from altproj.variational import (AwEstimate, ExposureProbe, _diameter,
+from altproj.geometry import row_norms
+from altproj.variational import (AwEstimate, ExposureProbe, _diameter, _shifts_into_cone,
                                  aw_distance, epsilon_alpha, exposure_frame, omega_angle,
                                  separation_constants, strongly_exposes_probe)
 
@@ -58,7 +59,7 @@ def test_aw_graph_pair_bound_and_sampled():
     N = 3
     bound = aw_distance(W, Wn, N)
     expected = N * float(np.max(np.abs(D - Dn))) + float(np.linalg.norm(bn))
-    assert bound.mode == "exact"
+    assert (bound.mode, bound.n_samples) == ("bound", 0)
     assert bound.h_N == pytest.approx(expected, rel=1e-12)
     sampled = sampled_aw_distance(W, Wn, N, n_samples=800, rng_seed=5)
     assert sampled.h_N <= bound.h_N + 1e-9
@@ -166,7 +167,7 @@ def test_epsilon_alpha_disc_matches_exact_table():
     disc = Ball(np.array([0.0, 1.0]), 1.0)
     f = np.array([0.0, 1.0])
     for alpha in (0.2, 0.1, 0.05, 0.025):
-        est = epsilon_alpha(disc, f, f, alpha, n_boundary=2000, rng_seed=3)
+        est = epsilon_alpha(disc, f, alpha, n_boundary=2000, rng_seed=3)
         exact = disc_min_shift_exact(alpha)
         assert est <= exact + 1e-9          # sampled from below
         assert est >= exact - 5e-4          # dense enough to approach it
@@ -175,7 +176,7 @@ def test_epsilon_alpha_disc_matches_exact_table():
 def test_epsilon_alpha_ratios_decrease_on_disc():
     disc = Ball(np.array([0.0, 1.0]), 1.0)
     f = np.array([0.0, 1.0])
-    ratios = [epsilon_alpha(disc, f, f, a, n_boundary=1200, rng_seed=7) / a
+    ratios = [epsilon_alpha(disc, f, a, n_boundary=1200, rng_seed=7) / a
               for a in (0.2, 0.1, 0.05, 0.025)]
     assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
 
@@ -187,7 +188,7 @@ def test_epsilon_alpha_monotone_in_alpha_same_seed():
     low = poly.vertices[np.argmin(poly.vertices @ f)]
     shifted = poly.translate(-low)
     alphas = [0.4, 0.3, 0.2, 0.1]
-    eps = [epsilon_alpha(shifted, f, f, a, n_boundary=500, rng_seed=11) for a in alphas]
+    eps = [epsilon_alpha(shifted, f, a, n_boundary=500, rng_seed=11) for a in alphas]
     assert all(e1 >= e2 - 1e-12 for e1, e2 in zip(eps, eps[1:]))
 
 
@@ -196,35 +197,93 @@ def test_epsilon_alpha_supporting_halfspace_ratio_stays_large():
     hs = Halfspace(np.array([0.0, -1.0]), 0.0)  # {x2 >= 0}
     f = np.array([0.0, 1.0])
     for alpha in (0.2, 0.05):
-        est = epsilon_alpha(hs, f, f, alpha, n_boundary=600, rng_seed=1)
+        est = epsilon_alpha(hs, f, alpha, n_boundary=600, rng_seed=1)
         assert est / alpha >= 100.0
 
 
-def test_epsilon_alpha_terminates_where_doubles_are_coarser_than_the_tolerance():
-    # shifts near 2e6, where adjacent doubles are 4.7e-10 apart: a bracket
-    # can stop shrinking before it is 1e-10 wide
-    R, alpha = 1e4, 0.99999
-    disc = Ball(np.array([0.0, R]), R)
+def test_epsilon_alpha_disc_stays_below_the_exact_shift_at_every_scale():
+    """Discs of radius 1e-6 to 1e3 resting at 0: the sampled shift is below
+    R(1/sqrt(1 - alpha^2) - 1) and near it, up to shifts of 2e5 at alpha near 1."""
     f = np.array([0.0, 1.0])
-    est = epsilon_alpha(disc, f, f, alpha, n_boundary=200, rng_seed=0, max_radius=R)
-    assert 1e6 < est <= R * disc_min_shift_exact(alpha)
+    for R in (1e-6, 1e-3, 1.0, 1e3):
+        disc = Ball(np.array([0.0, R]), R)
+        for alpha in (0.2, 0.9, 0.99999):
+            est = epsilon_alpha(disc, f, alpha, n_boundary=200)
+            assert 0.9 * R * disc_min_shift_exact(alpha) <= est <= R * disc_min_shift_exact(alpha)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_epsilon_alpha_ball_stays_below_the_exact_shift(d):
+    """A ball of radius r resting at 0 on the unit f needs the shift
+    r(1/sqrt(1 - alpha^2) - 1) in every dimension: the plane through f and
+    the worst point cuts the disc of that formula."""
+    rng = np.random.default_rng(20 + d)
+    f = rng.standard_normal(d)
+    f /= np.linalg.norm(f)
+    r = float(rng.uniform(0.5, 3.0))
+    for alpha, share in ((0.2, 0.99), (0.05, 0.0)):  # a thin cap is seldom sampled
+        est = epsilon_alpha(Ball(r * f, r), f, alpha, n_boundary=2000, rng_seed=d)
+        exact = r * disc_min_shift_exact(alpha)
+        assert share * exact <= est <= exact + 1e-12
+
+
+def test_exposure_probe_box_corner_needs_no_shift():
+    """The corner of [-1, 1]^4 along f = (1, .5, .5, .5) lies in the cone of every
+    alpha below 0.5/||f|| = 0.378, so the true shift is 0; the closed form
+    gives it to rounding."""
+    box = Polyhedron(np.vstack([np.eye(4), -np.eye(4)]), np.ones(8), witness=np.zeros(4))
+    for seed in range(3):
+        probe = strongly_exposes_probe(box, [1.0, 0.5, 0.5, 0.5], [0.2, 0.1], n_samples=100,
+                                       rng_seed=seed)
+        assert all(0.0 <= e <= 1e-12 for e in probe.eps_of_alpha)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_shifts_into_cone_reach_the_cone_boundary_and_no_less(d):
+    """The closed-form shift lam* of a point a: for lam* > 0, a + lam*f is on the
+    boundary of C(f, alpha) = {<f, x> >= alpha||x||} to rounding of ||a|| + lam*,
+    and a + (lam* - delta)f is outside it, where delta is the step that the
+    slope 1 - alpha^2 of <f, x> - alpha||x|| at the boundary needs to clear
+    that rounding; for lam* = 0, a is in the cone to rounding."""
+    rng = np.random.default_rng(d)
+    f = rng.standard_normal(d)
+    f /= np.linalg.norm(f)
+    n = 3000
+    a = rng.standard_normal((n, d)) * np.geomspace(1e-6, 1e3, n)[rng.permutation(n), None]
+    a[::3] += rng.uniform(-1.0, 20.0, (len(a[::3]), 1)) * row_norms(a[::3])[:, None] * f
+    a[1::50] = rng.uniform(-1e3, 1e3, (len(a[1::50]), 1)) * f  # on the axis
+    alphas = (1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9)
+    lam = _shifts_into_cone(a, f, alphas)
+    assert lam.shape == (n, len(alphas)) and np.isfinite(lam).all() and (lam >= 0.0).all()
+
+    def defect(shift, alpha):
+        x = a + shift[:, None] * f
+        return np.vecdot(x, f) - alpha * row_norms(x)
+
+    scale = row_norms(a)[:, None] + lam
+    for j, alpha in enumerate(alphas):
+        tol = 1e-14 * scale[:, j]
+        moved, at_rest = lam[:, j] > 0.0, lam[:, j] == 0.0
+        assert moved.sum() > n // 10 and at_rest.sum() > 20
+        assert (np.abs(defect(lam[:, j], alpha)) <= tol)[moved].all()
+        delta = 4.0 * tol / ((1.0 - alpha) * (1.0 + alpha))
+        assert (defect(lam[:, j] - delta, alpha) < 0.0)[moved].all()
+        assert (defect(lam[:, j], alpha) >= -tol)[at_rest].all()
 
 
 def test_epsilon_alpha_singleton_is_zero():
     origin = Polygon2D([(0.0, 0.0)])
     f = np.array([0.0, 1.0])
-    assert epsilon_alpha(origin, f, f, 0.3, n_boundary=50, rng_seed=0) == 0.0
+    assert epsilon_alpha(origin, f, 0.3, n_boundary=50, rng_seed=0) == 0.0
 
 
 def test_epsilon_alpha_validates_orientation():
     disc = Ball(np.array([0.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
-        epsilon_alpha(disc, np.array([0.0, -1.0]), np.array([0.0, -1.0]), 0.1,
-                      n_boundary=50, rng_seed=0)
+        epsilon_alpha(disc, np.array([0.0, -1.0]), 0.1, n_boundary=50, rng_seed=0)
     shifted = Ball(np.array([0.0, 2.0]), 1.0)  # 0 not in the set
     with pytest.raises(ValueError):
-        epsilon_alpha(shifted, np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.1,
-                      n_boundary=50, rng_seed=0)
+        epsilon_alpha(shifted, np.array([0.0, 1.0]), 0.1, n_boundary=50, rng_seed=0)
 
 
 def test_exposure_probe_disc_shrinks():
@@ -511,9 +570,11 @@ def _excess_one_at_a_time(A, C, N, n_samples, rng):
     return max(float(C.distance(x)) for x in pts)
 
 
-def _epsilon_one_at_a_time(A, f, alpha, n_boundary, rng_seed, max_radius=1e3):
+def _epsilon_one_at_a_time(A, f, alpha, n_boundary, rng_seed):
+    """epsilon_alpha by bisection, one sample at a time: each shift is the upper
+    end of a bracket narrower than 1e-10."""
     rng = np.random.default_rng(rng_seed)
-    scales = np.geomspace(0.5, max_radius, 16)
+    scales = np.geomspace(0.5, 1e3, 16)
     best = 0.0
     for i in range(n_boundary):
         a = A.project(rng.standard_normal(f.size) * scales[i % len(scales)])
@@ -533,6 +594,8 @@ def _epsilon_one_at_a_time(A, f, alpha, n_boundary, rng_seed, max_radius=1e3):
 
 
 def test_batched_samplers_equal_one_at_a_time_loops(rng):
+    """The Attouch-Wets sampler equals its loop bit for bit; the closed-form
+    epsilon_alpha lies in the loop's bisection bracket, to rounding."""
     for _ in range(6):
         A = polygon_containing_ball(rng)
         C = polygon_containing_ball(rng)
@@ -547,8 +610,9 @@ def test_batched_samplers_equal_one_at_a_time_loops(rng):
         disc = Ball(np.array([0.0, r]), r)
         for S in (low, disc):
             alpha = float(rng.uniform(0.05, 0.9))
-            assert (epsilon_alpha(S, f, f, alpha, n_boundary=n, rng_seed=seed)
-                    == _epsilon_one_at_a_time(S, f, alpha, n, seed))
+            ref = _epsilon_one_at_a_time(S, f, alpha, n, seed)
+            est = epsilon_alpha(S, f, alpha, n_boundary=n, rng_seed=seed)
+            assert ref - 1e-10 - 1e-12 <= est <= ref + 1e-12
 
 
 def test_zero_support_direction_is_rejected():
@@ -584,7 +648,7 @@ def test_exposure_probe_takes_support_and_boundary_sample_once(alphas, monkeypat
     probe = strongly_exposes_probe(disc, [0.0, -1.0], alphas, n_samples=60, rng_seed=4)
     assert (len(values), len(batches)) == (1, 1)
     translated, unit = exposure_frame(disc, [0.0, -1.0])
-    assert probe.eps_of_alpha == tuple(epsilon_alpha(translated, unit, unit, a, n_boundary=60,
+    assert probe.eps_of_alpha == tuple(epsilon_alpha(translated, unit, a, n_boundary=60,
                                                      rng_seed=4) for a in alphas)
 
 
