@@ -208,12 +208,6 @@ class Trace:
         return [bl for bl in self.blocks if bl.advance in ("predicate", "length")]
 
 
-def _norm(v) -> float:
-    """``float(np.linalg.norm(v))`` of a 1-D float64 array, bit for bit: the
-    same ``v.dot(v)`` and square root, without its argument dispatch."""
-    return math.sqrt(v.dot(v))
-
-
 def run_perturbed(schedule, cfg: RunConfig) -> Trace:
     """Run the two-step projection recursion under a schedule.
 
@@ -236,7 +230,7 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
     log_block_ends, advance = getattr(schedule, "log_block_ends", True), schedule.advance
     sqrt, target = math.sqrt, cfg.target
 
-    def log(n, bid, bstep, a, b, prev_a):  # each norm is _norm's sqrt(v.dot(v)), inlined
+    def log(n, bid, bstep, a, b, prev_a):  # each norm is float(np.linalg.norm(v)) bit for bit
         t = None if target is None else a - target
         dist = None if t is None else sqrt(t.dot(t))
         r, g = a - prev_a, a - b
@@ -289,7 +283,8 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
 
         cause = advance(block_id, block_step, a_n)
         halt = cause == "budget"
-        residual_stop = stop_residual is not None and _norm(a_n - prev) < stop_residual
+        residual_stop = (stop_residual is not None
+                         and float(np.linalg.norm(a_n - prev)) < stop_residual)
         if (cause is not None and log_block_ends or n == max_iter or residual_stop
                 or n % stride == 0 or n == 1 or n in indices):
             log(n, block_id, block_step, a_n, point_b(prev) if b_n is None else b_n, prev)

@@ -255,7 +255,7 @@ class Ball(ConvexSet):
     def project(self, x):
         x = as_point(x, dim=self.dim)
         d = x - self.center
-        n = math.sqrt(d.dot(d))  # float(np.linalg.norm(d)) bit for bit, as engine._norm
+        n = math.sqrt(d.dot(d))  # float(np.linalg.norm(d)) bit for bit
         if n <= self.radius:
             return x.copy()
         return self.center + (self.radius / n) * d
@@ -620,7 +620,9 @@ class DiagonalAffineGraph(ConvexSet):
         ``run(p, k)`` takes that step up to k times from p in reused buffers, and returns a
         new array, the a_n after the j steps taken, and j: it stops before a step whose x.x
         is not <= 1e300, which keeps b_n finite (see README), for the caller to project
-        twice and fail as before.  ``point_b(p)`` is b_n."""
+        twice and fail as before.  As 1 + theta^2 >= 1, every step j obeys |x_j| <=
+        (|x_0| + j|c|)(1 + u)^(2j), so a call whose b = |x_0| + k|c| has b.b <= 1e299
+        tests no step.  ``point_b(p)`` is b_n."""
         d, coords = self.half_dim, getattr(A, "_coords", None)
         if (getattr(A, "kind", None) != "ortho_subspace" or A.dim != 2 * d or coords is None
                 or not np.array_equal(np.sort(coords), np.arange(d)) or prev.shape != (2 * d,)
@@ -632,9 +634,12 @@ class DiagonalAffineGraph(ConvexSet):
             a, t = np.zeros(2 * d), np.empty(d)
             x = a[:d]
             x[:] = p[:d]
+            with np.errstate(over="ignore"):  # an overflowed or NaN b tests every step
+                b = abs(x) + k * abs(c)
+                safe = b.dot(b) <= 1e299  # the factor 10 covers the rounding for k < 1e15
             for j in range(k):
                 divide(add(x, c, out=t), den, out=t)
-                if not t.dot(t) <= 1e300:
+                if not (safe or t.dot(t) <= 1e300):
                     return a, j
                 add(t, 0.0, out=x)  # A.project's +0.0 for a -0.0
             return a, k

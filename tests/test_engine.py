@@ -10,7 +10,7 @@ import altproj.engine as engine
 from altproj.constructions import stable_scenario
 from altproj.engine import (Adaptive, BlockLog, Blocks, Constant, PerStep,
                             ProjectionStepError, RunConfig, Trace, TraceRecord, run_classical,
-                            run_perturbed, _norm, trace_to_csv, trace_to_json)
+                            run_perturbed, trace_to_csv, trace_to_json)
 from altproj.sets import Ball, DiagonalAffineGraph, OrthoSubspace
 
 
@@ -471,12 +471,13 @@ def test_runconfig_validation():
 
 
 def test_norm_bit_equal_to_linalg_norm():
-    """engine._norm gives the bits of float(np.linalg.norm(v)) it replaces."""
+    """math.sqrt(v.dot(v)), which ``log`` and ``Ball.project`` inline, gives the bits
+    of float(np.linalg.norm(v))."""
     rng = np.random.default_rng(8)
     for _ in range(5000):
         size = int(rng.integers(1, 20))
         v = rng.standard_normal(size) * 10.0 ** rng.uniform(-150, 150)
-        assert _norm(v) == float(np.linalg.norm(v))
+        assert math.sqrt(v.dot(v)) == float(np.linalg.norm(v))
 
 
 class _CountingSchedule:
@@ -595,10 +596,19 @@ def _graph(rng, d):
     """A graph of seeded entries; raises ValueError where its 1 + theta^2 overflows.  One
     in six has theta of 1e-5 to 1e-4 and an offset of about 1e153, so that each step adds
     about theta * offset (1e147.5 to 1e149.5) to x, whose x.x passes 1e300 within a few
-    hundred steps, while the records' norms of b stay finite."""
-    if rng.random() < 1 / 6:
+    hundred steps, while the records' norms of b stay finite.  One in six has |theta|
+    below 1e-8, where 1 + theta^2 is exactly 1.0, so each step adds c = -theta * offset
+    to x and no more.  One in eight has theta of -1e4 to -1e8 and a zero offset, so
+    c = -0.0, and x shrinks by 1e8 to 1e16 a step until a negative x underflows to -0.0."""
+    pick = rng.random()
+    if pick < 1 / 6:
         return DiagonalAffineGraph(rng.uniform(1e-5, 1e-4, d), rng.choice([-1.0, 1.0], d)
                                    * 10.0 ** rng.uniform(152.5, 153.5, d))
+    if pick < 1 / 3:
+        tiny = rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-12.0, -8.0, d)
+        return DiagonalAffineGraph(tiny, _entries(rng, d))
+    if pick < 1 / 3 + 1 / 8:
+        return DiagonalAffineGraph(-(10.0 ** rng.uniform(4.0, 8.0, d)), np.zeros(d))
     theta = np.zeros(d) if rng.random() < 0.1 else _entries(rng, d)
     offset = np.zeros(d) if rng.random() < 0.1 else _entries(rng, d)
     return DiagonalAffineGraph(theta, offset)
@@ -610,7 +620,11 @@ def _growth_case(rng):
     and at up to three record_indices, with a max_iter that may end a Blocks schedule
     early.  Some blocks use X's basis rows permuted (fused too), the whole space (whose
     iterates leave a nonzero second factor to the next block), d other unit vectors or
-    R^(2d+1) (neither fused); some starts have a second factor that is nonzero or -0.0."""
+    R^(2d+1) (neither fused); some starts have a second factor that is nonzero or -0.0.
+    One in six runs a single graph with theta of 1e-5 to 1e-4 from an x of x.x 1e298.7
+    to 1e299.02, whose c, of x's signs, adds 1e-3.5 to 1e-1 of x a step: the runner's
+    bound b.b (see ``pair_step``) lands just below and just above 1e299, and x.x may
+    pass 1e300 some steps later."""
     d = int(rng.integers(1, 5))
     first, unit = OrthoSubspace(np.eye(d, 2 * d)), np.eye(2 * d)
     others = (OrthoSubspace(unit[rng.permutation(d)]), OrthoSubspace(unit),
@@ -619,7 +633,12 @@ def _growth_case(rng):
     tail = rng.random()
     second = (np.zeros(d) if tail < 0.6 else np.full(d, -0.0) if tail < 0.75
               else _entries(rng, d))
-    graphs = [_graph(rng, d) for _ in range(int(rng.integers(1, 4)))]
+    graphs, head = [_graph(rng, d) for _ in range(int(rng.integers(1, 4)))], _entries(rng, d)
+    if rng.random() < 1 / 6:
+        head = rng.choice([-1.0, 1.0], d) * 10.0 ** (149.5 - 0.5 * math.log10(d)
+                                                     + rng.uniform(-0.15, 0.01, d))
+        theta, step = rng.uniform(1e-5, 1e-4, d), 10.0 ** rng.uniform(-3.5, -1.0, d)
+        graphs = [DiagonalAffineGraph(theta, -head * step / theta)] * 3
     kind = rng.integers(3)
     if kind == 1:
         schedule = Blocks(tuple((others[int(rng.integers(4))] if rng.random() < 0.3 else first,
@@ -627,7 +646,7 @@ def _growth_case(rng):
         max_iter = int(rng.integers(1, schedule.total_length + 20))
     else:
         max_iter = int(rng.integers(1, 200))
-    cfg = RunConfig(start=np.concatenate((_entries(rng, d), second)), max_iter=max_iter,
+    cfg = RunConfig(start=np.concatenate((head, second)), max_iter=max_iter,
                     record_stride=int(rng.integers(1, 51)),
                     record_indices=frozenset(rng.integers(1, max_iter + 1, rng.integers(4))))
     if kind == 0:
