@@ -265,7 +265,7 @@ def ell2_start_alphas(d: int, start=None) -> np.ndarray:
     start = as_point(default_start_alphas(d) if start is None else start, dim=d)
     if np.any(start <= 0.0):
         raise ValueError("start coordinates must be strictly positive")
-    if float(np.linalg.norm(start)) >= 1.0:
+    if np.any(start >= 1.0) or float(np.linalg.norm(start)) >= 1.0:  # entries < 1: no overflow
         raise ValueError("start must have norm < 1")
     return start
 

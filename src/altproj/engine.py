@@ -267,7 +267,7 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
                             else max_iter)  # the block's last step, if by_length
 
         if run and by_length:
-            # up to the next record or block end; a step whose x.x > 1e300 is left to below
+            # up to the next record or block end; a chunk the bound refuses is left to below
             k = min(last, -(-n // stride) * stride, marks[bisect_left(marks, n)]) - n
             if k:
                 prev, j = run(prev, k)

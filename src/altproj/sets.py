@@ -617,12 +617,13 @@ class DiagonalAffineGraph(ConvexSet):
         """``(run, point_b)`` for the pair (A, self) when A is the first factor X (+) {0}
         and prev's second factor is +0.0 bit for bit, else None.  ``project`` is then
         x = (p[:d] + c) / _denom, c = theta * (0.0 - offset), and ``A.project`` (x + 0.0, 0).
-        ``run(p, k)`` takes that step up to k times from p in reused buffers, and returns a
-        new array, the a_n after the j steps taken, and j: it stops before a step whose x.x
-        is not <= 1e300, which keeps b_n finite (see README), for the caller to project
-        twice and fail as before.  As 1 + theta^2 >= 1, every step j obeys |x_j| <=
-        (|x_0| + j|c|)(1 + u)^(2j), so a call whose b = |x_0| + k|c| has b.b <= 1e299
-        tests no step.  ``point_b(p)`` is b_n."""
+        ``run(p, k)`` takes k such steps from p in place on a new array and returns it and
+        k, adding +0.0 once at the end: equal inputs give numerically equal x + c and
+        (x + c) / _denom, so a +0.0 per step could only change the sign of a zero.  As
+        1 + theta^2 >= 1, step j obeys |x_j| <= (|x_0| + j|c|)(1 + u)^(2j), so b = |x_0| +
+        k|c| with b.b <= 1e299 gives every x_j x.x <= 1e300, which keeps b_n finite (see
+        README); else, an overflowed or NaN b too, run takes no step and returns (p, 0),
+        for the caller to project twice.  ``point_b(p)`` is b_n."""
         d, coords = self.half_dim, getattr(A, "_coords", None)
         if (getattr(A, "kind", None) != "ortho_subspace" or A.dim != 2 * d or coords is None
                 or not np.array_equal(np.sort(coords), np.arange(d)) or prev.shape != (2 * d,)
@@ -631,17 +632,15 @@ class DiagonalAffineGraph(ConvexSet):
         c, den, add, divide = self.theta * (0.0 - self.offset), self._denom, np.add, np.divide
 
         def run(p, k):
-            a, t = np.zeros(2 * d), np.empty(d)
+            with np.errstate(over="ignore"):  # an overflowed or NaN b is refused
+                b = abs(p[:d]) + k * abs(c)
+                if not b.dot(b) <= 1e299:  # the factor 10 covers the rounding for k < 1e15
+                    return p, 0
+            a = np.concatenate((p[:d], np.zeros(d)))
             x = a[:d]
-            x[:] = p[:d]
-            with np.errstate(over="ignore"):  # an overflowed or NaN b tests every step
-                b = abs(x) + k * abs(c)
-                safe = b.dot(b) <= 1e299  # the factor 10 covers the rounding for k < 1e15
-            for j in range(k):
-                divide(add(x, c, out=t), den, out=t)
-                if not (safe or t.dot(t) <= 1e300):
-                    return a, j
-                add(t, 0.0, out=x)  # A.project's +0.0 for a -0.0
+            for _ in range(k):
+                divide(add(x, c, x), den, x)
+            add(x, 0.0, x)  # A.project's +0.0 for a -0.0
             return a, k
 
         def point_b(p):

@@ -602,6 +602,19 @@ def test_huge_basis_entry_is_not_orthonormal_where_warnings_are_errors(tmp_path,
         assert f"config field '{field}'" in err and "basis is not orthonormal" in err, err
 
 
+def test_huge_ell2_start_names_start_where_warnings_are_errors(tmp_path, capsys):
+    """A start entry of 1e200 overflows the norm's dot product; validate and run still
+    exit 1 naming params.start, with its message, where numpy's warnings are errors."""
+    cfg = write_config(tmp_path, {"kind": "ell2", "params": {"d": 8, "H": 4,
+                                                             "start": [1e200] * 8}})
+    for cmd in ("validate", "run"):
+        assert _main_where_warnings_are_errors(
+            [cmd, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'params.start': start must have norm < 1" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("scenario_params", [{"a": [1, 2], "b": 1e-7},
                                              {"a": [1, -1e-310], "b": -1}])
 def test_orthant_halfspace_meeting_the_open_orthant_validates_and_runs(tmp_path, capsys,

@@ -679,8 +679,8 @@ def test_fused_growth_step_matches_the_two_projections(monkeypatch):
     runs unlogged steps in one call (Constant and Blocks) and when it runs one step at
     a time (Adaptive, and every logged step).  Seeded cases cover theta = 0, offset 0,
     -0.0 coordinates, starts whose second factor is nonzero or -0.0, magnitudes near
-    1e308, and runs whose x.x passes 1e300 between two records, where the call stops
-    short.  A case whose graph has a 1 + theta^2 that overflows is refused when built."""
+    1e308, and runs whose bound passes 1e299 between two records, where the call is
+    refused.  A case whose graph has a 1 + theta^2 that overflows is refused when built."""
     rng = np.random.default_rng(2718)
     real, taken, calls = DiagonalAffineGraph.pair_step, [], []
 
@@ -715,7 +715,7 @@ def test_fused_growth_step_matches_the_two_projections(monkeypatch):
         errors += isinstance(fused[1], int)
     assert 50 < refused < 200 and 50 < errors < 350 and 100 < sum(taken) < len(taken)
     chunks = [(k, j) for k, j in calls if k > 1]  # the calls that run unlogged steps
-    assert len(chunks) > 1000 and sum(0 < j < k for k, j in chunks) > 10
+    assert len(chunks) > 1000 and sum(j == 0 for k, j in chunks) > 10
 
 
 def test_fused_steps_build_each_record_through_trace_record_in_order(monkeypatch):
@@ -737,20 +737,30 @@ def test_fused_steps_build_each_record_through_trace_record_in_order(monkeypatch
     assert built == [r.n for r in trace.records] == [1, 3, 7, 10, 11, 14, 21, 25, 28, 35, 40]
 
 
-@pytest.mark.parametrize("second, generic_steps", [(0.0, 0), (-0.0, 4), (1.0, 4)])
-def test_fused_blocks_take_no_projection(monkeypatch, second, generic_steps):
+@pytest.mark.parametrize("head, second, generic_steps",
+                         [(1.0, 0.0, 0), (1.0, -0.0, 4), (1.0, 1.0, 4), (1e150, 0.0, 6)],
+                         ids=["0.0-0", "-0.0-4", "1.0-4", "1e150-0.0-6"])
+def test_fused_blocks_take_no_projection(monkeypatch, head, second, generic_steps):
     """A block of the growth pair entered with a +0.0 second factor calls neither
     ``project``; one entered otherwise takes both at each of its steps, and
-    leaves +0.0 to the next block."""
-    calls = []
+    leaves +0.0 to the next block.  From x.x = 1e300 the runner's bound refuses
+    every call until x has shrunk under it: the first six steps, chunks among them,
+    take both projections, and the later ones neither."""
+    calls, seen = [], []
     for cls in (OrthoSubspace, DiagonalAffineGraph):
         def counted(self, x, real=cls.project, name=cls.__name__):
             calls.append(name)
+            if name == "DiagonalAffineGraph":
+                seen.append(x.tobytes())
             return real(self, x)
         monkeypatch.setattr(cls, "project", counted)
     X = OrthoSubspace(np.eye(2, 4))
     G = DiagonalAffineGraph(np.array([0.5, -2.0]), np.array([1.0, 0.0]))
-    start = np.array([1.0, -2.0, second, 0.0])
-    trace = run_perturbed(Blocks(((X, G, 4), (X, G, 6))), RunConfig(start=start, max_iter=10))
-    assert trace.final.n == 10
+    start, schedule = np.array([head, -2.0, second, 0.0]), Blocks(((X, G, 4), (X, G, 6)))
+    every = run_perturbed(schedule, RunConfig(start=start, max_iter=10))
+    calls.clear()
+    seen.clear()
+    trace = run_perturbed(schedule, RunConfig(start=start, max_iter=10, record_stride=5))
+    assert trace.final.n == 10 and trace.final.a.tobytes() == every.final.a.tobytes()
     assert calls.count("OrthoSubspace") == calls.count("DiagonalAffineGraph") == generic_steps
+    assert seen == [p.tobytes() for p in [start] + [r.a for r in every.records]][:generic_steps]
