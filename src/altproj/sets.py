@@ -133,7 +133,7 @@ class ConvexSet:
         """Row i is ``project(X[i])``, for a (k, dim) array X.  The engine
         projects one point a step; only the sampled probes batch.  Of the
         benchmark workloads only the probe sweep does, on ``Polygon2D`` (about
-        41k rows a pass) and ``Ball`` (2.4k), so those two override this loop
+        41k rows a pass) and ``Ball`` (600), so those two override this loop
         with whole-array arithmetic that gives the same bits: row dot products
         by ``np.vecdot``, which sums in the order of the 1-D ``np.dot``, and
         row norms by ``row_norms``.  The config checks' few thousand subspace
@@ -775,6 +775,24 @@ def _polyhedron_unbounded_in(S: Polyhedron, f: np.ndarray) -> bool:
     return float(np.linalg.norm(S.normals.T @ lam - fhat)) > 1e-9
 
 
+def _recession_direction(S: Polyhedron, g, f):
+    """A unit d with <a, d> <= 0 for every normal a of S and <f, d> = 0, both to the
+    rounding 8 dim eps of a dot product of unit vectors, and <g, d> > 0 for the unit g:
+    a direction in f^perp along which S is unbounded, or None.  d is the Farkas
+    residual of g against the normals (see ``_polyhedron_unbounded_in``), refused when
+    below 1e-9 or when it fails the check, as a long thin polyhedron's can."""
+    try:
+        d = g - S.normals.T @ _nnls(S.normals.T, g)
+    except ProjectionCertificateError:  # an NNLS that does not finish proves nothing
+        return None
+    n, tol = float(np.linalg.norm(d)), 8.0 * S.dim * _EPS
+    d = d / (n or 1.0)
+    if (n > 1e-9 and (S.normals @ d).max() <= tol and abs(f @ d) <= tol * np.linalg.norm(f)
+            and g @ d > 0.0):
+        return tuple(d.tolist())
+    return None
+
+
 def _support_direction(f, dim: int) -> np.ndarray:
     """f as a point of R^dim to take a support point, slice or exposure in.
     Those divide by ||f||, so f must be nonzero and its norm must neither
@@ -793,98 +811,35 @@ def _support_direction(f, dim: int) -> np.ndarray:
 
 
 def slice_sample(S, f, alpha: float, n_samples: int, rng_seed: int) -> np.ndarray:
-    """Sample points of S lying within alpha of sup <f, .> over S.
+    """Sample points of S lying within alpha of sup <f, .> over S, by rejection over
+    projected Gaussians, of every kind alike.
 
-    The supporting face is always represented: the first returned point
-    attains the supremum where a support point is available.  Ball and
-    polygon slices are sampled directly (cap parametrization, halfplane
-    clip); other kinds fall back to rejection over projected Gaussians
-    with a finite budget.  Each round draws the random numbers of all its
-    points as whole arrays, so a seed fixes the result, and the points are
-    distributed as those of a one-at-a-time loop, not equal to them.
+    The support point comes first where S has one.  The draws are kept when
+    they lie in the slice, in rounds of as many draws as points are still
+    missing, up to 200 draws a point; when the budget runs out first, the
+    points found are repeated in turn.  A seed fixes the result.
     """
     f = _support_direction(f, S.dim)
-    return _slice(S, f, S.support_value(f), alpha, n_samples, rng_seed)
-
-
-def _slice(S, f, sup, alpha, n_samples, rng_seed):
-    """``slice_sample`` for a checked direction f and its support value sup over S."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    sup = S.support_value(f)
+    try:
+        found = [S.support_point(f)[None]]
+    except SupportUnavailable:
+        found = []
     rng = np.random.default_rng(rng_seed)
-    level = sup - alpha  # keep x with <f, x> >= level
-
-    if isinstance(S, Polygon2D):
-        return _polygon_slice(S, f, level, n_samples, rng)
-    if isinstance(S, Ball):
-        found, draw = [S.support_point(f)[None]], _cap_draws(S, f, level, rng)
-    else:  # boundary-biased samples
-        found, draw = [], lambda k: S.project_many(
-            rng.standard_normal((k, S.dim)) * (2.0 + abs(sup)))
-    # rejection in rounds of at most the number still missing
     count, tries, budget = len(found), 0, 200 * n_samples
     while count < n_samples and tries < budget:
         k = min(n_samples - count, budget - tries)
-        X = draw(k)
+        X = S.project_many(rng.standard_normal((k, S.dim)) * (2.0 + abs(sup)))
         tries += k
-        found.append(X[np.vecdot(X, f) >= level - 1e-12])
+        found.append(X[np.vecdot(X, f) >= sup - alpha - 1e-12])
         count += len(found[-1])
     if not count:
         raise SamplerFailure(f"no slice samples found within budget {budget}")
-    # when the budget ran out first, the points found are repeated in turn
     return np.concatenate(found)[np.arange(n_samples) % count]
-
-
-def _cap_draws(S: Ball, f, level: float, rng):
-    """draw(k), which gives up to k points c + r u of S near its cap {<f, x> >= level}
-    from k polar angles psi, k Gaussians whose parts tangent to f give the directions
-    (one below 1e-14 is dropped) and k radii: r with probability 0.7 (in the cap), else
-    r times a uniform to the power 1/d.  In one dimension the cap is a segment, drawn
-    uniformly."""
-    c, radius, d = S.center, S.radius, S.dim
-    nf = float(np.linalg.norm(f))
-    fhat = f / nf
-    # cos of the polar angle at which the sphere leaves the slice
-    cos_min = max(-1.0, (level - float(np.dot(f, c))) / (radius * nf))
-    if d == 1:
-        # every Gaussian is parallel to f there, so the cap has no tangent part
-        return lambda k: c + rng.uniform(min(cos_min, 1.0) * radius, radius, k)[:, None] * fhat
-    psi_max = float(np.arccos(np.clip(cos_min, -1.0, 1.0)))
-
-    def draw(k):
-        psi = psi_max * rng.random(k)
-        W = rng.standard_normal((k, d))
-        W -= np.vecdot(W, fhat)[:, None] * fhat
-        scale = radius * np.where(rng.random(k) < 0.7, 1.0, rng.random(k) ** (1.0 / d))
-        nw = row_norms(W)
-        keep = nw >= 1e-14
-        psi, W, scale = psi[keep, None], W[keep] / nw[keep, None], scale[keep, None]
-        return c + scale * (np.cos(psi) * fhat + np.sin(psi) * W)
-    return draw
-
-
-def _polygon_slice(S: Polygon2D, f, level: float, n_samples: int, rng) -> np.ndarray:
-    """The vertices of the clipped slice, then points on it: with
-    probability 1/2 (always for a segment) on an edge, at a uniform t from
-    a uniform vertex to the next, else a Dirichlet(1, ..., 1) combination of
-    all vertices.  A single vertex is repeated."""
-    clipped = _clip_polygon_halfplane(S.vertices, f, level)
-    m, k = len(clipped), n_samples - len(clipped)
-    if m == 0:
-        raise SamplerFailure("slice clipped to empty set")
-    if m == 1:
-        return np.repeat(clipped, n_samples, axis=0)
-    if k <= 0:
-        return clipped[:n_samples]
-    on_edge = (rng.random(k) < 0.5) | (m == 2)
-    I = rng.integers(m, size=int(on_edge.sum()))
-    T = rng.random(len(I))[:, None]
-    out = np.empty((k, 2))
-    out[on_edge] = (1 - T) * clipped[I] + T * clipped[(I + 1) % m]
-    out[~on_edge] = rng.dirichlet(np.ones(m), size=k - len(I)) @ clipped
-    return np.concatenate((clipped, out))
 
 
 def _clip_polygon_halfplane(vertices: np.ndarray, f: np.ndarray, level: float) -> np.ndarray:

@@ -3,8 +3,9 @@
 Everything here is a measurement, not a proof: localized-Hausdorff
 excesses are estimated from boundary-biased samples (closed forms, or a
 certified bound, are used where the set kinds admit them), exposure is
-probed through slice diameters and the largest closed-form cone shift
-over sampled points, and the subspace-angle machinery reduces to
+probed through slice diameters and least cone shifts, in closed form for
+balls and polygons and as certified brackets and sampled shifts for
+polyhedra, and the subspace-angle machinery reduces to
 singular values of a cross-Gram matrix.  All probes take explicit RNG
 seeds and report how they were computed.
 """
@@ -17,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import as_point, row_norms
-from .sets import (AffineSubspace, DiagonalAffineGraph, Halfspace,
-                   OrthoSubspace, SamplerFailure, _check_orthonormal, _slice, _support_direction)
+from .sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, OrthoSubspace,
+                   Polygon2D, Polyhedron, ProjectionCertificateError, SamplerFailure,
+                   SupportUnavailable, _check_orthonormal, _clip_polygon_halfplane,
+                   _recession_direction, _support_direction)
 
 
 @dataclass(frozen=True)
@@ -44,22 +47,40 @@ class AwEstimate:
 
 @dataclass(frozen=True)
 class ExposureProbe:
-    """Slice-diameter and cone-shift table over a decreasing alpha grid."""
+    """Slice-diameter and cone-shift table over a decreasing alpha grid.
+
+    ``diam_mode`` is "exact" for closed forms (balls, polygons) or "bounds": the
+    diameter lies in [slice_diams[i], slice_diams_upper[i]], whose upper end is inf
+    where a support run could not be certified (polyhedra).  ``eps_mode`` is "exact"
+    or "sampled", a lower bound from boundary samples; ``ratios`` share it.  Both
+    are inf at every alpha when the slices are unbounded, and ``recession`` is then
+    the checked direction in f^perp that shows it, else None.  ``slice_diams_upper``
+    defaults to ``slice_diams``.
+    """
 
     alphas: tuple
     eps_of_alpha: tuple
     slice_diams: tuple
     ratios: tuple
+    diam_mode: str = "exact"
+    eps_mode: str = "exact"
+    slice_diams_upper: tuple = None
+    recession: tuple = None
 
     def __post_init__(self):
+        if self.slice_diams_upper is None:
+            object.__setattr__(self, "slice_diams_upper", self.slice_diams)
         k = len(self.alphas)
-        if not (len(self.eps_of_alpha) == len(self.slice_diams) == len(self.ratios) == k):
+        if not (len(self.eps_of_alpha) == len(self.slice_diams) == len(self.ratios)
+                == len(self.slice_diams_upper) == k):
             raise ValueError("probe lists must be aligned")
         if any(self.alphas[i] <= self.alphas[i + 1] for i in range(k - 1)):
             raise ValueError("alphas must be strictly decreasing")
         # Shift requirements shrink with the cone: eps nondecreasing in alpha.
         if any(self.eps_of_alpha[i] + 1e-12 < self.eps_of_alpha[i + 1] for i in range(k - 1)):
             raise ValueError("eps(alpha) must be nondecreasing in alpha")
+        if any(not lo <= hi for lo, hi in zip(self.slice_diams, self.slice_diams_upper)):
+            raise ValueError("slice diameter brackets must have low <= high")
 
 
 @dataclass(frozen=True)
@@ -205,6 +226,33 @@ def _shifts_into_cone(a: np.ndarray, f: np.ndarray, alphas) -> np.ndarray:
     return np.maximum(0.0, p[:, None] * slopes - fa[:, None])
 
 
+def _check_alphas(alphas):
+    if not all(0.0 < alpha < 1.0 for alpha in alphas):
+        raise ValueError("alpha must lie in (0, 1)")
+
+
+def _boundary_sample(A, f, n_boundary, rng_seed) -> np.ndarray:
+    """n_boundary points of A in the probe's frame, which they test: 0 is in A
+    (to 1e-7) and f attains its infimum over A at 0 (no point has <f, a> < -1e-7).
+
+    The points project Gaussian draws at 16 scales from 0.5 to 1e3; P_A is
+    nonexpansive and 0 is in A, so ||a|| <= ||draw|| + 2e-7."""
+    if not A.membership(np.zeros(f.size), 1e-7):
+        raise ValueError("0 must belong to the (pre-translated) set")
+    rng = np.random.default_rng(rng_seed)
+    scales = np.geomspace(0.5, 1e3, 16)
+    s = scales[np.arange(n_boundary) % len(scales)]
+    a = A.project_many(rng.standard_normal((n_boundary, f.size)) * s[:, None])
+    if (np.vecdot(a, f) < -1e-7).any():
+        raise ValueError("f does not attain its infimum over the set at 0")
+    return a
+
+
+def _largest_shifts(a, f, alphas) -> list:
+    """The largest shift into C(f, alpha) over the points a, at each alpha."""
+    return _shifts_into_cone(a, f, alphas).max(axis=0, initial=0.0).tolist()
+
+
 def epsilon_alpha(A, f, alpha: float, n_boundary: int = 2000, rng_seed: int = 0) -> float:
     """Sampled minimal shift lam with A inside the shifted cone C(f, alpha) - lam*f.
 
@@ -218,54 +266,56 @@ def epsilon_alpha(A, f, alpha: float, n_boundary: int = 2000, rng_seed: int = 0)
     f = as_point(f)
     if abs(float(np.linalg.norm(f)) - 1.0) > 1e-9:
         raise ValueError("f must be a unit vector")
-    return _cone_shifts(A, f, (alpha,), n_boundary, rng_seed)[0]
-
-
-def _cone_shifts(A, f, alphas, n_boundary, rng_seed) -> list:
-    """``epsilon_alpha`` at each of ``alphas``, from one boundary sample of A.
-
-    The samples project Gaussian draws at 16 scales from 0.5 to 1e3; P_A is
-    nonexpansive and 0 is in A (to 1e-7), so ||a|| <= ||draw|| + 2e-7 and
-    every shift is finite.  The shift runs along f, the only unit x0 with
-    f(x0) = 1, so no x0 is taken.
-    """
-    if not all(0.0 < alpha < 1.0 for alpha in alphas):
-        raise ValueError("alpha must lie in (0, 1)")
-    if not A.membership(np.zeros(f.size), 1e-7):
-        raise ValueError("0 must belong to the (pre-translated) set")
-    rng = np.random.default_rng(rng_seed)
-    scales = np.geomspace(0.5, 1e3, 16)
-    s = scales[np.arange(n_boundary) % len(scales)]
-    a = A.project_many(rng.standard_normal((n_boundary, f.size)) * s[:, None])
-    if (np.vecdot(a, f) < -1e-7).any():
-        raise ValueError("f does not attain its infimum over the set at 0")
-    return _shifts_into_cone(a, f, alphas).max(axis=0, initial=0.0).tolist()
+    _check_alphas((alpha,))
+    return _largest_shifts(_boundary_sample(A, f, n_boundary, rng_seed), f, (alpha,))[0]
 
 
 def _diameter(pts) -> float:
-    """Largest distance between two of the points: the square root of the
-    largest ``np.sum((p_i - p_j) ** 2)`` over all pairs, bit for bit.
+    """Largest distance between two of the points, from every ordered pair."""
+    return math.sqrt(float(np.sum((pts[:, None, :] - pts) ** 2, axis=-1).max()))
 
-    fl(a - b) = -fl(b - a), so the squared differences are symmetric and
-    only the pairs j >= i are formed, 64 rows i at a time against the rows
-    from i on; memory stays at 64 * len(pts) doubles per coordinate.  Below
-    8 coordinates the squares are added one coordinate at a time, which is
-    the order in which ``np.sum`` adds rows that short; from 8 on its
-    order differs, so its own reduction is kept.
-    """
-    d = pts.shape[1]
-    sq = 0.0
-    for i in range(0, len(pts), 64):
-        block, rest = pts[i:i + 64], pts[i:]
-        if d < 8:
-            acc = np.zeros((len(block), len(rest)))
-            for k in range(d):
-                diff = block[:, k, None] - rest[:, k]
-                acc += diff * diff
-        else:
-            acc = np.sum((block[:, None, :] - rest) ** 2, axis=-1)
-        sq = max(sq, float(acc.max()))
-    return math.sqrt(sq)
+
+def _ball_exposure(A: Ball, f, alphas):
+    """Exact slice diameters and shifts of a ball.  The slice is a cap of depth
+    h = alpha / ||f||, of diameter 2 sqrt(h(2r - h)) below h = r and 2r from there.
+    Shifted by lam, the centre lies r + lam along the cone's axis, and C(f, alpha)
+    holds the ball once r <= (r + lam) sqrt(1 - alpha^2).  In one dimension the
+    slice is a segment of length min(h, 2r) and the cone a half-line that holds
+    the ball already."""
+    r, nf = A.radius, float(np.linalg.norm(f))
+    hs = [alpha / nf for alpha in alphas]
+    if A.dim == 1:
+        return [min(h, 2.0 * r) for h in hs], [0.0] * len(alphas)
+    return ([2.0 * math.sqrt(h * (2.0 * r - h)) if h < r else 2.0 * r for h in hs],
+            [r * (1.0 / math.sqrt((1.0 - a) * (1.0 + a)) - 1.0) for a in alphas])
+
+
+def _polyhedron_slices(T: Polyhedron, f, alphas):
+    """(lows, highs, d) for the slices {y in T : <-f, y> <= alpha} of T, which has its
+    support point at 0.  Certified support points along +-e_i give a slice's low, the
+    largest distance between them, and its high, the diagonal of their box; a run that
+    cannot be certified makes high inf.  A run that finds a slice unbounded gives a
+    recession direction d in f^perp checked by ``sets._recession_direction``; as the
+    slices share their recession cone, every low and high is then inf.  Else d is None."""
+    lows, highs, E, w = [], [], np.eye(T.dim), T.project(np.zeros(T.dim))
+    for alpha in alphas:
+        try:  # 0 is in T only to 1e-7 (the frame test), its projection w to 1e-9
+            S = Polyhedron(np.vstack((T.normals, -f)), np.append(T.b, alpha), w)
+        except ValueError:  # w misses a slice thinner than its distance to 0
+            return (0.0,) * len(alphas), (math.inf,) * len(alphas), None
+        found = []
+        for g in np.vstack((E, -E)):
+            try:
+                found.append(S.support_point(g))
+            except (SupportUnavailable, ProjectionCertificateError):
+                d = _recession_direction(S, g, f)
+                if d is not None:
+                    return (math.inf,) * len(alphas), (math.inf,) * len(alphas), d
+        P = np.array(found).reshape(-1, T.dim)
+        lows.append(_diameter(P) if len(P) else 0.0)
+        highs.append(float(np.linalg.norm(np.ptp(P, axis=0))) if len(P) == 2 * T.dim
+                     else math.inf)
+    return tuple(lows), tuple(highs), None
 
 
 _EXPOSURE_SAMPLES = 400  # the exposure probe's default n_samples, read by the CLI too
@@ -285,17 +335,30 @@ def strongly_exposes_probe(A, f, alphas, n_samples: int = _EXPOSURE_SAMPLES,
     Shrinking slice diameters together with ratios eps(alpha)/alpha
     falling toward 0 indicate strong exposure at the support point; a
     flat supporting face keeps the diameter bounded away from 0 and the
-    ratios bounded away from 0.
+    ratios bounded away from 0.  Balls and polygons get closed forms, a
+    polyhedron certified brackets and sampled shifts (see ``ExposureProbe``).
+    Every kind draws ``n_samples`` points of its translated set once, for
+    ``epsilon_alpha``'s test of the frame.
     """
     alphas = tuple(float(a) for a in alphas)
     translated, fprime = exposure_frame(A, f)  # SupportUnavailable where there is no x*
     f = _support_direction(f, A.dim)
-    sup = A.support_value(f)  # slice_sample's, taken once for every alpha
-    diams = tuple(_diameter(_slice(A, f, sup, alpha, n_samples, rng_seed + i))
-                  for i, alpha in enumerate(alphas))
-    eps_vals = tuple(_cone_shifts(translated, fprime, alphas, n_samples, rng_seed))
-    ratios = tuple(e / a for e, a in zip(eps_vals, alphas))
-    return ExposureProbe(alphas=alphas, eps_of_alpha=eps_vals, slice_diams=diams, ratios=ratios)
+    _check_alphas(alphas)
+    a = _boundary_sample(translated, fprime, n_samples, rng_seed)
+    highs = recession = None
+    if isinstance(A, Ball):
+        lows, eps = _ball_exposure(A, f, alphas)
+    elif isinstance(A, Polygon2D):  # the shift is convex, so a vertex attains its maximum
+        lows = [_diameter(_clip_polygon_halfplane(translated.vertices, f, -alpha))
+                for alpha in alphas]
+        eps = _largest_shifts(translated.vertices, fprime, alphas)
+    else:
+        lows, highs, recession = _polyhedron_slices(translated, f, alphas)
+        eps = highs if recession else _largest_shifts(a, fprime, alphas)
+    return ExposureProbe(alphas, tuple(eps), tuple(lows),
+                         tuple(e / alpha for e, alpha in zip(eps, alphas)),
+                         *(("exact",) * 2 if highs is None else ("bounds", "sampled")),
+                         highs, recession)
 
 
 # ---------------------------------------------------------------------------

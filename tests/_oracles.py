@@ -24,7 +24,7 @@ import numpy as np
 
 from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph,
                           Halfspace, Hyperplane, NonnegOrthant, OrthoSubspace,
-                          Polygon2D, Polyhedron, _clip_polygon_halfplane)
+                          Polygon2D, Polyhedron, SupportUnavailable)
 from altproj.variational import AwEstimate, _sampled_excess
 
 
@@ -245,9 +245,11 @@ DISTANCE_CLOSED_FORMS = {
 
 
 def disc_slice_diameter(alpha, radius=1.0):
-    """Diameter of the cap of a disc cut at depth alpha below the top."""
-    a = min(alpha, 2.0 * radius)
-    return 2.0 * math.sqrt(a * (2.0 * radius - a))
+    """Diameter of the cap of a disc cut at depth alpha below the top: its chord,
+    until the cap holds a whole diameter at depth alpha = radius."""
+    if alpha >= radius:
+        return 2.0 * radius
+    return 2.0 * math.sqrt(alpha * (2.0 * radius - alpha))
 
 
 def diameter_reference(pts):
@@ -258,53 +260,24 @@ def diameter_reference(pts):
     return math.sqrt(sq)
 
 
-def ball_slice_reference(B: Ball, f, alpha, n_samples, rng_seed):
-    """The cap sampler of ``slice_sample`` one point at a time (d >= 2)."""
+def slice_reference(S, f, alpha, n_samples, rng_seed):
+    """``slice_sample`` one draw at a time: the support point first where S has one,
+    then every projected Gaussian draw that lands in the slice, up to 200 draws a
+    point; when the budget runs out first, the points found are repeated in turn."""
     rng = np.random.default_rng(rng_seed)
     f = np.asarray(f, dtype=float)
-    level = B.support_value(f) - alpha
-    fhat = f / float(np.linalg.norm(f))
-    pts = [B.support_point(f)]
-    cos_min = max(-1.0, (level - float(np.dot(f, B.center))) /
-                  (B.radius * float(np.linalg.norm(f))))
-    psi_max = float(np.arccos(np.clip(cos_min, -1.0, 1.0)))
-    d = B.dim
-    while len(pts) < n_samples:
-        psi = rng.uniform(0.0, psi_max)
-        w = rng.standard_normal(d)
-        w -= float(np.dot(w, fhat)) * fhat
-        nw = float(np.linalg.norm(w))
-        if nw < 1e-14:
-            continue
-        w /= nw
-        u = np.cos(psi) * fhat + np.sin(psi) * w
-        r = B.radius * (1.0 if rng.uniform() < 0.7 else rng.uniform() ** (1.0 / d))
-        x = B.center + r * u
-        if float(np.dot(f, x)) >= level - 1e-12:
-            pts.append(x)
-    return np.array(pts[:n_samples])
-
-
-def polygon_slice_reference(P: Polygon2D, f, alpha, n_samples, rng_seed):
-    """The clipped-polygon sampler of ``slice_sample`` one point at a time."""
-    rng = np.random.default_rng(rng_seed)
-    f = np.asarray(f, dtype=float)
-    clipped = _clip_polygon_halfplane(P.vertices, f, P.support_value(f) - alpha)
-    pts = list(clipped)
-    m = len(clipped)
-    while len(pts) < n_samples:
-        if m == 1:
-            pts.append(clipped[0].copy())
-            continue
-        if rng.uniform() < 0.5 or m == 2:
-            i = rng.integers(m)
-            j = (i + 1) % m
-            t = rng.uniform()
-            pts.append((1 - t) * clipped[i] + t * clipped[j])
-        else:
-            w = rng.dirichlet(np.ones(m))
-            pts.append(w @ clipped)
-    return np.array(pts[:n_samples])
+    sup = S.support_value(f)
+    try:
+        found = [S.support_point(f)]
+    except SupportUnavailable:
+        found = []
+    for _ in range(200 * n_samples):
+        if len(found) == n_samples:
+            break
+        x = S.project(rng.standard_normal(S.dim) * (2.0 + abs(sup)))
+        if float(np.dot(f, x)) >= sup - alpha - 1e-12:
+            found.append(x)
+    return np.array(found)[np.arange(n_samples) % len(found)]
 
 
 def polygon_project_loop(P: Polygon2D, x):

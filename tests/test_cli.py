@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -701,6 +702,25 @@ def test_exposure_probe_on_a_box_beyond_three_dimensions(tmp_path, capsys, d):
         assert capsys.readouterr().err == ""
     diams = json.loads((tmp_path / "o" / "report.json").read_text())["result"]["slice_diams"]
     assert diams[1] < diams[0]
+
+
+def test_exposure_probe_of_a_strip_reports_inf(tmp_path, capsys):
+    """The strip {0 <= y <= 1} along f = (0, 1) supports f on a whole line: validate
+    and probe exit 0, and the report reads inf for every slice diameter, shift and
+    ratio, with the recession direction that the probe checked."""
+    strip = {"kind": "polyhedron", "normals": [[0.0, 1.0], [0.0, -1.0]], "b": [1.0, 0.0],
+             "witness": [0.0, 0.5]}
+    doc = _exposure([0.0, 1.0], [0.2, 0.1, 0.05], strip)
+    doc["params"]["n_samples"] = 200
+    cfg = write_config(tmp_path, doc)
+    for cmd in ("validate", "probe"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+    result = json.loads((tmp_path / "o" / "report.json").read_text())["result"]
+    assert (result["slice_diams"] == result["slice_diams_upper"] == result["eps_of_alpha"]
+            == result["ratios"] == [math.inf] * 3)
+    assert result["recession"] in ([1.0, 0.0], [-1.0, 0.0])
+    assert (result["diam_mode"], result["eps_mode"]) == ("bounds", "sampled")
 
 
 @pytest.mark.parametrize("S, f", [

@@ -61,7 +61,7 @@ GOLDEN = {
     ("probe", "probe_aw_squares"): {
         "aw_squares.json": "c1a8a4995d74f2a434bfd46d1c8f08b9e5a3b88c364e12f4b3fd644148e0bf9b"},
     ("probe", "probe_exposure_disc"): {
-        "exposure_disc.json": "b8cf6744f6b67c2080e33e197d039e90faee42c137af503567806b654b2c0d52"},
+        "exposure_disc.json": "b80e8996471cd61a74a6e97e971e05a1e76da91b1b482ace6a0554eab33eb29a"},
     ("probe", "probe_omega_planes"): {
         "omega_planes.json": "98b5ef5dae8b446cbe62ce4c6aed73568d2db60e43bf683f368b7caf4f443fa9"},
     ("probe", "probe_separation"): {

@@ -1,6 +1,7 @@
 """The config schema and its validator: the shipped configs pass, the verdicts
-match an independent draft-07 implementation, unimplemented keywords are
-refused, and no single-field change makes ``validate`` raise."""
+match an independent draft-07 implementation, the packaged schema uses only the
+keywords the validator implements, and no single-field change makes ``validate``
+raise."""
 
 import json
 import math
@@ -122,6 +123,35 @@ def test_maximum_agrees_with_jsonschema(oracle, N, valid):
     assert oracle.is_valid(doc) == _accepts(doc) == valid
 
 
+# The draft-07 keywords that cli._check implements.
+_KEYWORDS = {"type", "enum", "const", "required", "properties", "additionalProperties",
+             "minItems", "items", "$ref", "allOf", "if", "then", "definitions",
+             "$schema", "title", "description", *cli._BOUNDS}
+
+
+def _check_schema(schema, defs):
+    """Raise ValueError on any keyword or $ref that cli._check does not implement:
+    it would pass a config that breaks the schema."""
+    if schema is False:
+        return
+    if not isinstance(schema, dict) or schema.keys() - _KEYWORDS:
+        raise ValueError(f"schema keyword(s) not implemented: {schema!r:.80}")
+    if (schema.get("additionalProperties", False) is not False or "$ref" in schema and (
+            len(schema) > 1 or schema["$ref"].removeprefix("#/definitions/") not in defs)):
+        raise ValueError(f"schema value not implemented: {schema!r:.80}")
+    for sub in (*schema.get("properties", {}).values(), *schema.get("definitions", {}).values(),
+                *schema.get("allOf", ()), *[schema[k] for k in ("items", "if", "then")
+                                            if k in schema]):
+        _check_schema(sub, defs)
+
+
+def test_packaged_schema_uses_only_implemented_keywords():
+    """The schema.json the package ships, as cli.config_schema reads it."""
+    schema = json.loads(SCHEMA_FILE.read_text())
+    assert cli.config_schema() == schema
+    _check_schema(schema, schema["definitions"])
+
+
 @pytest.mark.parametrize("schema", [
     {"type": "object", "oneOf": [{"type": "object"}]},
     {"properties": {"x": {"pattern": "a+"}}},
@@ -134,7 +164,7 @@ def test_maximum_agrees_with_jsonschema(oracle, N, valid):
 ])
 def test_unimplemented_schema_keyword_raises(schema):
     with pytest.raises(ValueError, match="not implemented"):
-        cli._check_schema(schema, schema.get("definitions", {}))
+        _check_schema(schema, schema.get("definitions", {}))
 
 
 # Integers stay small: n_blocks, d and H set how much work a dry run does, and

@@ -18,14 +18,13 @@ from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, 
                           ProjectionCertificateError, SupportUnavailable, _passive_solve,
                           _polyhedron_unbounded_in, set_from_dict, set_to_dict,
                           slice_sample)
+from altproj.variational import strongly_exposes_probe
 
-from _oracles import (DISTANCE_CLOSED_FORMS, PROJECTABLE_KINDS, ball_slice_reference,
-                      disc_slice_diameter,
+from _oracles import (DISTANCE_CLOSED_FORMS, PROJECTABLE_KINDS, disc_slice_diameter,
                       exact_fields, graph_projection_first_coords_oracle,
-                      polygon_project_loop,
-                      polygon_slice_reference, polyhedron_project_dykstra,
+                      polygon_project_loop, polyhedron_project_dykstra,
                       lp_support, polyhedron_projection_bruteforce, public_translate,
-                      random_set)
+                      random_set, slice_reference)
 from _paper_checks import ConeSpec
 
 
@@ -827,67 +826,63 @@ def test_batched_projection_rejects_bad_arrays():
             S.project_many(X)
 
 
-def test_slice_sample_fallback_cycles_through_a_short_draw():
-    # The slice x >= 5.5 of this box lies 2.7 draw scales out along f: the
-    # 1600 draws of the budget hit it only 4 times, so those 4 are repeated.
-    S = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
-                   np.array([6.0, -5.0, 1.0, 1.0]), witness=np.array([5.5, 0.0]))
-    f, alpha, n, seed = np.array([0.01, 0.0]), 0.005, 8, 0
-    rng, sup = np.random.default_rng(seed), S.support_value(f)
-    found = []
-    for _ in range(200 * n):   # the one-at-a-time rejection loop
-        x = S.project(rng.standard_normal(2) * (2.0 + abs(sup)))
-        if float(np.dot(f, x)) >= sup - alpha - 1e-12:
-            found.append(x)
-    assert 2 <= len(found) < n
-    pts = slice_sample(S, f, alpha, n, seed)
-    assert np.array_equal(pts, np.array(found)[np.arange(n) % len(found)])
-
-
-def _ks(x, y) -> float:
-    """The two-sample Kolmogorov-Smirnov statistic: the largest gap between the
-    empirical distribution functions of x and y."""
-    grid = np.concatenate((x, y))
-    return float(np.max(np.abs(np.searchsorted(np.sort(x), grid, side="right") / len(x)
-                               - np.searchsorted(np.sort(y), grid, side="right") / len(y))))
-
-
-def _assert_distributed_alike(got, want, f, c):
-    """<f, x>, ||x - c|| and each coordinate of the rows of got and want pass the
-    two-sample KS test at about the 0.1 % level."""
-    def stats(X):
-        return np.column_stack((X @ f, np.linalg.norm(X - c, axis=1), X))
-    bound = 1.95 * np.sqrt(2.0 / len(got))
-    for i, (g, w) in enumerate(zip(stats(got).T, stats(want).T)):
-        assert _ks(g, w) <= bound, (i, _ks(g, w), bound)
+def test_exposure_probe_on_thin_cones_reports_no_unchecked_inf():
+    """The slices of the delta = 1e-6 thin cones are bounded: f is a positive
+    combination of normals that span R^3.  Their support runs often end
+    uncertified, and the Farkas test may then call a slice unbounded; the probe
+    reports an infinite diameter only with a recession direction it checked, so
+    here never, and the upper end of an uncertified bracket is inf."""
+    probed = uncertified = 0
+    for P, f in _thin_cone_draws(1e-6):
+        try:
+            probe = strongly_exposes_probe(P, f, [0.1], n_samples=10)
+        except ValueError:  # no certified support point, or the frame test fails
+            continue
+        probed += 1
+        assert probe.recession is None and probe.slice_diams[0] < np.inf
+        uncertified += probe.slice_diams_upper[0] == np.inf
+    assert probed > 200 and uncertified > 100
 
 
 def _assert_slice_sample(S, f, alpha, n, seed):
-    """slice_sample's (n, dim) points for seed, the same bytes when drawn again, each
-    in S and in the slice; returned."""
+    """slice_sample's (n, dim) points for seed: the same bytes when drawn again, those of
+    the one-draw-at-a-time loop of tests/_oracles.py, each in S and within alpha of the
+    support value, the support point first; returned."""
     got = slice_sample(S, f, alpha, n, seed)
     assert got.shape == (n, S.dim)
     assert got.tobytes() == slice_sample(S, f, alpha, n, seed).tobytes()
+    assert np.array_equal(got, slice_reference(S, f, alpha, n, seed))
+    assert np.array_equal(got[0], S.support_point(f))
     assert np.all(S.distance_many(got) <= 1e-9)
     assert np.all(got @ f >= S.support_value(f) - alpha - 1e-9)
     return got
 
 
+def test_slice_sample_fallback_cycles_through_a_short_draw():
+    """The slice x >= 5.5 of this box lies 2.7 draw scales out along f: the 1600
+    draws of the budget hit it only a few times, so the support point and those
+    hits are repeated.  A disc and a square as far out cycle the same way."""
+    box = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                     np.array([6.0, -5.0, 1.0, 1.0]), witness=np.array([5.5, 0.0]))
+    square = Polygon2D([(5.0, -1.0), (6.0, -1.0), (6.0, 1.0), (5.0, 1.0)])
+    f, alpha, n, seed = np.array([0.01, 0.0]), 0.005, 8, 0
+    for S in (box, Ball([5.5, 0.0], 0.5), square):
+        pts = _assert_slice_sample(S, f, alpha, n, seed)
+        assert 2 <= len(np.unique(pts, axis=0)) < n, S
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_ball_slice_distributed_as_one_point_loop(d):
-    """The cap sampler, drawing a round of points at a time, gives the distribution
-    of the one-point-at-a-time loop of tests/_oracles.py, for thin caps, half balls
-    and the whole ball (alpha >= 2r), with the support point first."""
-    rng, n = np.random.default_rng(d), 4000
+    """A ball's slice is sampled by the rejection every kind takes, a round of draws
+    at a time: its points are the one-draw loop's bit for bit, for thin caps, half
+    balls and the whole ball (alpha >= 2r), with the support point first."""
+    rng, n = np.random.default_rng(d), 40
     for i in range(4):
         B = Ball(rng.standard_normal(d) * 3.0, float(rng.uniform(0.2, 3.0)))
         f = rng.standard_normal(d) * float(rng.uniform(0.5, 2.0))
         depth = B.radius * float(np.linalg.norm(f))
         for j, alpha in enumerate((1e-2 * depth, 0.3 * depth, depth, 2.5 * depth)):
-            got = _assert_slice_sample(B, f, alpha, n, 2 * (4 * i + j))
-            assert np.array_equal(got[0], B.support_point(f))
-            want = ball_slice_reference(B, f, alpha, n, 2 * (4 * i + j) + 1)
-            _assert_distributed_alike(got, want, f, B.center)
+            _assert_slice_sample(B, f, alpha, n, 4 * i + j)
 
 
 _SLICE_POLYGONS = [
@@ -905,18 +900,13 @@ _SLICE_POLYGONS = [
 
 @pytest.mark.parametrize("P, f, alpha, m", _SLICE_POLYGONS)
 def test_polygon_slice_distributed_as_one_point_loop(P, f, alpha, m):
-    """The polygon sampler, drawing its points' random numbers as arrays, gives the
-    distribution of the one-point-at-a-time loop, for clipped slices of 1, 2 and
-    more vertices; the clipped vertices come first, so up to m points are exactly
-    the loop's."""
-    f, n = np.array(f, dtype=float), 4000
-    got = _assert_slice_sample(P, f, alpha, n, 0)
-    want = polygon_slice_reference(P, f, alpha, n, 1)
+    """A polygon's slice is sampled by the same rejection: its points are the one-draw
+    loop's bit for bit, the support vertex first, for slices whose clipped polygon,
+    which gives the exposure probe its exact diameter, has 1, 2 and more vertices."""
+    f = np.array(f, dtype=float)
+    _assert_slice_sample(P, f, alpha, 40, 0)
     clipped = sets_module._clip_polygon_halfplane(P.vertices, f, P.support_value(f) - alpha)
-    assert len(clipped) == m and np.array_equal(got[:m], clipped)
-    for k in range(1, m + 1):
-        assert np.array_equal(slice_sample(P, f, alpha, k, 0), want[:k])
-    _assert_distributed_alike(got, want, f, P.vertices.mean(axis=0))
+    assert len(clipped) == m
 
 
 _ONE_DIM_BALL = """

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from altproj.constructions import stable_scenario
 from altproj.sets import (Ball, DiagonalAffineGraph, Halfspace, OrthoSubspace, Polygon2D,
                           Polyhedron, SamplerFailure, slice_sample)
 from altproj.geometry import row_norms
-from altproj.variational import (AwEstimate, ExposureProbe, _diameter, _shifts_into_cone,
-                                 aw_distance, epsilon_alpha, exposure_frame, omega_angle,
-                                 separation_constants, strongly_exposes_probe)
+from altproj.variational import (AwEstimate, ExposureProbe, _diameter, _polyhedron_slices,
+                                 _shifts_into_cone, aw_distance, epsilon_alpha, exposure_frame,
+                                 omega_angle, separation_constants, strongly_exposes_probe)
 
-from _oracles import (diameter_reference, disc_min_shift_exact, omega_bruteforce,
-                      polygon_containing_ball, sampled_aw_distance)
+from _oracles import (diameter_reference, disc_min_shift_exact, disc_slice_diameter,
+                      omega_bruteforce, polygon_containing_ball, sampled_aw_distance)
 from _paper_checks import (ConeSpec, check_cos_separation, check_fact_norms, cone_contains,
                            cone_from_angle, eventual_containment_probe,
                            first_containment_index, sample_cone_point, wset_contains)
@@ -330,6 +331,133 @@ def test_diameter_bit_equal_to_all_pairs_reference(d):
     assert _diameter(same) == diameter_reference(same) == 0.0
 
 
+# The cap sampler's slice diameters and the sampled shifts of the exposure probe
+# before its closed forms, for the first ball of each dimension below (seed 0).
+_SAMPLED_BEFORE = {
+    1: ((4.745405963622892, 4.719184907476208, 4.731706220576373, 1.1387494906329225),
+        (0.0, 0.0, 0.0, 0.0)),
+    2: ((1.3882723655904852, 0.9875050984886171, 0.5661191916819399, 0.25426754603874524),
+        (0.6545459438141468, 0.12632524402489295, 0.013185541907651763, 0.0005216577514041431)),
+    3: ((2.2730247182598284, 1.6099264648398723, 0.93514612961242, 0.42112874714160387),
+        (0.6414273612197345, 0.1238475551608193, 0.012917818452964303, 0.0)),
+    4: ((1.064483662528691, 0.7857980119820359, 0.4631143161188515, 0.21034963639409993),
+        (0.18455907383361805, 0.034633412554181495, 0.0036608930640202224, 0.0)),
+    5: ((1.748878328825904, 1.2454875234254046, 0.7138294372955966, 0.32120333906452986),
+        (0.6008101068513115, 0.11588965485789954, 0.010397041390633823, 0.0)),
+    6: ((3.119531081841392, 2.313005432367438, 1.350720451506938, 0.6345971446353323),
+        (0.49972773349636374, 0.09463552125510538, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_exposure_probe_ball_closed_forms_bound_every_sample(d):
+    """A ball's slice at depth h = alpha/||f|| is a cap of diameter 2 sqrt(h(2r - h)),
+    2r from h = r on (a segment of length min(h, 2r) in one dimension), and its
+    least shift is r(1/sqrt(1 - alpha^2) - 1) (0 in one dimension).  Each lies
+    above the sampled values: those the cap sampler gave before, the diameter of
+    slice_sample's points and epsilon_alpha's shift."""
+    rng, alphas = np.random.default_rng(40 + d), (0.6, 0.3, 0.1, 0.02)
+    for i in range(3):
+        B = Ball(rng.standard_normal(d), float(rng.uniform(0.3, 3.0)))
+        f = rng.standard_normal(d) * float(rng.uniform(0.3, 3.0))
+        probe = strongly_exposes_probe(B, f, alphas, n_samples=300, rng_seed=i)
+        assert (probe.diam_mode, probe.eps_mode, probe.recession) == ("exact", "exact", None)
+        assert probe.slice_diams_upper == probe.slice_diams
+        translated, unit = exposure_frame(B, f)
+        r, nf = B.radius, float(np.linalg.norm(f))
+        for j, (alpha, diam, eps) in enumerate(zip(alphas, probe.slice_diams,
+                                                   probe.eps_of_alpha)):
+            h = alpha / nf
+            if d == 1:
+                assert (diam, eps) == (min(h, 2.0 * r), 0.0)
+            else:
+                assert diam == pytest.approx(disc_slice_diameter(h, r), rel=1e-14)
+                assert eps == pytest.approx(r * disc_min_shift_exact(alpha), rel=1e-12)
+            if i == 0:
+                assert diam >= _SAMPLED_BEFORE[d][0][j] and eps >= _SAMPLED_BEFORE[d][1][j]
+            assert diam >= _diameter(slice_sample(B, f, alpha, 200, i)) - 1e-12 * r
+            assert eps >= epsilon_alpha(translated, unit, alpha, n_boundary=300,
+                                        rng_seed=i) - 1e-12 * r
+        for k in (1.5, 1e3):  # at depth h = k r > r the slice holds a diameter
+            g = f * (alphas[0] / (k * r * nf))
+            diam = strongly_exposes_probe(B, g, alphas[:1], n_samples=20).slice_diams[0]
+            assert diam == pytest.approx(min(k, 2.0) * r if d == 1 else 2.0 * r, rel=1e-12)
+
+
+def test_exposure_probe_polygon_is_exact_at_its_vertices():
+    """A polygon's slice diameter is the largest distance between the vertices of
+    the clipped slice and its shift the largest over the translated vertices: on the
+    triangle (0, 0), (-3, -1), (4, -1), the slice at depth alpha is 7 alpha wide and
+    the corner (4, -1) needs the largest shift, above every sampled value."""
+    P = Polygon2D([(0.0, 0.0), (-3.0, -1.0), (4.0, -1.0)])
+    f, alphas = np.array([0.0, 1.0]), (0.5, 0.2, 0.05)
+    probe = strongly_exposes_probe(P, f, alphas, n_samples=200, rng_seed=1)
+    assert probe.eps_of_alpha[0] > 0.0
+    for alpha, diam, eps in zip(alphas, probe.slice_diams, probe.eps_of_alpha):
+        assert diam == pytest.approx(7.0 * alpha, rel=1e-12)
+        assert eps == _shifts_into_cone(np.array([[4.0, -1.0]]), -f, (alpha,))[0, 0]
+        assert diam >= _diameter(slice_sample(P, f, alpha, 200, 2)) - 1e-12
+    translated, unit = exposure_frame(P, f)
+    assert probe.eps_of_alpha[0] >= epsilon_alpha(translated, unit, alphas[0], 200, 1)
+
+
+def test_exposure_probe_cone_bracket_holds_two_alpha():
+    """The cone {y >= |x|} along f = (0, -1): its slices are triangles of diameter
+    2*alpha; the certified bracket holds it, to the support runs' 1e-9."""
+    cone = Polyhedron(np.array([[1.0, -1.0], [-1.0, -1.0]]), np.zeros(2),
+                      witness=np.array([0.0, 1.0]))
+    probe = strongly_exposes_probe(cone, [0.0, -1.0], [0.4, 0.2, 0.1, 0.05], n_samples=200)
+    assert (probe.diam_mode, probe.eps_mode, probe.recession) == ("bounds", "sampled", None)
+    for alpha, low, high in zip(probe.alphas, probe.slice_diams, probe.slice_diams_upper):
+        assert low - 1e-9 <= 2.0 * alpha <= high + 1e-9 and high < math.inf
+
+
+def test_polyhedron_slices_start_from_the_point_nearest_zero():
+    """The frame test lets 0 miss the translated polyhedron by up to 1e-7; its
+    slices start from the projection of 0, so a box that 0 misses by 1e-8 still
+    gets a certified bracket of its slice [-1, 1] x [-0.5, -1e-8]."""
+    T = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, -1e-8, 1.0, 1.0]),
+                   witness=np.array([0.0, -0.5]))
+    (low,), (high,), d = _polyhedron_slices(T, np.array([0.0, 1.0]), (0.5,))
+    assert d is None and low - 1e-9 <= math.hypot(2.0, 0.5 - 1e-8) <= high + 1e-9 < math.inf
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_exposure_probe_box_bracket_holds_alpha_root_two(d):
+    """The corner of [-1, 1]^d along f = (1, ..., 1): the slice is the simplex
+    spanned by the corner and its d neighbours at distance alpha along the edges,
+    of diameter alpha*sqrt(2), which the bracket holds to 1e-9; its upper end is
+    at most alpha*sqrt(d), the diagonal of the box of the corner's slice."""
+    box = Polyhedron(np.vstack([np.eye(d), -np.eye(d)]), np.ones(2 * d), witness=np.zeros(d))
+    probe = strongly_exposes_probe(box, np.ones(d), [0.4, 0.2, 0.1], n_samples=50)
+    for alpha, low, high in zip(probe.alphas, probe.slice_diams, probe.slice_diams_upper):
+        assert low - 1e-9 <= alpha * math.sqrt(2.0) <= high + 1e-9
+        assert high <= alpha * math.sqrt(d) + 1e-9
+
+
+def test_exposure_probe_six_dimensional_box_is_fast():
+    """The 6-D box probe of 100 samples at alphas 0.2 and 0.1 once took 1.34 s, most
+    of it rejecting Gaussian draws for its slice samples; its 25 certified support
+    runs take a few hundredths of a second."""
+    box = Polyhedron(np.vstack([np.eye(6), -np.eye(6)]), np.ones(12), witness=np.zeros(6))
+    f = [1.0, 0.5, 0.5, 0.5, 0.5, 0.5]
+    start = time.perf_counter()
+    strongly_exposes_probe(box, f, [0.2, 0.1], n_samples=100)
+    assert time.perf_counter() - start < 0.3
+
+
+def test_exposure_probe_strip_is_unbounded_with_a_checked_direction():
+    """The strip {0 <= y <= 1} along f = (0, 1) has a whole line as its face: every
+    slice is unbounded and no shift puts it in a cone, so every number is inf, and
+    the direction (1, 0) that shows it comes with the report."""
+    strip = Polyhedron(np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 0.0]),
+                       witness=np.array([0.0, 0.5]))
+    probe = strongly_exposes_probe(strip, [0.0, 1.0], [0.2, 0.1], n_samples=100)
+    assert probe.slice_diams == probe.slice_diams_upper == probe.eps_of_alpha == \
+        probe.ratios == (math.inf, math.inf)
+    assert probe.recession in ((1.0, 0.0), (-1.0, 0.0))
+
+
 def test_exposure_probe_invariant_validation():
     with pytest.raises(ValueError):
         ExposureProbe(alphas=(0.1, 0.2), eps_of_alpha=(0.0, 0.0),
@@ -337,6 +465,9 @@ def test_exposure_probe_invariant_validation():
     with pytest.raises(ValueError):
         ExposureProbe(alphas=(0.2, 0.1), eps_of_alpha=(0.0, 0.1),
                       slice_diams=(0.0, 0.0), ratios=(0.0, 1.0))
+    with pytest.raises(ValueError, match="low <= high"):
+        ExposureProbe(alphas=(0.2,), eps_of_alpha=(0.0,), slice_diams=(1.0,), ratios=(0.0,),
+                      diam_mode="bounds", slice_diams_upper=(0.5,))
 
 
 # ---------------------------------------------------------------------------
@@ -632,24 +763,26 @@ def _counted(monkeypatch, cls, name):
 
 @pytest.mark.parametrize("alphas", [[0.2, 0.1], [0.4, 0.2, 0.1, 0.05]])
 def test_exposure_probe_takes_support_and_boundary_sample_once(alphas, monkeypatch):
-    """An exposure probe takes its support point and its support value once, and
-    draws and projects its boundary sample once, however many alphas it has:
-    on a box two proximal support runs, on a disc one batch projection.  Its
-    eps values are those of epsilon_alpha at each alpha."""
+    """An exposure probe takes its support point once and draws and projects its
+    boundary sample once, however many alphas it has: on a box one proximal
+    support run for the point and 2d certified runs per slice, and eps values
+    that are those of epsilon_alpha at each alpha; on a disc one batch projection
+    and no support value, its numbers being closed forms."""
     runs = _counted(monkeypatch, Polyhedron, "_support")
     box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4), witness=np.zeros(2))
     f = np.array([1.0, 0.5])
     probe = strongly_exposes_probe(box, f, alphas, n_samples=50)
-    assert len(probe.slice_diams) == len(alphas) and len(runs) == 2
+    assert len(probe.slice_diams) == len(alphas) and len(runs) == 1 + 4 * len(alphas)
     assert probe.slice_diams[0] > 0.0 and box.support_value(f) == 1.5
+    translated, unit = exposure_frame(box, f)
+    assert probe.eps_of_alpha == tuple(epsilon_alpha(translated, unit, a, n_boundary=50)
+                                       for a in alphas)
     values = _counted(monkeypatch, Ball, "support_value")
     batches = _counted(monkeypatch, Ball, "project_many")
     disc = Ball(np.array([0.0, 1.0]), 1.0)
     probe = strongly_exposes_probe(disc, [0.0, -1.0], alphas, n_samples=60, rng_seed=4)
-    assert (len(values), len(batches)) == (1, 1)
-    translated, unit = exposure_frame(disc, [0.0, -1.0])
-    assert probe.eps_of_alpha == tuple(epsilon_alpha(translated, unit, a, n_boundary=60,
-                                                     rng_seed=4) for a in alphas)
+    assert (len(values), len(batches)) == (0, 1)
+    assert probe.eps_of_alpha == tuple(disc_min_shift_exact(a) for a in alphas)
 
 
 @pytest.mark.parametrize("f, message", [
