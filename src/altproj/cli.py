@@ -247,7 +247,7 @@ def _build_scenario(cfg, p):
 
 
 def _example44_row(h):
-    A, B, C, D = cons.example_unstable_bodies(h)
+    C, D = cons.unstable_body(h), cons.unstable_body(h, -1)
     anchor = np.array([1.0, 0.0]) if h % 2 == 1 else np.array([-1.0, 0.0])
     return (f"pair {h}: bodies touch at {anchor.tolist()}",
             C.membership(anchor, 1e-12) and D.membership(anchor, 1e-12),
@@ -310,12 +310,11 @@ def _build_ell2(cfg, p):
                                  ("block lengths", True, str([blk.N for blk in c.blocks]))])
 
 
-def _aw_family_pair(family, k):
-    """The k-th (moving set, limit set) pair of a named aw probe family."""
+def _aw_family(family):
+    """(moving set of index k, limit set) of a named aw probe family; the limit is built once."""
     if family == "unstable_bodies":
-        A, _, C, _ = cons.example_unstable_bodies(k)
-        return C, A
-    return cons.tilted_line(k), cons.OrthoSubspace(np.array([[1.0, 0.0]]))
+        return cons.unstable_body, cons.unstable_body(0)
+    return cons.tilted_line, cons.OrthoSubspace(np.array([[1.0, 0.0]]))
 
 
 def _build_probe(cfg, p):
@@ -372,8 +371,9 @@ def _build_probe(cfg, p):
         count = p.get("count", 6)
 
         def execute(out_dir, quiet):
-            rows = [{"index": k, **asdict(var.aw_distance(*_aw_family_pair(family, k), N,
-                                                          n_samples=n, rng_seed=seed + k))}
+            moving, limit = _aw_family(family)
+            rows = [{"index": k, **asdict(var.aw_distance(moving(k), limit, N, n_samples=n,
+                                                          rng_seed=seed + k))}
                     for k in range(1, count + 1)]
             return {"probe": "aw", "seed": seed, "family": family, "N": N,
                     "n_samples": n, "result": rows}

@@ -52,27 +52,22 @@ class BlockBudgetExceeded(RuntimeError):
 # Touching squares with wobbling vertices
 
 
-def example_unstable_bodies(h: int):
-    """The limit bodies and the h-th perturbed pair of the oscillation family.
+def unstable_body(h: int, sign: int = 1) -> Polygon2D:
+    """C_h (sign 1) or D_h (sign -1) of the oscillation family, or its limit A or B for h = 0.
+    A is the unit-height square on [-1, 1] above the x-axis, B its mirror image below; C_h
+    and D_h lift one bottom/top vertex by 1/ceil(h/2), on the left for odd h and on the
+    right for even h, so consecutive pairs touch alternately at (1, 0) and (-1, 0)."""
+    lift = 1.0 / ((h + 1) // 2) if h else 0
+    left, right = (lift, 0) if h % 2 == 1 else (0, lift)
+    return Polygon2D([(1, sign), (-1, sign), (1, sign * right), (-1, sign * left)])
 
-    Returns (A, B, C_h, D_h).  A is the unit-height square above the
-    x-axis, B its mirror image below; C_h and D_h lift one bottom/top
-    vertex by 1/ceil(h/2), on the left for odd h and on the right for
-    even h, so consecutive pairs touch alternately at (1, 0) and (-1, 0).
-    """
+
+def example_unstable_bodies(h: int):
+    """The limit bodies and the h-th perturbed pair of the oscillation
+    family: (A, B, C_h, D_h), as :func:`unstable_body` builds them."""
     if h < 1:
         raise ValueError("index must be >= 1")
-    A = Polygon2D([(1, 1), (-1, 1), (1, 0), (-1, 0)])
-    B = Polygon2D([(1, -1), (-1, -1), (1, 0), (-1, 0)])
-    m = (h + 1) // 2
-    lift = 1.0 / m
-    if h % 2 == 1:
-        C = Polygon2D([(1, 1), (-1, 1), (1, 0), (-1, lift)])
-        D = Polygon2D([(1, -1), (-1, -1), (1, 0), (-1, -lift)])
-    else:
-        C = Polygon2D([(1, 1), (-1, 1), (1, lift), (-1, 0)])
-        D = Polygon2D([(1, -1), (-1, -1), (1, -lift), (-1, 0)])
-    return A, B, C, D
+    return unstable_body(0), unstable_body(0, -1), unstable_body(h), unstable_body(h, -1)
 
 
 def run_example_unstable(n_blocks: int, max_block_len: int = 10_000,
@@ -93,8 +88,8 @@ def run_example_unstable(n_blocks: int, max_block_len: int = 10_000,
         anchor = np.array([1.0, 0.0]) if k % 2 == 1 else np.array([-1.0, 0.0])
         return float(np.linalg.norm(a - anchor)) < 0.5
 
-    return _run_all_blocks(lambda k: example_unstable_bodies(k)[2:], fired, n_blocks,
-                           max_block_len, start, record_stride)
+    return _run_all_blocks(lambda k: (unstable_body(k), unstable_body(k, -1)), fired,
+                           n_blocks, max_block_len, start, record_stride)
 
 
 def _run_all_blocks(pair, fired, n_blocks, max_block_len, start, record_stride) -> Trace:

@@ -143,8 +143,8 @@ def _excess_line(L1, L2, N: int) -> float:
     return max(float(np.linalg.norm(w + R * mu)), float(np.linalg.norm(w - R * mu)))
 
 
-def _sampled_excess(A, C, N, n_samples, rng) -> float:
-    """sup over sampled points of A in the N-ball of dist(., C).
+def _sampled_excess(A, C, N, n_samples, rng, scales) -> float:
+    """sup over sampled points of A in the N-ball of dist(., C), the draws scaled by scales in turn.
 
     Samples are drawn in batches of at most the number still missing, so
     the draws, the budget and the result are those of drawing one at a time.
@@ -152,11 +152,7 @@ def _sampled_excess(A, C, N, n_samples, rng) -> float:
     base = A.project(np.zeros(A.dim))
     if float(np.linalg.norm(base)) > N + 1e-9:
         raise SamplerFailure("set does not meet the N-ball")
-    pts = [base[None]]
-    count = 1
-    scales = np.geomspace(0.25 * N, 2.0 * N, 8)
-    tries = 0
-    budget = 20 * n_samples
+    pts, count, tries, budget = [base[None]], 1, 0, 20 * n_samples
     while count < n_samples and tries < budget:
         k = min(n_samples - count, budget - tries)
         s = scales[np.arange(tries, tries + k) % len(scales)]
@@ -202,8 +198,9 @@ def aw_distance(A, C, N: int, n_samples: int = _AW_SAMPLES, rng_seed: int = 0) -
             float(np.linalg.norm(A.offset - C.offset))
         return AwEstimate(N, bound, bound, bound, 0, "bound")
     rng = np.random.default_rng(rng_seed)
-    e1 = _sampled_excess(A, C, N, n_samples, rng)
-    e2 = _sampled_excess(C, A, N, n_samples, rng)
+    scales = np.geomspace(0.25 * N, 2.0 * N, 8)
+    e1 = _sampled_excess(A, C, N, n_samples, rng, scales)
+    e2 = _sampled_excess(C, A, N, n_samples, rng, scales)
     return AwEstimate(N, e1, e2, max(e1, e2), n_samples, "sampled")
 
 

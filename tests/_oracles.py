@@ -8,7 +8,7 @@ random-restart polishing instead of the SVD, and closed-form plane
 geometry worked out by hand.  The slice-diameter reference is the plain
 one-pair-block version that the library's batched kernel must reproduce
 bit for bit, as the per-edge polygon loops are for ``Polygon2D``'s one
-edge kernel, and the scalar distance closed forms are those that
+edge kernel and the ``np.unique`` hull and clip for the library's own, and the scalar distance closed forms are those that
 ``distance``, now row 0 of ``distance_many``, must reproduce bit for bit.
 The slice-sampler references draw one point at a time; the library's
 samplers, which draw a round of points at a time, must match their
@@ -32,8 +32,9 @@ def sampled_aw_distance(A, C, N, n_samples, rng_seed) -> AwEstimate:
     """The estimate ``aw_distance`` gives for a pair without a closed form,
     from the same draws, for any pair."""
     rng = np.random.default_rng(rng_seed)
-    e1 = _sampled_excess(A, C, N, n_samples, rng)
-    e2 = _sampled_excess(C, A, N, n_samples, rng)
+    scales = np.geomspace(0.25 * N, 2.0 * N, 8)
+    e1 = _sampled_excess(A, C, N, n_samples, rng, scales)
+    e2 = _sampled_excess(C, A, N, n_samples, rng, scales)
     return AwEstimate(N, e1, e2, max(e1, e2), n_samples, "sampled")
 
 
@@ -305,6 +306,48 @@ def polygon_project_loop(P: Polygon2D, x):
         if d < best_d:
             best, best_d = cand, d
     return best
+
+
+def convex_hull_unique(points):
+    """The CCW hull as ``Polygon2D`` built it through ``np.unique(axis=0)``: Andrew's
+    monotone chain over numpy rows, which ``sets._convex_hull_ccw`` must match bit for bit."""
+    pts = np.unique(np.round(points, 15), axis=0)
+    if len(pts) < 3:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def cross(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    lower, upper = [], []
+    for chain, run in ((lower, pts), (upper, pts[::-1])):
+        for p in run:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def clip_polygon_unique(vertices, f, level):
+    """Sutherland-Hodgman clip of a CCW polygon against {<f, x> >= level}, its vertices
+    deduplicated by ``np.unique(axis=0)``, which ``sets._clip_polygon_halfplane`` must
+    match bit for bit."""
+    m = len(vertices)
+    if m == 1:
+        return vertices.copy() if float(np.dot(f, vertices[0])) >= level - 1e-12 else np.empty((0, 2))
+    ring = list(vertices) if m >= 3 else [vertices[0], vertices[1]]
+    out = []
+    for i in range(len(ring) if m >= 3 else 1):
+        p, q = ring[i], ring[(i + 1) % len(ring)]
+        fp = float(np.dot(f, p)) - level
+        fq = float(np.dot(f, q)) - level
+        if fp >= -1e-12:
+            out.append(p)
+        if (fp > 1e-12 and fq < -1e-12) or (fp < -1e-12 and fq > 1e-12):
+            out.append(p + fp / (fp - fq) * (q - p))
+    if m == 2 and float(np.dot(f, ring[1])) - level >= -1e-12:
+        out.append(ring[1])
+    return np.unique(np.round(np.array(out), 12), axis=0) if out else np.empty((0, 2))
 
 
 def disc_min_shift_exact(alpha):

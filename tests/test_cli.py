@@ -283,6 +283,53 @@ def test_run_loads_no_openssl(tmp_path):
     assert len(list(tmp_path.iterdir())) == len(SHIPPED_RUNS)
 
 
+_NO_NUMPY_MA = """
+import sys
+from altproj import cli
+from altproj.sets import Polygon2D
+from altproj.variational import strongly_exposes_probe
+square = Polygon2D([(1.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (-1.0, 0.0)])
+for command, name in (("probe", "probe_aw_squares"), ("run", "oscillating_squares")):
+    config = f"{sys.argv[2]}/{name}.json"
+    assert cli.main([command, "--config", config, "--out", f"{sys.argv[1]}/{name}", "--quiet"]) == 0
+strongly_exposes_probe(square, [0.0, -1.0], [0.2, 0.1], n_samples=50)
+sys.exit("numpy.ma" in sys.modules and "numpy.ma is imported")
+"""
+
+
+def test_polygon_paths_import_no_numpy_ma(tmp_path):
+    """Building a polygon, the aw squares probe, the oscillating squares run and a
+    polygon's exposure probe leave numpy.ma unimported: np.unique(axis=0) would import
+    it (about 15 ms and 1.5 MB a process)."""
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA, str(tmp_path), str(CONFIGS)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")})
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("family", ["unstable_bodies", "tilted_lines"])
+def test_aw_family_probe_equals_pairs_built_per_index(tmp_path, family):
+    """The family probe builds its limit set once; its report (count 10) is the one a
+    reference gets by building each index's pair afresh, as the family's own functions
+    give it."""
+    from altproj.constructions import example_unstable_bodies, tilted_line
+
+    def pair(k):
+        if family == "unstable_bodies":
+            A, _, C, _ = example_unstable_bodies(k)
+            return C, A
+        return tilted_line(k), altproj.sets.OrthoSubspace(np.array([[1.0, 0.0]]))
+
+    cfg = write_config(tmp_path, {"kind": "probe", "seed": 4, "params": {
+        "probe": "aw", "family": family, "count": 10, "N": 2, "n_samples": 200}})
+    assert main(["probe", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    rows = json.loads(next((tmp_path / "o").glob("*.json")).read_text())["result"]
+    want = [{"index": k, **asdict(altproj.variational.aw_distance(*pair(k), 2, n_samples=200,
+                                                                  rng_seed=4 + k))}
+            for k in range(1, 11)]
+    assert rows == want
+
+
 def test_ell2_outputs_rewritten_shorter_equal_a_fresh_run(tmp_path):
     """construction.json and report.json of a smaller ell2 run, written over
     a larger one's, equal those of a fresh directory."""

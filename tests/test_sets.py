@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from altproj.sets import (AffineSubspace, Ball, DiagonalAffineGraph, Halfspace, 
                           slice_sample)
 from altproj.variational import strongly_exposes_probe
 
-from _oracles import (DISTANCE_CLOSED_FORMS, PROJECTABLE_KINDS, disc_slice_diameter,
+from _oracles import (DISTANCE_CLOSED_FORMS, PROJECTABLE_KINDS, clip_polygon_unique,
+                      convex_hull_unique, disc_slice_diameter,
                       exact_fields, graph_projection_first_coords_oracle,
                       polygon_project_loop, polyhedron_project_dykstra,
                       lp_support, polyhedron_projection_bruteforce, public_translate,
@@ -805,7 +807,8 @@ def _oracle_polygons(rng):
 def test_polygon_kernel_bit_equal_to_edge_loops(rng):
     """project and project_many give what the per-edge loop of tests/_oracles.py
     gives, bit for bit, on points from 1e-2 to 1e6 and on each polygon's
-    vertices and edge midpoints."""
+    vertices and edge midpoints, also as a Fortran-ordered batch and as
+    strided rows (the kernel views each row as one complex number)."""
     counts = set()
     for P in _oracle_polygons(rng):
         v = P.vertices
@@ -816,7 +819,57 @@ def test_polygon_kernel_bit_equal_to_edge_loops(rng):
         want = np.array([polygon_project_loop(P, x) for x in X])
         assert np.array([P.project(x) for x in X]).tobytes() == want.tobytes()
         assert P.project_many(X).tobytes() == want.tobytes()
+        assert P.project_many(np.asfortranarray(X)).tobytes() == want.tobytes()
+        assert np.array([P.project(x) for x in np.repeat(X, 2, axis=1)[:, ::2]]).tobytes() \
+            == want.tobytes()
     assert {1, 2, 3} <= counts and max(counts) >= 7
+
+
+def _hull_clouds(rng):
+    """Point clouds at scales from 1e-12 to 1e12: plain draws, draws with copies that
+    round together, collinear points, one or two distinct points, and 0/1 grids with signed
+    zeros, of more than 16 rows too, where np.unique's quicksort chooses the copy it keeps."""
+    for scale in 10.0 ** np.arange(-12, 13, 2):
+        for m in (1, 2, 3, 5, 9, 24):
+            pts = rng.standard_normal((m, 2)) * scale
+            yield pts
+            twins = pts + rng.uniform(-1.0, 1.0, pts.shape) * 1e-17 * scale
+            yield np.concatenate((pts, twins))[rng.permutation(2 * m)]
+            yield rng.standard_normal(2) * scale + rng.standard_normal(m)[:, None] * pts[0]
+            yield np.repeat(pts[:1], m, axis=0)
+            yield pts[rng.integers(0, min(m, 2), 3 * m)]
+    for m in (3, 10, 17, 30, 64, 100):
+        grid = rng.integers(0, 2, (m, 2)).astype(float)
+        grid[(grid == 0.0) & (rng.random((m, 2)) < 0.5)] = -0.0
+        yield grid
+
+
+def test_hull_and_clip_bit_equal_to_np_unique_references(rng):
+    """The hull and the slice clip deduplicate rounded vertices by a record sort, not by
+    np.unique (which imports numpy.ma): both give the np.unique references' arrays bit
+    for bit, signed zeros included, for the clip at levels through vertices and between."""
+    axes = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]])
+    for pts in _hull_clouds(rng):
+        want = convex_hull_unique(pts)
+        got = sets_module._convex_hull_ccw(pts)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), pts
+        for f in np.concatenate((axes, rng.standard_normal((2, 2)))):
+            vals = want @ f
+            for level in (vals.max(), vals.min(), rng.uniform(vals.min(), vals.max()), 0.0):
+                clip = sets_module._clip_polygon_halfplane(want, f, level)
+                ref = clip_polygon_unique(want, f, level)
+                assert (clip.shape, clip.tobytes()) == (ref.shape, ref.tobytes()), (pts, f)
+
+
+@pytest.mark.xfail(strict=True, reason="the slice clip rounds its vertices to 12 absolute "
+                   "decimals (ROADMAP item 3 mends it)")
+def test_tiny_polygon_slice_keeps_its_diameter():
+    """The slice of the triangle (0, 0), (1e-13, 0), (0, 1e-13) along f = (0, -1) at
+    alpha = 5e-14 has diameter |(1e-13, -5e-14)| = 1.118e-13; rounded to 12 decimals its
+    vertices collapse to the origin and the exact diameter reads 0.0."""
+    P = Polygon2D([(0.0, 0.0), (1e-13, 0.0), (0.0, 1e-13)])
+    probe = strongly_exposes_probe(P, [0.0, -1.0], [5e-14], n_samples=10)
+    assert probe.slice_diams[0] == pytest.approx(math.hypot(1e-13, 5e-14), rel=1e-9, abs=0.0)
 
 
 def test_batched_projection_rejects_bad_arrays():
