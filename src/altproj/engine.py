@@ -10,12 +10,13 @@ each step whether, and why, the block ends.  ``pair`` is called once per
 block, at its first step, so a callable ``Adaptive`` family builds each
 block's sets lazily and once.  Every step is computed; ``record_stride``
 only thins the log, where a block end forces a record (a ``PerStep``
-one does not).  A block pairing X (+) {0} with a ``DiagonalAffineGraph``
-takes the graph's ``pair_step``, bit-equal to both projections; under
-``Blocks`` or ``Constant`` (blocks end by length) with no ``stop_residual``,
-one call runs the steps between two that log or end the block.  Runs are
-strictly sequential and deterministic: the same schedule and run config
-give the same trace, bit for bit.
+one does not).  Under ``Blocks`` or ``Constant`` (blocks end by length)
+with no ``stop_residual``, a block pairing X (+) {0} with a
+``DiagonalAffineGraph`` runs the unlogged steps between two logged ones in
+one call of the graph's ``pair_step`` runner, bit-equal to both
+projections; every other step, logged ones included, takes the two
+projections.  Runs are strictly sequential and deterministic: the same
+schedule and run config give the same trace, bit for bit.
 """
 
 from __future__ import annotations
@@ -261,24 +262,22 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
                                         for bl in block_logs) and len(block_logs) > 0
                 break
             # the growth pair's k-step runner; the kind tag first keeps other blocks cheap
-            run, point_b = (getattr(B_n, "kind", None) == "diagonal_affine_graph"
-                            and B_n.pair_step(A_n, prev)) or (None, None)
+            run = (by_length and getattr(B_n, "kind", None) == "diagonal_affine_graph"
+                   and B_n.pair_step(A_n, prev))
             last = n - 1 + (schedule.blocks[block_id - 1][2] if type(schedule) is Blocks
                             else max_iter)  # the block's last step, if by_length
 
-        if run and by_length:
+        if run:
             # up to the next record or block end; a chunk the bound refuses is left to below
             k = min(last, -(-n // stride) * stride, marks[bisect_left(marks, n)]) - n
             if k:
                 prev, j = run(prev, k)
                 n, block_step = n + j, block_step + j
-        b_n, (a_n, j) = None, run(prev, 1) if run else (None, 0)
-        if not j:
-            try:
-                b_n = project_b(prev)
-                a_n = project_a(b_n)
-            except (ValueError, RuntimeError) as exc:
-                raise ProjectionStepError(n, exc) from exc
+        try:
+            b_n = project_b(prev)
+            a_n = project_a(b_n)
+        except (ValueError, RuntimeError) as exc:
+            raise ProjectionStepError(n, exc) from exc
         block_step += 1
 
         cause = advance(block_id, block_step, a_n)
@@ -287,7 +286,7 @@ def run_perturbed(schedule, cfg: RunConfig) -> Trace:
                          and float(np.linalg.norm(a_n - prev)) < stop_residual)
         if (cause is not None and log_block_ends or n == max_iter or residual_stop
                 or n % stride == 0 or n == 1 or n in indices):
-            log(n, block_id, block_step, a_n, point_b(prev) if b_n is None else b_n, prev)
+            log(n, block_id, block_step, a_n, b_n, prev)
 
         if cause is not None:
             block_logs.append(BlockLog(block_id, block_start_n, n, cause))

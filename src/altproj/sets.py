@@ -400,10 +400,6 @@ class OrthoSubspace(ConvexSet):
             raise ValueError("basis must be a nonempty (k, d) array")
         _check_orthonormal(b)
         object.__setattr__(self, "basis", b)
-        # not a field: the i of rows that all are unit vectors e_i, else None (see pair_step)
-        rows, cols = np.nonzero(b)
-        unit = rows.size == b.shape[0] and (b[rows, cols] == 1.0).all()
-        object.__setattr__(self, "_coords", cols.copy() if unit else None)
 
     @property
     def dim(self):
@@ -625,20 +621,19 @@ class DiagonalAffineGraph(ConvexSet):
         return out
 
     def pair_step(self, A, prev):
-        """``(run, point_b)`` for the pair (A, self) when A is the first factor X (+) {0}
-        and prev's second factor is +0.0 bit for bit, else None.  ``project`` is then
-        x = (p[:d] + c) / _denom, c = theta * (0.0 - offset), and ``A.project`` (x + 0.0, 0).
-        ``run(p, k)`` takes k such steps from p in place on a new array and returns it and
-        k, adding +0.0 once at the end: equal inputs give numerically equal x + c and
-        (x + c) / _denom, so a +0.0 per step could only change the sign of a zero.  As
-        1 + theta^2 >= 1, step j obeys |x_j| <= (|x_0| + j|c|)(1 + u)^(2j), so b = |x_0| +
-        k|c| with b.b <= 1e299 gives every x_j x.x <= 1e300, which keeps b_n finite (see
-        README); else, an overflowed or NaN b too, run takes no step and returns (p, 0),
-        for the caller to project twice.  ``point_b(p)`` is b_n."""
-        d, coords = self.half_dim, getattr(A, "_coords", None)
-        if (getattr(A, "kind", None) != "ortho_subspace" or A.dim != 2 * d or coords is None
-                or not np.array_equal(np.sort(coords), np.arange(d)) or prev.shape != (2 * d,)
-                or prev.dtype != np.float64 or prev[d:].view(np.uint64).any()):
+        """The k-step runner for the pair (A, self) when A is X (+) {0}, an ``OrthoSubspace``
+        of basis ``np.eye(d, 2d)``, and prev's second factor is +0.0 bit for bit, else None.
+        ``project`` is then x = (p[:d] + c) / _denom, c = theta * (0.0 - offset), and
+        ``A.project`` (x + 0.0, 0).  ``run(p, k)`` takes k such steps from p in place on a
+        new array and returns it and k, adding +0.0 once at the end: equal inputs give
+        numerically equal x + c and (x + c) / _denom, so a +0.0 per step could only change
+        the sign of a zero.  As 1 + theta^2 >= 1, |x_j| <= (|x_0| + j|c|)(1 + u)^(2j), so
+        b = |x_0| + k|c| with b.b <= 1e299 gives every x_j x.x <= 1e300, which keeps b_n
+        finite (see README); else, an overflowed or NaN b too, run takes no step and
+        returns (p, 0), for the caller to project twice."""
+        d = self.half_dim
+        if (type(A) is not OrthoSubspace or prev.shape != (2 * d,) or prev.dtype != np.float64
+                or prev[d:].view(np.uint64).any() or not np.array_equal(A.basis, np.eye(d, 2 * d))):
             return None
         c, den, add, divide = self.theta * (0.0 - self.offset), self._denom, np.add, np.divide
 
@@ -653,11 +648,7 @@ class DiagonalAffineGraph(ConvexSet):
                 divide(add(x, c, x), den, x)
             add(x, 0.0, x)  # A.project's +0.0 for a -0.0
             return a, k
-
-        def point_b(p):
-            x = (p[:d] + c) / den
-            return np.concatenate((x, self.offset + self.theta * x))
-        return run, point_b
+        return run
 
     def support_value(self, f):
         d = self.half_dim

@@ -618,9 +618,9 @@ def _growth_case(rng):
     """A seeded (schedule, run config) over pairs of X (+) {0} and graphs in R^(2d),
     d = 1..4, under Constant, Blocks or Adaptive, logged at a record_stride of 1 to 50
     and at up to three record_indices, with a max_iter that may end a Blocks schedule
-    early.  Some blocks use X's basis rows permuted (fused too), the whole space (whose
-    iterates leave a nonzero second factor to the next block), d other unit vectors or
-    R^(2d+1) (neither fused); some starts have a second factor that is nonzero or -0.0.
+    early.  Some blocks use X's basis rows permuted, the whole space (whose iterates
+    leave a nonzero second factor to the next block), d other unit vectors or
+    R^(2d+1) (none fused); some starts have a second factor that is nonzero or -0.0.
     One in six runs a single graph with theta of 1e-5 to 1e-4 from an x of x.x 1e298.7
     to 1e299.02, whose c, of x's signs, adds 1e-3.5 to 1e-1 of x a step: the runner's
     bound b.b (see ``pair_step``) lands just below and just above 1e299, and x.x may
@@ -676,26 +676,26 @@ def _outcome(schedule, cfg):
 def test_fused_growth_step_matches_the_two_projections(monkeypatch):
     """The fused runner gives the records, block logs and status of the two generic
     projections bit for bit, and fails at the same step with the same error, when it
-    runs unlogged steps in one call (Constant and Blocks) and when it runs one step at
-    a time (Adaptive, and every logged step).  Seeded cases cover theta = 0, offset 0,
-    -0.0 coordinates, starts whose second factor is nonzero or -0.0, magnitudes near
-    1e308, and runs whose bound passes 1e299 between two records, where the call is
-    refused.  A case whose graph has a 1 + theta^2 that overflows is refused when built."""
+    runs the unlogged steps of Constant and Blocks schedules in one call; Adaptive
+    blocks never ask for it, and logged steps take the two projections.  Seeded cases
+    cover theta = 0, offset 0, -0.0 coordinates, starts whose second factor is nonzero
+    or -0.0, magnitudes near 1e308, and runs whose bound passes 1e299 between two
+    records, where the call is refused.  A case whose graph has a 1 + theta^2 that
+    overflows is refused when built."""
     rng = np.random.default_rng(2718)
     real, taken, calls = DiagonalAffineGraph.pair_step, [], []
 
     def spy(self, A, prev):
-        out = real(self, A, prev)
-        taken.append(out is not None)
-        if out is None:
+        run = real(self, A, prev)
+        taken.append(run is not None)
+        if run is None:
             return None
-        run, point_b = out
 
         def counted(p, k):
             a, j = run(p, k)
             calls.append((k, j))
             return a, j
-        return counted, point_b
+        return counted
 
     errors = refused = 0
     for case in range(400):
@@ -705,9 +705,11 @@ def test_fused_growth_step_matches_the_two_projections(monkeypatch):
             assert "1 + theta^2 overflows" in str(exc), case
             refused += 1
             continue
+        asked = len(taken)
         with monkeypatch.context() as m:
             m.setattr(DiagonalAffineGraph, "pair_step", spy)
             fused = _outcome(schedule, cfg)
+        assert not isinstance(schedule, Adaptive) or len(taken) == asked, case
         with monkeypatch.context() as m:
             m.setattr(DiagonalAffineGraph, "pair_step", lambda self, A, prev: None)
             generic = _outcome(schedule, cfg)
@@ -716,6 +718,7 @@ def test_fused_growth_step_matches_the_two_projections(monkeypatch):
     assert 50 < refused < 200 and 50 < errors < 350 and 100 < sum(taken) < len(taken)
     chunks = [(k, j) for k, j in calls if k > 1]  # the calls that run unlogged steps
     assert len(chunks) > 1000 and sum(j == 0 for k, j in chunks) > 10
+    assert all(k >= 1 for k, j in calls)
 
 
 def test_fused_steps_build_each_record_through_trace_record_in_order(monkeypatch):
@@ -741,11 +744,12 @@ def test_fused_steps_build_each_record_through_trace_record_in_order(monkeypatch
                          [(1.0, 0.0, 0), (1.0, -0.0, 4), (1.0, 1.0, 4), (1e150, 0.0, 6)],
                          ids=["0.0-0", "-0.0-4", "1.0-4", "1e150-0.0-6"])
 def test_fused_blocks_take_no_projection(monkeypatch, head, second, generic_steps):
-    """A block of the growth pair entered with a +0.0 second factor calls neither
-    ``project``; one entered otherwise takes both at each of its steps, and
-    leaves +0.0 to the next block.  From x.x = 1e300 the runner's bound refuses
-    every call until x has shrunk under it: the first six steps, chunks among them,
-    take both projections, and the later ones neither."""
+    """The unlogged steps of a block of the growth pair entered with a +0.0 second
+    factor call neither ``project``, and each logged step calls each ``project`` once.
+    A block entered otherwise takes both at each of its steps, and leaves +0.0 to the
+    next block.  From x.x = 1e300 the runner's bound refuses every call until x has
+    shrunk under it: the first six steps, chunks among them, take both projections,
+    and the later unlogged ones neither."""
     calls, seen = [], []
     for cls in (OrthoSubspace, DiagonalAffineGraph):
         def counted(self, x, real=cls.project, name=cls.__name__):
@@ -761,6 +765,10 @@ def test_fused_blocks_take_no_projection(monkeypatch, head, second, generic_step
     calls.clear()
     seen.clear()
     trace = run_perturbed(schedule, RunConfig(start=start, max_iter=10, record_stride=5))
+    logged = [r.n for r in trace.records]
+    steps = sorted({*range(1, generic_steps + 1), *logged})  # the steps that project
     assert trace.final.n == 10 and trace.final.a.tobytes() == every.final.a.tobytes()
-    assert calls.count("OrthoSubspace") == calls.count("DiagonalAffineGraph") == generic_steps
-    assert seen == [p.tobytes() for p in [start] + [r.a for r in every.records]][:generic_steps]
+    assert logged == [1, 4, 5, 10]
+    assert calls.count("OrthoSubspace") == calls.count("DiagonalAffineGraph") == len(steps)
+    inputs = [p.tobytes() for p in [start] + [r.a for r in every.records]]
+    assert seen == [inputs[n - 1] for n in steps]

@@ -1156,15 +1156,25 @@ def _points(d, rng):
                       -np.abs(rng.choice(_EDGE_VALUES, (4, d)))])
 
 
+def _pair_step_of(basis):
+    """What ``pair_step`` returns for the subspace of ``basis`` against a graph of
+    half dimension len(basis), from the start 0 (its second factor +0.0)."""
+    k = len(basis)
+    G = DiagonalAffineGraph(np.full(k, 0.5), np.ones(k))
+    return G.pair_step(OrthoSubspace(basis), np.zeros(2 * k))
+
+
 def test_coordinate_basis_projection_bit_equal_to_matmul():
-    """A basis of distinct unit rows e_i (the first factor pair_step looks for) keeps
-    their columns in _coords, and projects with the bits of basis.T @ (basis @ x) and
-    of project_many's rows, zeros' signs too."""
+    """A basis of distinct unit rows e_i projects with the bits of basis.T @ (basis @ x)
+    and of project_many's rows, zeros' signs too.  pair_step fuses only the first
+    factor X (+) {0}, np.eye(d, 2d) by value, and declines gapped and permuted rows."""
     rng = np.random.default_rng(2014)
-    cases = 0
+    cases, fused = 0, []
     for d, basis in _coordinate_bases(rng):
         S = OrthoSubspace(basis)
-        assert S._coords is not None
+        first = d == 2 * len(basis) and (np.argmax(basis, 1) == np.arange(len(basis))).all()
+        fused.append(first)
+        assert (_pair_step_of(basis) is not None) == first, basis
         X = _points(d, rng)
         many = S.project_many(X)
         for x, row in zip(X, many):
@@ -1172,7 +1182,7 @@ def test_coordinate_basis_projection_bit_equal_to_matmul():
             assert got.tobytes() == (S.basis.T @ (S.basis @ x)).tobytes(), (basis, x)
             assert got.tobytes() == row.tobytes(), (basis, x)
             cases += 1
-    assert cases > 10000
+    assert cases > 10000 and 10 < sum(fused) < len(fused) - 10
 
 
 @pytest.mark.parametrize("basis", [
@@ -1183,10 +1193,13 @@ def test_coordinate_basis_projection_bit_equal_to_matmul():
     np.linalg.qr(np.random.default_rng(3).standard_normal((3, 2)))[0].T,
 ], ids=["minus_e", "e_and_minus_e", "rotated_and_e", "e_and_rotated", "random"])
 def test_signed_or_rotated_rows_take_the_matmul_path(basis):
-    """-e_i rows and rotated bases have no _coords, so pair_step declines them, and
-    project with the bits of the two matmuls."""
-    S = OrthoSubspace(basis)
-    assert S._coords is None
+    """pair_step declines -e_i rows and rotated bases, in R^3 and cut or padded with
+    zero columns to the shape of np.eye(k, 2k), and they project with the bits of the
+    two matmuls."""
+    S, k = OrthoSubspace(basis), len(basis)
+    square = np.zeros((k, 2 * k))
+    square[:, :min(3, 2 * k)] = basis[:, :2 * k]
+    assert _pair_step_of(basis) is None and _pair_step_of(square) is None
     for x in _points(3, np.random.default_rng(4)):
         assert S.project(x).tobytes() == (S.basis.T @ (S.basis @ x)).tobytes()
 
