@@ -131,13 +131,13 @@ class ConvexSet:
 
     def project_many(self, X) -> np.ndarray:
         """Row i is ``project(X[i])``, for a (k, dim) array X.  The engine
-        projects one point a step; only the sampled probes batch.  Of the
-        benchmark workloads only the probe sweep does, on ``Polygon2D`` (about
-        41k rows a pass) and ``Ball`` (600), so those two override this loop
-        with whole-array arithmetic that gives the same bits: row dot products
-        by ``np.vecdot``, which sums in the order of the 1-D ``np.dot``, and
-        row norms by ``row_norms``.  The config checks' few thousand subspace
-        and orthant rows take a few ms here."""
+        projects one point a step; only the sampled probes batch.  The probe
+        sweep batches ``Polygon2D`` (about 38k aw rows a pass); on ``Ball`` the aw,
+        slice and ``epsilon_alpha`` samplers do (the tests' ball samples take about
+        4 s more without its kernel).  Those two override this loop with whole-array
+        arithmetic that gives the same bits: row dot products by ``np.vecdot``, which
+        sums in the order of the 1-D ``np.dot``, and row norms by ``row_norms``.
+        The config checks' few thousand subspace and orthant rows take a few ms here."""
         X = as_points(X, self.dim)
         out = np.empty_like(X)
         for i, x in enumerate(X):

@@ -257,8 +257,9 @@ def epsilon_alpha(A, f, alpha: float, n_boundary: int = 2000, rng_seed: int = 0)
     f attains its infimum over A at 0.  Returns the supremum of the
     per-sample minimal shifts over boundary-biased samples of A (a lower
     estimate of the true value, converging from below as n_boundary
-    grows).  The cone shifts along f itself: a unit x0 with f(x0) = 1 is
-    f by Cauchy-Schwarz, so there is no separate shift direction to pass.
+    grows); ``strongly_exposes_probe`` takes them for a polyhedron only.
+    The cone shifts along f itself: a unit x0 with f(x0) = 1 is f by
+    Cauchy-Schwarz, so there is no separate shift direction to pass.
     """
     f = as_point(f)
     if abs(float(np.linalg.norm(f)) - 1.0) > 1e-9:
@@ -332,16 +333,15 @@ def strongly_exposes_probe(A, f, alphas, n_samples: int = _EXPOSURE_SAMPLES,
     Shrinking slice diameters together with ratios eps(alpha)/alpha
     falling toward 0 indicate strong exposure at the support point; a
     flat supporting face keeps the diameter bounded away from 0 and the
-    ratios bounded away from 0.  Balls and polygons get closed forms, a
-    polyhedron certified brackets and sampled shifts (see ``ExposureProbe``).
-    Every kind draws ``n_samples`` points of its translated set once, for
-    ``epsilon_alpha``'s test of the frame.
+    ratios bounded away from 0.  Balls and polygons get closed forms and draw
+    nothing; a polyhedron gets certified brackets and shifts sampled from
+    ``n_samples`` points of its translated set, which test the frame as
+    ``epsilon_alpha``'s do (see ``ExposureProbe``).
     """
     alphas = tuple(float(a) for a in alphas)
     translated, fprime = exposure_frame(A, f)  # SupportUnavailable where there is no x*
     f = _support_direction(f, A.dim)
     _check_alphas(alphas)
-    a = _boundary_sample(translated, fprime, n_samples, rng_seed)
     highs = recession = None
     if isinstance(A, Ball):
         lows, eps = _ball_exposure(A, f, alphas)
@@ -350,6 +350,7 @@ def strongly_exposes_probe(A, f, alphas, n_samples: int = _EXPOSURE_SAMPLES,
                 for alpha in alphas]
         eps = _largest_shifts(translated.vertices, fprime, alphas)
     else:
+        a = _boundary_sample(translated, fprime, n_samples, rng_seed)
         lows, highs, recession = _polyhedron_slices(translated, f, alphas)
         eps = highs if recession else _largest_shifts(a, fprime, alphas)
     return ExposureProbe(alphas, tuple(eps), tuple(lows),

@@ -584,39 +584,51 @@ def test_exposure_direction_whose_norm_overflows_names_f(tmp_path, f):
 
 @pytest.mark.parametrize("field, value", [("center", 1e154), ("center", 1e300),
                                           ("radius", 1e154), ("radius", 1e300)])
-def test_exposure_set_that_fails_the_translated_test_names_set(tmp_path, capsys, field, value):
-    """A shipped disc so far out that the probe's translated set fails its own
-    test (0 in the set, f's infimum at 0) fails on validate as on probe, naming
-    params.set; the same disc at 1e3 probes."""
+def test_huge_disc_probes_to_its_closed_forms(tmp_path, capsys, field, value):
+    """A ball draws no sample, so the shipped disc moved to a centre of 1e154 or 1e300,
+    or grown to that radius r, validates and probes with exit 0 and nothing on stderr,
+    also where numpy's warnings are errors.  The moved disc reports the unit disc's
+    numbers; the grown one the cap diameters 2 sqrt(h(2r - h)) at depth h = alpha and
+    the shifts r(1/sqrt((1 - alpha)(1 + alpha)) - 1)."""
     doc = json.loads((CONFIGS / "probe_exposure_disc.json").read_text())
-    for scale, code in ((value, 1), (1e3, 0)):
-        if field == "center":
-            doc["params"]["set"]["center"][1] = scale
-        else:
-            doc["params"]["set"]["radius"] = scale
-        cfg = write_config(tmp_path, doc)
-        for cmd in ("validate", "probe"):
-            argv = [cmd, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]
-            assert main(argv) == code
-            err = capsys.readouterr().err
-            assert ("config field 'params.set': " in err) == (code == 1), (scale, cmd, err)
-
-
-@pytest.mark.parametrize("radius", [1e154, 1e300])
-def test_huge_disc_names_set_where_warnings_are_errors(tmp_path, radius):
-    """With numpy's warnings made errors, as CI's installed-CLI steps run, the shipped
-    disc at a huge radius still exits 1 naming params.set on validate and probe: the
-    membership test's overflowed norm is inf, so 0 is not in the translated set."""
-    doc = json.loads((CONFIGS / "probe_exposure_disc.json").read_text())
-    doc["params"]["set"]["radius"] = radius
+    argv = ["probe", "--config", str(write_config(tmp_path, doc, "unit.json")),
+            "--out", str(tmp_path / "unit"), "--quiet"]
+    assert main(argv) == 0
+    unit = json.loads((tmp_path / "unit" / "exposure_disc.json").read_text())["result"]
+    doc["params"]["set"][field] = [0.0, value] if field == "center" else value
     cfg = write_config(tmp_path, doc)
-    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
-    for cmd in ("validate", "probe"):
-        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "altproj",
-                               cmd, "--config", str(cfg), "--out", str(tmp_path / "o"),
-                               "--quiet"], env=env, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 1, done.stderr
-        assert done.stderr.startswith("error: config field 'params.set': "), done.stderr
+    for run in (main, _main_where_warnings_are_errors):
+        for cmd in ("validate", "probe"):
+            assert run([cmd, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+            assert capsys.readouterr().err == ""
+    result = json.loads((tmp_path / "o" / "exposure_disc.json").read_text())["result"]
+    if field == "radius":
+        eps = [value * (1.0 / math.sqrt((1.0 - a) * (1.0 + a)) - 1.0) for a in unit["alphas"]]
+        diams = [2.0 * math.sqrt(a * (2.0 * value - a)) for a in unit["alphas"]]
+        unit.update(eps_of_alpha=eps, slice_diams=diams, slice_diams_upper=diams,
+                    ratios=[e / a for e, a in zip(eps, unit["alphas"])])
+    assert result == unit
+    if value == 1e154 and field == "radius":
+        assert (diams[0], eps[0]) == (1.2649110640673517e+77, 2.06207261596576e+152)
+
+
+def test_validate_of_an_exposure_config_runs_the_probe(tmp_path, capsys, monkeypatch):
+    """validate of an exposure config, a ball's or a polyhedron's, runs the probe
+    itself, once, and takes no epsilon_alpha shift of its own."""
+    calls = []
+    for name in ("strongly_exposes_probe", "epsilon_alpha"):
+        fn = getattr(altproj.variational, name)
+        monkeypatch.setattr(altproj.variational, name,
+                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    box = {"kind": "polyhedron", "normals": np.vstack([np.eye(2), -np.eye(2)]).tolist(),
+           "b": [1.0] * 4, "witness": [0.0, 0.0]}
+    for doc in (json.loads((CONFIGS / "probe_exposure_disc.json").read_text()),
+                _exposure([1.0, 0.5], [0.2, 0.1], box)):
+        calls.clear()
+        assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert calls == ["strongly_exposes_probe"]
+        assert capsys.readouterr().out == ("[ok] probe parameters construct (exposure)\n"
+                                           "validated 1 checks\n")
 
 
 def _main_where_warnings_are_errors(argv):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import altproj.variational
 from altproj.constructions import stable_scenario
 from altproj.sets import (Ball, DiagonalAffineGraph, Halfspace, OrthoSubspace, Polygon2D,
                           Polyhedron, SamplerFailure, slice_sample)
@@ -763,26 +764,34 @@ def _counted(monkeypatch, cls, name):
 
 @pytest.mark.parametrize("alphas", [[0.2, 0.1], [0.4, 0.2, 0.1, 0.05]])
 def test_exposure_probe_takes_support_and_boundary_sample_once(alphas, monkeypatch):
-    """An exposure probe takes its support point once and draws and projects its
-    boundary sample once, however many alphas it has: on a box one proximal
-    support run for the point and 2d certified runs per slice, and eps values
-    that are those of epsilon_alpha at each alpha; on a disc one batch projection
-    and no support value, its numbers being closed forms."""
+    """An exposure probe takes its support point once, however many alphas it has,
+    and only a polyhedron draws a boundary sample: on a box one proximal support
+    run for the point, 2d certified runs per slice and one boundary sample, whose
+    eps values are those of epsilon_alpha at each alpha; a disc and a square draw
+    nothing (no batch projection, no support value), their numbers being closed forms."""
     runs = _counted(monkeypatch, Polyhedron, "_support")
+    samples = []
+    sample = altproj.variational._boundary_sample
+    monkeypatch.setattr(altproj.variational, "_boundary_sample",
+                        lambda A, *a: samples.append(A) or sample(A, *a))
     box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4), witness=np.zeros(2))
     f = np.array([1.0, 0.5])
     probe = strongly_exposes_probe(box, f, alphas, n_samples=50)
     assert len(probe.slice_diams) == len(alphas) and len(runs) == 1 + 4 * len(alphas)
-    assert probe.slice_diams[0] > 0.0 and box.support_value(f) == 1.5
+    assert probe.slice_diams[0] > 0.0 and box.support_value(f) == 1.5 and len(samples) == 1
     translated, unit = exposure_frame(box, f)
     assert probe.eps_of_alpha == tuple(epsilon_alpha(translated, unit, a, n_boundary=50)
                                        for a in alphas)
-    values = _counted(monkeypatch, Ball, "support_value")
-    batches = _counted(monkeypatch, Ball, "project_many")
+    samples.clear()
+    counted = [_counted(monkeypatch, cls, name) for cls in (Ball, Polygon2D)
+               for name in ("support_value", "project_many")]
     disc = Ball(np.array([0.0, 1.0]), 1.0)
     probe = strongly_exposes_probe(disc, [0.0, -1.0], alphas, n_samples=60, rng_seed=4)
-    assert (len(values), len(batches)) == (0, 1)
     assert probe.eps_of_alpha == tuple(disc_min_shift_exact(a) for a in alphas)
+    square = Polygon2D(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    probe = strongly_exposes_probe(square, [0.0, -1.0], alphas, n_samples=60, rng_seed=4)
+    assert min(probe.slice_diams) > 1.0 and probe.eps_mode == "exact"
+    assert samples == [] and all(calls == [] for calls in counted)
 
 
 @pytest.mark.parametrize("f, message", [
