@@ -589,7 +589,8 @@ def test_huge_disc_probes_to_its_closed_forms(tmp_path, capsys, field, value):
     or grown to that radius r, validates and probes with exit 0 and nothing on stderr,
     also where numpy's warnings are errors.  The moved disc reports the unit disc's
     numbers; the grown one the cap diameters 2 sqrt(h(2r - h)) at depth h = alpha and
-    the shifts r(1/sqrt((1 - alpha)(1 + alpha)) - 1)."""
+    the shifts r(1/sqrt((1 - alpha)(1 + alpha)) - 1).  The installed CLI's run of the
+    grown disc is checked by the test below."""
     doc = json.loads((CONFIGS / "probe_exposure_disc.json").read_text())
     argv = ["probe", "--config", str(write_config(tmp_path, doc, "unit.json")),
             "--out", str(tmp_path / "unit"), "--quiet"]
@@ -610,6 +611,25 @@ def test_huge_disc_probes_to_its_closed_forms(tmp_path, capsys, field, value):
     assert result == unit
     if value == 1e154 and field == "radius":
         assert (diams[0], eps[0]) == (1.2649110640673517e+77, 2.06207261596576e+152)
+
+
+@pytest.mark.parametrize("radius", [1e154, 1e300])
+def test_huge_disc_probes_where_warnings_are_errors(tmp_path, radius):
+    """With numpy's warnings made errors, as CI's installed-CLI steps run, the shipped
+    disc at a huge radius validates and probes with exit 0 and nothing on stderr, and
+    its report is the one an in-process probe writes."""
+    doc = json.loads((CONFIGS / "probe_exposure_disc.json").read_text())
+    doc["params"]["set"]["radius"] = radius
+    cfg = write_config(tmp_path, doc)
+    assert main(["probe", "--config", str(cfg), "--out", str(tmp_path / "in"), "--quiet"]) == 0
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    for cmd in ("validate", "probe"):
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "altproj",
+                               cmd, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                               "--quiet"], env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+    assert ((tmp_path / "o" / "exposure_disc.json").read_text()
+            == (tmp_path / "in" / "exposure_disc.json").read_text())
 
 
 def test_validate_of_an_exposure_config_runs_the_probe(tmp_path, capsys, monkeypatch):
